@@ -210,6 +210,20 @@ fn rung_row(r: &RungResult) -> Map {
             "connectivity_recomputes",
             Value::U64(out.router_stats.connectivity_recomputes as u64),
         );
+        // Refine pass 2: the visit outcomes (engine-independent) and the
+        // engine's work (the trial-solve count is gated as a ceiling).
+        let r = out.refine_stats.unwrap_or_default();
+        for (key, count) in [
+            ("refine_pass2_regions", r.pass2_regions as u64),
+            ("refine_pass2_recovered", r.pass2_recovered as u64),
+            ("refine_pass2_rejected", r.pass2_rejected as u64),
+            ("refine_pass2_no_candidate", r.pass2_no_candidate as u64),
+            ("refine_trial_solves", r.work.trial_solves),
+            ("refine_warm_skips", r.work.warm_skips),
+            ("refine_cached_visits", r.work.cached_visits as u64),
+        ] {
+            m.insert(key, Value::U64(count));
+        }
     }
     m
 }
@@ -251,6 +265,16 @@ fn main() {
                 out.total_shields,
                 out.router_stats.connectivity_recomputes,
                 out.router_stats.connectivity_repairs
+            );
+            let refine = out.refine_stats.unwrap_or_default();
+            println!(
+                "  {:<10} {:>10}  pass-2 visits {}  trial solves {}  warm skips {}  cached visits {}",
+                "",
+                "",
+                refine.pass2_regions,
+                refine.work.trial_solves,
+                refine.work.warm_skips,
+                refine.work.cached_visits
             );
         }
         workloads.insert(id.as_str(), Value::Object(rung_row(&r)));

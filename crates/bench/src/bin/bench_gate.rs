@@ -22,8 +22,9 @@
 //! whatever hardware CI happens to run — exactly the regression the gate
 //! exists to catch. The absolute times are reported alongside for humans.
 //!
-//! Deterministic **behaviour counts** (currently the ID router's
-//! connectivity recompute/repair counters) are gated alongside the
+//! Deterministic **behaviour counts** (the ID router's connectivity
+//! recompute/repair counters and, per scale workload, violations, shields
+//! and refine pass 2's trial solves) are gated alongside the
 //! timings with the same tolerance; being exact integers on a fixed
 //! workload, they catch algorithmic regressions that wall-time noise
 //! would mask.
@@ -108,6 +109,7 @@ const MATRIX_COUNT_METRICS: &[(&str, &str)] = &[
     ("repairs", "connectivity_repairs"),
     ("violations", "violations"),
     ("shields", "total_shields"),
+    ("refine trial solves", "refine_trial_solves"),
 ];
 
 /// Per-workload report-only metrics: wall times and memory ceilings vary

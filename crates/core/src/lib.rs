@@ -68,6 +68,7 @@ pub mod router;
 pub mod service;
 pub mod session;
 pub mod violations;
+mod worklist;
 
 pub use baseline::{run_id_no, run_isino};
 pub use cancel::CancelToken;

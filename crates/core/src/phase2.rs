@@ -10,6 +10,7 @@
 //! identical for every thread count and work-stealing interleaving.
 
 use crate::budget::Budgets;
+use crate::worklist::map_worklist;
 use crate::Result;
 use gsino_grid::net::NetId;
 use gsino_grid::region::{RegionGrid, RegionIdx};
@@ -23,73 +24,6 @@ use gsino_sino::layout::Layout;
 use gsino_sino::solver::{SinoSolver, SolverConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// Resolves a thread-count request (`0` = available parallelism).
-fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    }
-}
-
-/// Runs `f` over `items` on a pool draining an atomic worklist, moving
-/// each item out exactly once. Every worker owns one scratch value built
-/// by `make_scratch` and reused across all the items it pops; results
-/// carry their original index so callers can restore deterministic order.
-fn drain_worklist<T, U, S, M, F>(
-    items: Vec<T>,
-    workers: usize,
-    make_scratch: M,
-    f: F,
-) -> Vec<Result<Vec<(usize, U)>>>
-where
-    T: Send,
-    U: Send,
-    M: Fn() -> S + Sync,
-    F: Fn(T, &mut S) -> Result<U> + Sync,
-{
-    // Each cell is locked exactly once (by whichever worker pops its
-    // index), so the mutexes are contention-free ownership transfer, not
-    // synchronization.
-    let cells: Vec<Mutex<Option<T>>> = items.into_iter().map(|w| Mutex::new(Some(w))).collect();
-    let next = AtomicUsize::new(0);
-    let workers = workers.min(cells.len()).max(1);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut scratch = make_scratch();
-                    let mut done = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(cell) = cells.get(i) else { break };
-                        // invariant: a cell is poisoned only if another
-                        // worker panicked (propagated below anyway), and
-                        // the atomic counter hands each index out once.
-                        let item = cell
-                            .lock()
-                            .expect("worklist cell poisoned")
-                            .take()
-                            .expect("each index is claimed once");
-                        done.push((i, f(item, &mut scratch)?));
-                    }
-                    Ok(done)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // invariant: re-raise a worker panic on the caller's thread
-            // rather than swallowing it into a mangled result set.
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
-}
 
 /// How the per-region problem is solved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -327,26 +261,12 @@ pub fn prepare_instances(
     threads: usize,
 ) -> Result<Vec<RegionInstance>> {
     let groups = assignments(grid, routes);
-    let threads = resolve_threads(threads);
-    let build = |group: ((RegionIdx, Dir), Vec<NetId>)| -> Result<RegionInstance> {
-        build_instance(group.0, group.1, budgets, sensitivity)
-    };
-    if threads <= 1 || groups.len() < 32 {
-        return groups.into_iter().map(build).collect();
-    }
-    let total = groups.len();
-    let results = drain_worklist(groups, threads, || (), |group, _: &mut ()| build(group));
-    let mut out: Vec<Option<RegionInstance>> = (0..total).map(|_| None).collect();
-    for r in results {
-        for (i, inst) in r? {
-            out[i] = Some(inst);
-        }
-    }
-    Ok(out
-        .into_iter()
-        // invariant: the loop above writes exactly one instance per group.
-        .map(|o| o.expect("every group is built exactly once"))
-        .collect())
+    map_worklist(
+        groups,
+        threads,
+        || (),
+        |group, _: &mut ()| build_instance(group.0, group.1, budgets, sensitivity),
+    )
 }
 
 /// Builds one region's [`RegionInstance`] from its occupant list — the
@@ -483,34 +403,13 @@ pub fn solve_prepared_cancel(
     engine: SinoEngine,
     cancel: &crate::cancel::CancelToken,
 ) -> Result<RegionSino> {
-    let threads = resolve_threads(threads);
-    type Solved = ((RegionIdx, Dir), RegionSolution);
-    let solve_one = |region_inst: RegionInstance, scratch: &mut DeltaEval| -> Result<Solved> {
+    let solved = map_worklist(work, threads, DeltaEval::new, |item, scratch| {
         cancel.check("phase2")?;
-        solve_instance(region_inst, solver_config, mode, engine, scratch)
-    };
-
-    let mut solutions = HashMap::with_capacity(work.len());
-    if threads <= 1 || work.len() < 32 {
-        let mut scratch = DeltaEval::new();
-        for item in work {
-            let (key, sol) = solve_one(item, &mut scratch)?;
-            solutions.insert(key, sol);
-        }
-    } else {
-        // Atomic worklist: workers pop the next unsolved region instead of
-        // owning a fixed chunk, so one pathological region cannot idle the
-        // rest of the pool.
-        let results = drain_worklist(work, threads, DeltaEval::new, |item, scratch| {
-            solve_one(item, scratch)
-        });
-        for r in results {
-            for (_, (key, sol)) in r? {
-                solutions.insert(key, sol);
-            }
-        }
-    }
-    Ok(RegionSino { solutions })
+        solve_instance(item, solver_config, mode, engine, scratch)
+    })?;
+    Ok(RegionSino {
+        solutions: solved.into_iter().collect(),
+    })
 }
 
 #[cfg(test)]

@@ -4,9 +4,10 @@ use crate::budget::{
     budgets_with_constraints, congestion_weighted_budgets, uniform_budgets, BudgetPolicy, Budgets,
     LengthModel,
 };
+use crate::cancel::CancelToken;
 use crate::metrics::{wirelength_stats, WirelengthStats};
 use crate::phase2::{solve_regions_with_engine, RegionMode, RegionSino, SinoEngine};
-use crate::refine::{refine, RefineConfig, RefineStats};
+use crate::refine::{refine_cancel, RefineConfig, RefineStats};
 use crate::router::{AstarRouter, IdRouter, RouterStats, ShieldTerm, Weights};
 use crate::violations::{check, ViolationReport};
 use crate::{CoreError, Result};
@@ -79,8 +80,9 @@ pub struct GsinoConfig {
     pub solver: SolverConfig,
     /// Phase III bounds.
     pub refine: RefineConfig,
-    /// Worker threads for Phase I's A* batches and Phase II's region
-    /// solves (0 = available parallelism).
+    /// Worker threads for Phase I's A* batches, Phase II's region solves
+    /// and Phase III's pass-2 region trials (0 = available parallelism).
+    /// Every result is identical for every thread count.
     pub threads: usize,
     /// Pre-fitted Formula (3) model; `None` fits one per GSINO run.
     pub nss_model: Option<NssModel>,
@@ -518,7 +520,7 @@ pub(crate) fn run_flow(
     // Phase III (GSINO only).
     let t0 = Instant::now();
     let refine_stats = if approach == Approach::Gsino {
-        Some(refine(
+        Some(refine_cancel(
             circuit,
             &grid,
             &routes,
@@ -528,6 +530,8 @@ pub(crate) fn run_flow(
             config.vth,
             config.solver,
             &config.refine,
+            config.threads,
+            &CancelToken::never(),
         )?)
     } else {
         None

@@ -15,43 +15,82 @@
 //!
 //! The seed pass (preserved verbatim in [`mod@reference`]) re-derived all of
 //! its bookkeeping from scratch per edit. This module keeps Phase III's
-//! cost proportional to what an edit actually touches, mirroring the
-//! [`gsino_sino::delta::DeltaEval`] contract of Phase II:
+//! cost proportional to what an edit actually touches:
 //!
-//! * **What is cached.** A [`tracker::LskTracker`] holds, per sink, the
+//! * **The tracker.** A [`tracker::LskTracker`] holds, per sink, the
 //!   flat `(lⱼ, Kᵢʲ)` term list of paper Eq. (1) — region paths and
 //!   per-region lengths are fixed for the whole phase, so they are walked
 //!   exactly once at entry — plus a `(region, dir) → terms` reverse index
-//!   and the per-net worst violating voltage. Pass 1's work queue is a
-//!   [`tracker::SeverityQueue`] (lazy max-heap) instead of a full-map scan
-//!   per pick. One persistent `DeltaEval` per touched `(region, dir)`
-//!   (`RegionEngines`) mirrors that region's installed layout across
-//!   edits, so couplings after a re-solve are read straight from the
-//!   evaluator instead of a from-scratch re-evaluate.
+//!   and the per-net worst violating voltage. A region edit patches only
+//!   the crossing nets' sums — O(crossing segments + dirty-sink terms)
+//!   instead of full `check_net` route walks.
 //!
-//! * **When it is patched.** A budget tweak re-solves its region through
-//!   [`SinoSolver::resolve_after_kth`] (bit-identical to a cold
-//!   `solve`, but leaving the evaluator mirroring the result); the
-//!   tracker then patches only the crossing nets' sums —
-//!   O(crossing segments + dirty-sink terms) instead of full
-//!   `check_net` route walks. Pass 2 trials run as transactions: the
-//!   evaluator state is saved ([`DeltaSnapshot`]), budgets are raised in
-//!   place, and a rejected recovery restores evaluator, layout, couplings
-//!   and budgets bitwise — no `RegionSolution` clone, no O(n²)
-//!   sensitivity-matrix copy.
+//! * **Pass 1 edits in place.** Its work queue is a
+//!   [`tracker::SeverityQueue`] (lazy max-heap) instead of a full-map scan
+//!   per pick. A budget tightening re-solves its region through
+//!   [`SinoSolver::resolve_after_kth`] against one persistent
+//!   [`DeltaEval`] per touched `(region, dir)`, so the couplings are read
+//!   straight from the evaluator instead of a from-scratch re-evaluate.
+//!
+//! * **Pass 2 tries out of place.** A pass-2 *trial* raises one region's
+//!   budgets in slack order until SINO drops a shield. It reads only that
+//!   region's [`RegionSolution`], so its result (a `Trial`) is a pure
+//!   function of it and is computed on a copy. Trials are then
+//!   *committed* one by one, in the sweep's density order, against the
+//!   tracker: a dropped shield is installed when every crossing net stays
+//!   clean (`Recovered`), and otherwise the region is left as it was
+//!   (`Rejected`). In pass 2 only a region's own recovery changes that
+//!   region, which makes four savings exact:
+//!
+//!   1. **Sort once.** A visit edits only its own region, so the shield
+//!      counts and densities of unvisited regions are fixed within a
+//!      sweep. One stable descending sort of [`RegionSino::keys`], with
+//!      the seed's `num_shields == 0` and density-floor filters, gives the
+//!      order of the seed's per-pick `density > best` scan: ties fall to
+//!      key order in both.
+//!   2. **Slack order.** Slacks read `sol.k`, which no trial step changes
+//!      before the first dropped shield. One sort by slack descending,
+//!      then index ascending, gives the order of the seed's per-step scan
+//!      over the not-yet-raised segments.
+//!   3. **Cache.** Up to its first dropped shield a trial reads only its
+//!      region's instance, couplings and layout. `NoCandidate` and
+//!      `Rejected` leave the region bitwise as they found it, so a cached
+//!      trial stays valid in every later sweep; only a `Recovered` commit
+//!      invalidates it. A cached trial that dropped a shield is committed
+//!      again against the current tracker, because other regions'
+//!      recoveries may have made room for it.
+//!   4. **Warm skip.** With the greedy solver every region satisfies
+//!      `layout == solve(instance)` throughout refine: Phase II, pass-1
+//!      re-solves and pass-2 installs all store solver output. So when
+//!      [`budget_swap_preserves_solution`] certifies trial step *t*
+//!      against step *t−1*'s instance, step *t* returns step *t−1*'s
+//!      layout, which kept at least the base number of shields, and its
+//!      solve is skipped. Phase II seeds each region's annealer from its
+//!      key and refine's solver does not, so with annealing the chain of
+//!      certificates starts at the first solved step instead. Debug builds
+//!      solve anyway and assert that the layouts are equal.
+//!
+//!   The trials a sweep still needs are computed from the sweep-start
+//!   state, which by (1) is each region's state at its visit, on the
+//!   [`GsinoConfig::threads`](crate::pipeline::GsinoConfig::threads)
+//!   workers of the atomic worklist Phase II drains. Workers poll the
+//!   [`CancelToken`] once per region. Results are keyed by region and
+//!   committed in sweep order on the caller's thread, so outputs and
+//!   [`RefineStats`] do not depend on the thread count.
 //!
 //! * **Why the result is identical.** Dirty sinks are re-summed over the
 //!   cached terms in the exact order the seed pass's `sink_lsk` iterates,
 //!   the queue reproduces the seed tie-break (highest voltage, then
-//!   smallest net id — see [`tracker::SeverityQueue`]), and the region
-//!   re-solves are the same pure function of the instance. Final
-//!   [`Budgets`], [`RegionSino`] and [`RefineStats`] are therefore
+//!   smallest net id — see [`tracker::SeverityQueue`]), the region
+//!   re-solves are the same pure function of the instance, and pass 2
+//!   visits, raises and commits in the seed's order. Final [`Budgets`],
+//!   [`RegionSino`] and [`RefineStats::outcome`] are therefore
 //!   **bit-identical** to [`reference::refine`] — property-tested in
 //!   `tests/refine_equivalence.rs` and asserted in the `phase_runtime`
 //!   bench.
 //!
 //! * **The debug oracle.** In `cfg(debug_assertions)` builds, every region
-//!   edit (pass 1 install, pass 2 accept/reject) is followed by
+//!   edit (pass 1 install, pass 2 commit) is followed by
 //!   [`tracker::LskTracker::oracle_check`], which re-runs the full
 //!   [`check`] and compares every severity and sink violation bitwise.
 
@@ -62,15 +101,19 @@ use crate::budget::Budgets;
 use crate::cancel::CancelToken;
 use crate::phase2::{RegionSino, RegionSolution};
 use crate::violations::check;
+use crate::worklist::map_worklist;
 use crate::Result;
 use gsino_grid::net::Circuit;
 use gsino_grid::region::{RegionGrid, RegionIdx};
 use gsino_grid::route::{Dir, RouteSet};
 use gsino_lsk::table::NoiseTable;
-use gsino_sino::delta::{DeltaEval, DeltaSnapshot};
+use gsino_sino::delta::DeltaEval;
+use gsino_sino::instance::SinoInstance;
+use gsino_sino::layout::Layout;
 use gsino_sino::solver::{SinoSolver, SolverConfig};
+use gsino_sino::warm::budget_swap_preserves_solution;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use tracker::{LskTracker, SeverityQueue};
 
 /// Safety bounds for the refinement loops.
@@ -113,15 +156,48 @@ pub struct RefineStats {
     pub pass2_shields_removed: u64,
     /// Regions visited by pass 2.
     pub pass2_regions: usize,
+    /// Pass-2 visits that recovered a shield.
+    pub pass2_recovered: usize,
+    /// Pass-2 visits whose dropped shield made a crossing net violate.
+    pub pass2_rejected: usize,
+    /// Pass-2 visits where no budget raise dropped a shield.
+    pub pass2_no_candidate: usize,
     /// Nets pass 1 could not fix within its iteration bounds.
     pub pass1_unfixed: usize,
     /// Whether pass 1 left the solution violation-free.
     pub clean: bool,
+    /// The work the engine did to get there: engine-specific, so left out
+    /// of [`RefineStats::outcome`].
+    pub work: RefineWork,
 }
 
-/// The persistent per-`(region, dir)` evaluators: each mirrors its
-/// region's installed layout across refine edits, loaded lazily on first
-/// touch and kept in sync by every install/rollback.
+impl RefineStats {
+    /// These stats without the engine work counts — the part two engines
+    /// that refine identically must agree on.
+    pub fn outcome(&self) -> RefineStats {
+        RefineStats {
+            work: RefineWork::default(),
+            ..*self
+        }
+    }
+}
+
+/// Pass-2 work counts. They repeat exactly for a given input and do not
+/// depend on the thread count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RefineWork {
+    /// Trial steps that ran the SINO solver.
+    pub trial_solves: u64,
+    /// Trial steps skipped because the warm certificate proved the solve
+    /// would return the previous step's layout.
+    pub warm_skips: u64,
+    /// Visits served by a trial computed in an earlier sweep.
+    pub cached_visits: usize,
+}
+
+/// The persistent per-`(region, dir)` evaluators of pass 1: each mirrors
+/// its region's installed layout across pass-1 edits, loaded lazily on
+/// first touch.
 #[derive(Debug, Default)]
 struct RegionEngines {
     map: HashMap<(RegionIdx, Dir), DeltaEval>,
@@ -139,23 +215,52 @@ impl RegionEngines {
     }
 }
 
-/// How one pass-2 recovery attempt ended.
+/// How one pass-2 visit ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Recovery {
     /// A shield came out and every crossing net stayed clean.
     Recovered,
-    /// A shield came out but some net started violating; the transaction
-    /// was rolled back bitwise.
+    /// A shield came out but some net would violate; nothing changed.
     Rejected,
-    /// No budget raise freed a shield; trial raises were dropped.
+    /// No budget raise freed a shield; nothing changed.
     NoCandidate,
 }
 
-/// Runs both passes, mutating budgets and region solutions in place.
+/// One pass-2 trial's result: a pure function of its region's
+/// [`RegionSolution`], valid until that region recovers a shield.
+#[derive(Debug, PartialEq)]
+enum Trial {
+    /// No budget raise dropped a shield.
+    NoCandidate,
+    /// Raising the budgets `raised` (`(segment, Kth)` pairs) dropped a
+    /// shield: the solver's layout and its couplings.
+    Drop {
+        raised: Vec<(usize, f64)>,
+        layout: Layout,
+        k: Vec<f64>,
+    },
+}
+
+/// Buffers one worker reuses across every trial it runs.
+#[derive(Debug, Default)]
+struct TrialScratch {
+    /// The trial's copy of the region instance, budgets raised in place.
+    instance: Option<SinoInstance>,
+    /// `(slack, segment)` in raise order.
+    order: Vec<(f64, usize)>,
+    /// The candidate budget vector the warm certificate checks.
+    kth: Vec<f64>,
+    /// Solver scratch.
+    eval: DeltaEval,
+}
+
+/// Runs both passes, mutating budgets and region solutions in place, with
+/// pass-2 trials on the available parallelism (`threads = 0`, as
+/// [`GsinoConfig::default`](crate::pipeline::GsinoConfig) resolves it).
 ///
 /// Bit-identical to [`reference::refine`] (same final [`Budgets`],
-/// [`RegionSino`] and [`RefineStats`]) — see the module docs for the
-/// incremental contract.
+/// [`RegionSino`] and [`RefineStats::outcome`]) — see the module docs for
+/// the incremental contract.
 ///
 /// # Errors
 ///
@@ -182,12 +287,15 @@ pub fn refine(
         vth,
         solver,
         config,
+        0,
         &CancelToken::never(),
     )
 }
 
-/// [`refine`] polling a [`CancelToken`] once per pass-1 net pick and once
-/// per pass-2 region pick. Cancellation leaves `budgets`/`sino` in a
+/// [`refine`] running pass-2 trials on `threads` workers (`0` = available
+/// parallelism) and polling a [`CancelToken`] once per pass-1 net pick,
+/// once per pass-2 trial and once per pass-2 commit. The result does not
+/// depend on `threads`. Cancellation leaves `budgets`/`sino` in a
 /// consistent but partially-refined state — transactional callers (the
 /// ECO session) refine **clones** and discard them on error, so nothing
 /// needs undoing here.
@@ -207,11 +315,11 @@ pub fn refine_cancel(
     vth: f64,
     solver: SolverConfig,
     config: &RefineConfig,
+    threads: usize,
     cancel: &CancelToken,
 ) -> Result<RefineStats> {
     let mut stats = RefineStats::default();
     let mut tracker = LskTracker::new(circuit, grid, routes, sino, table, vth);
-    let mut engines = RegionEngines::default();
     pass1(
         circuit,
         grid,
@@ -223,7 +331,6 @@ pub fn refine_cancel(
         config,
         &mut stats,
         &mut tracker,
-        &mut engines,
         cancel,
     )?;
     stats.clean = tracker.is_clean();
@@ -244,11 +351,20 @@ pub fn refine_cancel(
             config,
             &mut stats,
             &mut tracker,
-            &mut engines,
+            threads,
             cancel,
         )?;
     }
     Ok(stats)
+}
+
+/// Track density of a solved region: nets plus shields over capacity.
+fn density(grid: &RegionGrid, dir: Dir, sol: &RegionSolution) -> f64 {
+    let cap = match dir {
+        Dir::H => grid.hc(),
+        Dir::V => grid.vc(),
+    } as f64;
+    (sol.nets.len() + sol.layout.num_shields()) as f64 / cap
 }
 
 /// Pass 1: eliminate crosstalk violations.
@@ -269,10 +385,10 @@ fn pass1(
     config: &RefineConfig,
     stats: &mut RefineStats,
     tracker: &mut LskTracker,
-    engines: &mut RegionEngines,
     cancel: &CancelToken,
 ) -> Result<()> {
     let solver = SinoSolver::new(solver);
+    let mut engines = RegionEngines::default();
     let mut queue = SeverityQueue::new(&tracker.nets_by_severity());
     for _ in 0..config.max_pass1_iters {
         cancel.check("phase3")?;
@@ -306,12 +422,7 @@ fn pass1(
                     if let Some(sol) = sino.solution(r, dir) {
                         let k = sol.index_of(net_id).map(|i| sol.k[i]).unwrap_or(0.0);
                         if k > 1e-12 {
-                            let cap = match dir {
-                                Dir::H => grid.hc(),
-                                Dir::V => grid.vc(),
-                            } as f64;
-                            let density = (sol.nets.len() + sol.layout.num_shields()) as f64 / cap;
-                            candidates.push((density, r, dir));
+                            candidates.push((density(grid, dir, sol), r, dir));
                         }
                     }
                 }
@@ -377,7 +488,9 @@ fn pass1(
 }
 
 /// Pass 2: reduce routing congestion by recovering shields where slack
-/// allows.
+/// allows. Each sweep runs the trials it does not have cached on the
+/// worklist, then commits every visit in density order (see the module
+/// docs).
 #[allow(clippy::too_many_arguments)]
 fn pass2(
     circuit: &Circuit,
@@ -390,53 +503,49 @@ fn pass2(
     config: &RefineConfig,
     stats: &mut RefineStats,
     tracker: &mut LskTracker,
-    engines: &mut RegionEngines,
+    threads: usize,
     cancel: &CancelToken,
 ) -> Result<()> {
     let solver = SinoSolver::new(solver);
-    let mut snap = DeltaSnapshot::new();
-    // The key set never changes during refinement; the seed pass re-sorted
-    // it per pick, identically.
+    // Only the greedy solver's installed layouts are `solve(instance)`
+    // for refine's solver (module docs, warm skip).
+    let anchored = solver.config().anneal.is_none();
+    // The key set never changes during refinement.
     let keys = sino.keys();
+    let mut cache: HashMap<(RegionIdx, Dir), Trial> = HashMap::new();
     for _ in 0..config.pass2_sweeps {
-        let mut improved = false;
-        let mut visited: HashSet<(RegionIdx, Dir)> = HashSet::new();
-        loop {
-            // Most congested unvisited region with shields to recover.
-            let mut best: Option<(f64, RegionIdx, Dir)> = None;
-            for &(r, dir) in &keys {
-                if visited.contains(&(r, dir)) {
-                    continue;
-                }
-                // invariant: iterating `keys()` of the same solution set.
-                let sol = sino.solution(r, dir).expect("key enumerated");
-                if sol.layout.num_shields() == 0 {
-                    continue;
-                }
-                let cap = match dir {
-                    Dir::H => grid.hc(),
-                    Dir::V => grid.vc(),
-                } as f64;
-                let density = (sol.nets.len() + sol.layout.num_shields()) as f64 / cap;
-                if density < config.pass2_density_floor {
-                    continue;
-                }
-                if best.is_none_or(|(d, _, _)| density > d) {
-                    best = Some((density, r, dir));
-                }
-            }
-            let (_, r, dir) = match best {
-                Some(b) => b,
-                None => break,
-            };
+        let order = sweep_order(grid, sino, &keys, config.pass2_density_floor);
+        let missing: Vec<(RegionIdx, Dir)> = order
+            .iter()
+            .copied()
+            .filter(|key| !cache.contains_key(key))
+            .collect();
+        stats.work.cached_visits += order.len() - missing.len();
+        let swept: &RegionSino = sino;
+        let trials = map_worklist(missing, threads, TrialScratch::default, |key, scratch| {
             cancel.check("phase3")?;
-            visited.insert((r, dir));
+            // invariant: the sweep order lists solved keys only.
+            let sol = swept.solution(key.0, key.1).expect("swept key is solved");
+            let mut work = RefineWork::default();
+            let trial = run_trial(sol, &solver, anchored, scratch, &mut work)?;
+            Ok((key, trial, work))
+        })?;
+        for (key, trial, work) in trials {
+            stats.work.trial_solves += work.trial_solves;
+            stats.work.warm_skips += work.warm_skips;
+            cache.insert(key, trial);
+        }
+        let mut improved = false;
+        for key in order {
+            cancel.check("phase3")?;
             stats.pass2_regions += 1;
-            let outcome = try_recover_shield(
-                budgets, sino, tracker, table, &solver, engines, &mut snap, r, dir, stats,
-            )?;
+            // invariant: every swept key got a trial above or in an
+            // earlier sweep, and only a recovery evicts it.
+            let trial = cache.get(&key).expect("swept key has a trial");
+            let outcome = commit_trial(trial, key, budgets, sino, tracker, table, stats)?;
             debug_oracle(tracker, circuit, grid, routes, sino, table);
             if outcome == Recovery::Recovered {
+                cache.remove(&key);
                 improved = true;
             }
         }
@@ -447,92 +556,134 @@ fn pass2(
     Ok(())
 }
 
-/// Attempts to remove one shield from `(r, dir)` by raising budgets of the
-/// largest-slack nets; accepts only violation-free outcomes.
-///
-/// Runs as a transaction against the region's persistent evaluator: the
-/// pre-trial state is captured once ([`DeltaEval::save_into`]), budgets
-/// are raised in place, and rejection restores evaluator, layout,
-/// couplings and budgets bitwise — no [`RegionSolution`] clone.
-#[allow(clippy::too_many_arguments)]
-fn try_recover_shield(
+/// The regions one pass-2 sweep visits, most congested first: every key
+/// with shields to recover and density at or above `floor`, stably sorted
+/// by density descending so ties keep key order.
+fn sweep_order(
+    grid: &RegionGrid,
+    sino: &RegionSino,
+    keys: &[(RegionIdx, Dir)],
+    floor: f64,
+) -> Vec<(RegionIdx, Dir)> {
+    let mut order: Vec<(f64, (RegionIdx, Dir))> = keys
+        .iter()
+        .filter_map(|&(r, dir)| {
+            // invariant: iterating `keys()` of the same solution set.
+            let sol = sino.solution(r, dir).expect("key enumerated");
+            if sol.layout.num_shields() == 0 {
+                return None;
+            }
+            let d = density(grid, dir, sol);
+            (d >= floor).then_some((d, (r, dir)))
+        })
+        .collect();
+    order.sort_by(|a, b| b.0.total_cmp(&a.0));
+    order.into_iter().map(|(_, key)| key).collect()
+}
+
+/// Fills `order` with the segments a trial raises, in raise order: those
+/// with positive slack `Kth − K`, stably sorted by slack descending so
+/// ties keep index order.
+fn slack_order(sol: &RegionSolution, order: &mut Vec<(f64, usize)>) {
+    order.clear();
+    order.extend((0..sol.nets.len()).filter_map(|i| {
+        let slack = sol.instance.segment(i).kth - sol.k[i];
+        (slack > 1e-12).then_some((slack, i))
+    }));
+    order.sort_by(|a, b| b.0.total_cmp(&a.0));
+}
+
+/// Runs one pass-2 trial on a copy of `sol`: raises budgets in slack order
+/// until the solver drops a shield. `anchored` says whether `sol.layout`
+/// is what the solver returns for `sol.instance` (module docs, warm skip).
+fn run_trial(
+    sol: &RegionSolution,
+    solver: &SinoSolver,
+    anchored: bool,
+    s: &mut TrialScratch,
+    work: &mut RefineWork,
+) -> Result<Trial> {
+    slack_order(sol, &mut s.order);
+    if s.order.is_empty() {
+        return Ok(Trial::NoCandidate);
+    }
+    let base = sol.layout.num_shields();
+    let inst = s.instance.get_or_insert_with(|| sol.instance.clone());
+    inst.clone_from(&sol.instance);
+    s.kth.clear();
+    s.kth.extend(inst.segments().iter().map(|seg| seg.kth));
+    // Whether the previous step's layout is known to be the solver's
+    // output for the previous step's instance.
+    let mut anchored = anchored;
+    #[cfg(debug_assertions)]
+    let mut prev = sol.layout.clone();
+    for (t, &(slack, i)) in s.order.iter().enumerate() {
+        s.kth[i] = inst.segment(i).kth + slack;
+        let certified = anchored && budget_swap_preserves_solution(inst, &s.kth);
+        inst.set_kth(i, s.kth[i])?;
+        if certified {
+            work.warm_skips += 1;
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                solver.solve_with(inst, &mut s.eval)?,
+                prev,
+                "a warm-skipped trial step would have moved the layout"
+            );
+            continue;
+        }
+        work.trial_solves += 1;
+        let layout = solver.resolve_after_kth(inst, &mut s.eval)?;
+        if layout.num_shields() < base {
+            let raised = s.order[..=t].iter().map(|&(_, j)| (j, s.kth[j])).collect();
+            // The scratch mirrors the returned layout, so its couplings
+            // are the layout's.
+            let k = s.eval.k_values().to_vec();
+            return Ok(Trial::Drop { raised, layout, k });
+        }
+        anchored = true;
+        #[cfg(debug_assertions)]
+        {
+            prev = layout;
+        }
+    }
+    Ok(Trial::NoCandidate)
+}
+
+/// Commits one trial of `(r, dir)`: installs a dropped shield if every
+/// crossing net stays clean, and otherwise leaves budgets, the region and
+/// the tracker bitwise as they were.
+fn commit_trial(
+    trial: &Trial,
+    (r, dir): (RegionIdx, Dir),
     budgets: &mut Budgets,
     sino: &mut RegionSino,
     tracker: &mut LskTracker,
     table: &NoiseTable,
-    solver: &SinoSolver,
-    engines: &mut RegionEngines,
-    snap: &mut DeltaSnapshot,
-    r: RegionIdx,
-    dir: Dir,
     stats: &mut RefineStats,
 ) -> Result<Recovery> {
-    // invariant: both callers verified this key holds a solution.
-    let sol = sino.solution_mut(r, dir).expect("caller checked existence");
-    let nets = sol.nets.clone();
-    let n = nets.len();
-    let base_shields = sol.layout.num_shields();
-    let engine = engines.engine(r, dir, sol);
-    // Transaction begin: the evaluator mirrors the installed layout, so
-    // the snapshot plus the saved budgets are the whole undo log.
-    engine.save_into(snap);
-    let saved_kth: Vec<f64> = (0..n).map(|i| sol.instance.segment(i).kth).collect();
-    let mut raised: Vec<usize> = Vec::new();
-    for _ in 0..n {
-        // Largest remaining positive slack under the current layout.
-        let mut pick: Option<(f64, usize)> = None;
-        for i in 0..n {
-            if raised.contains(&i) {
-                continue;
-            }
-            let slack = sol.instance.segment(i).kth - sol.k[i];
-            if slack > 1e-12 && pick.is_none_or(|(s, _)| slack > s) {
-                pick = Some((slack, i));
-            }
-        }
-        let (slack, i) = match pick {
-            Some(p) => p,
-            None => break,
-        };
-        sol.instance
-            .set_kth(i, sol.instance.segment(i).kth + slack)?;
-        raised.push(i);
-        engine.rebudget(&sol.instance, i);
-        let layout = solver.resolve_after_kth(&sol.instance, engine)?;
-        if layout.num_shields() >= base_shields {
-            continue;
-        }
-        // Tentatively install and verify through the tracker.
-        let removed = (base_shields - layout.num_shields()) as u64;
-        sol.layout = layout;
-        sol.k.clear();
-        sol.k.extend_from_slice(engine.k_values());
+    let Trial::Drop { raised, layout, k } = trial else {
+        stats.pass2_no_candidate += 1;
+        return Ok(Recovery::NoCandidate);
+    };
+    // invariant: trials are only run for solved keys.
+    let sol = sino.solution_mut(r, dir).expect("tried key is solved");
+    tracker.region_updated(r, dir, k, table);
+    if sol.nets.iter().any(|&nid| !tracker.net_is_clean(nid)) {
+        // The tracker re-sums dirty sinks from its term arrays, so
+        // re-patching the installed couplings restores it bitwise.
         tracker.region_updated(r, dir, &sol.k, table);
-        if nets.iter().any(|&nid| !tracker.net_is_clean(nid)) {
-            // Roll the transaction back bitwise.
-            engine.restore(snap);
-            sol.layout = engine.to_layout();
-            sol.k.clear();
-            sol.k.extend_from_slice(engine.k_values());
-            for (i2, &kth) in saved_kth.iter().enumerate() {
-                sol.instance.set_kth(i2, kth)?;
-            }
-            tracker.region_updated(r, dir, &sol.k, table);
-            return Ok(Recovery::Rejected);
-        }
-        for &i2 in &raised {
-            budgets.set(nets[i2], r, dir, sol.instance.segment(i2).kth);
-        }
-        stats.pass2_shields_removed += removed;
-        return Ok(Recovery::Recovered);
+        stats.pass2_rejected += 1;
+        return Ok(Recovery::Rejected);
     }
-    // No shield came out: drop the trial budget raises and re-sync the
-    // evaluator to the (unchanged) installed layout.
-    for (i, &kth) in saved_kth.iter().enumerate() {
+    for &(i, kth) in raised {
         sol.instance.set_kth(i, kth)?;
+        budgets.set(sol.nets[i], r, dir, kth);
     }
-    engine.restore(snap);
-    Ok(Recovery::NoCandidate)
+    stats.pass2_shields_removed += (sol.layout.num_shields() - layout.num_shields()) as u64;
+    sol.layout = layout.clone();
+    sol.k.clone_from(k);
+    stats.pass2_recovered += 1;
+    Ok(Recovery::Recovered)
 }
 
 /// Debug-build oracle: the tracker must stay bit-identical to a full
@@ -572,42 +723,29 @@ mod tests {
     use gsino_grid::sensitivity::SensitivityModel;
     use gsino_grid::tech::Technology;
 
-    /// A bus guaranteed to violate after Phase II when budgets are computed
-    /// from a deliberately optimistic length estimate.
-    fn violating_setup() -> (
+    type Solved = (
         Circuit,
         gsino_grid::RegionGrid,
         RouteSet,
         NoiseTable,
         Budgets,
         RegionSino,
-    ) {
-        let die = Rect::new(Point::new(0.0, 0.0), Point::new(3840.0, 640.0)).unwrap();
-        let nets: Vec<Net> = (0..14)
-            .map(|i| {
-                Net::two_pin(
-                    i,
-                    Point::new(8.0, 320.0 + i as f64),
-                    Point::new(3830.0, 320.0 + i as f64),
-                )
-            })
-            .collect();
-        let circuit = Circuit::new("viol", die, nets).unwrap();
+    );
+
+    /// Routes `nets` on `die`, budgets them at `budget_vth` and solves
+    /// Phase II at sensitivity rate 0.5.
+    fn solved(die: Rect, nets: Vec<Net>, budget_vth: f64) -> Solved {
+        let circuit = Circuit::new("refine", die, nets).unwrap();
         let tech = Technology::itrs_100nm();
         let grid = gsino_grid::RegionGrid::new(&circuit, &tech, 64.0).unwrap();
         let (routes, _) = route_all(&grid, &circuit, Weights::default(), ShieldTerm::None).unwrap();
         let table = NoiseTable::calibrated(&tech);
-        // Budget with a loose vth (0.30) but check against a strict one
-        // (0.15) — mimics the Manhattan-underestimate situation that makes
-        // Phase III necessary, in a controlled way. A mid sensitivity rate
-        // matters: at rate 1.0 capacitive freedom already isolates every
-        // net (K = 0 everywhere) and nothing can violate.
         let budgets = uniform_budgets(
             &circuit,
             &grid,
             &routes,
             &table,
-            0.30,
+            budget_vth,
             LengthModel::Manhattan,
         )
         .unwrap();
@@ -623,6 +761,48 @@ mod tests {
         )
         .unwrap();
         (circuit, grid, routes, table, budgets, sino)
+    }
+
+    /// A bus guaranteed to violate after Phase II when budgets are computed
+    /// from a deliberately optimistic length estimate.
+    fn violating_setup() -> Solved {
+        let die = Rect::new(Point::new(0.0, 0.0), Point::new(3840.0, 640.0)).unwrap();
+        let nets: Vec<Net> = (0..14)
+            .map(|i| {
+                Net::two_pin(
+                    i,
+                    Point::new(8.0, 320.0 + i as f64),
+                    Point::new(3830.0, 320.0 + i as f64),
+                )
+            })
+            .collect();
+        // Budget with a loose vth (0.30) but check against a strict one
+        // (0.15) — mimics the Manhattan-underestimate situation that makes
+        // Phase III necessary, in a controlled way. A mid sensitivity rate
+        // matters: at rate 1.0 capacitive freedom already isolates every
+        // net (K = 0 everywhere) and nothing can violate.
+        solved(die, nets, 0.30)
+    }
+
+    /// A spread of 120 two-pin nets, clean after Phase II at 0.15 V: with
+    /// the density floor at 0, pass 2 runs over a hundred trials per sweep
+    /// and some raises are warm-certified.
+    fn pass2_setup() -> Solved {
+        let die = Rect::new(Point::new(0.0, 0.0), Point::new(640.0, 640.0)).unwrap();
+        let nets: Vec<Net> = (0..120)
+            .map(|i| {
+                let x = 8.0 + (i as f64 * 37.0) % 620.0;
+                let y = 8.0 + (i as f64 * 53.0) % 620.0;
+                let dx = 40.0 + (i as f64 * 71.0) % 300.0;
+                let dy = 40.0 + (i as f64 * 29.0) % 300.0;
+                Net::two_pin(
+                    i,
+                    Point::new(x, y),
+                    Point::new((x + dx) % 630.0 + 4.0, (y + dy) % 630.0 + 4.0),
+                )
+            })
+            .collect();
+        solved(die, nets, 0.15)
     }
 
     #[test]
@@ -775,7 +955,11 @@ mod tests {
                 &refine_cfg,
             )
             .unwrap();
-            assert_eq!(stats_ref, stats_inc, "stats diverged ({refine_cfg:?})");
+            assert_eq!(
+                stats_ref.outcome(),
+                stats_inc.outcome(),
+                "stats diverged ({refine_cfg:?})"
+            );
             assert_eq!(b_ref, b_inc, "budgets diverged ({refine_cfg:?})");
             assert_eq!(s_ref, s_inc, "region solutions diverged ({refine_cfg:?})");
         }
@@ -801,8 +985,9 @@ mod tests {
         assert_eq!(ranked, report.nets_by_severity());
     }
 
-    /// A rejected pass-2 recovery must leave budgets, region solutions and
-    /// the tracker bitwise-untouched — no state leaks from the transaction.
+    /// A rejected pass-2 commit must leave budgets, region solutions and
+    /// the tracker bitwise-untouched, and a region a commit left alone
+    /// must give the same trial again — what makes the trial cache exact.
     #[test]
     fn rejected_recovery_rolls_back_completely() {
         let (circuit, grid, routes, table, mut budgets, mut sino) = violating_setup();
@@ -819,8 +1004,8 @@ mod tests {
         )
         .unwrap();
         // The tightest constraint the refined solution still meets:
-        // recovering any load-bearing shield there must violate and roll
-        // back.
+        // recovering any load-bearing shield there must violate and be
+        // rejected.
         let worst = check(&circuit, &grid, &routes, &sino, &table, 0.0)
             .worst_net()
             .map(|(_, v)| v)
@@ -829,8 +1014,8 @@ mod tests {
         let mut tracker = LskTracker::new(&circuit, &grid, &routes, &sino, &table, vth);
         assert!(tracker.is_clean(), "vth sits above the worst voltage");
         let solver = SinoSolver::new(SolverConfig::default());
-        let mut engines = RegionEngines::default();
-        let mut snap = DeltaSnapshot::new();
+        let mut scratch = TrialScratch::default();
+        let mut work = RefineWork::default();
         let mut stats = RefineStats::default();
         let mut rejected = 0;
         for (r, dir) in sino.keys() {
@@ -840,16 +1025,15 @@ mod tests {
             let budgets_before = budgets.clone();
             let sino_before = sino.clone();
             let severity_before = tracker.nets_by_severity();
-            let outcome = try_recover_shield(
+            let sol = sino.solution(r, dir).unwrap();
+            let trial = run_trial(sol, &solver, true, &mut scratch, &mut work).unwrap();
+            let outcome = commit_trial(
+                &trial,
+                (r, dir),
                 &mut budgets,
                 &mut sino,
                 &mut tracker,
                 &table,
-                &solver,
-                &mut engines,
-                &mut snap,
-                r,
-                dir,
                 &mut stats,
             )
             .unwrap();
@@ -869,12 +1053,150 @@ mod tests {
                     assert_eq!(budgets, budgets_before);
                     assert_eq!(sino, sino_before);
                 }
-                Recovery::Recovered => {}
+                Recovery::Recovered => continue,
             }
+            let sol = sino.solution(r, dir).unwrap();
+            let again = run_trial(sol, &solver, true, &mut scratch, &mut work).unwrap();
+            assert_eq!(again, trial, "the trial of {r} {dir:?} went stale");
         }
         assert!(
             rejected > 0,
             "scenario produced no rejected recovery; tighten vth"
         );
+        assert_eq!(stats.pass2_rejected, rejected);
+    }
+
+    /// One stable sort per sweep visits regions in the order of the seed
+    /// pass's per-pick maximum scan, ties to key order included.
+    #[test]
+    fn sweep_order_matches_per_pick_scan() {
+        let (_, grid, _, _, _, sino) = pass2_setup();
+        let keys = sino.keys();
+        for floor in [0.0, 0.5, 0.75] {
+            let mut seed_order = Vec::new();
+            let mut visited = std::collections::HashSet::new();
+            loop {
+                let mut best: Option<(f64, (RegionIdx, Dir))> = None;
+                for &(r, dir) in &keys {
+                    let sol = sino.solution(r, dir).unwrap();
+                    if visited.contains(&(r, dir)) || sol.layout.num_shields() == 0 {
+                        continue;
+                    }
+                    let d = density(&grid, dir, sol);
+                    if d >= floor && best.is_none_or(|(b, _)| d > b) {
+                        best = Some((d, (r, dir)));
+                    }
+                }
+                let Some((_, key)) = best else { break };
+                visited.insert(key);
+                seed_order.push(key);
+            }
+            let order = sweep_order(&grid, &sino, &keys, floor);
+            assert_eq!(order, seed_order, "floor {floor}");
+            if floor == 0.0 {
+                let densities: Vec<f64> = order
+                    .iter()
+                    .map(|&(r, dir)| density(&grid, dir, sino.solution(r, dir).unwrap()))
+                    .collect();
+                assert!(
+                    densities.windows(2).any(|w| w[0] == w[1]),
+                    "the setup must exercise the key-order tie-break"
+                );
+            }
+        }
+    }
+
+    /// One sort by slack gives the seed's per-step scan over the segments
+    /// not yet raised.
+    #[test]
+    fn slack_order_matches_per_step_scan() {
+        let (_, _, _, _, _, sino) = pass2_setup();
+        let mut order = Vec::new();
+        let mut ties = 0;
+        for (r, dir) in sino.keys() {
+            let sol = sino.solution(r, dir).unwrap();
+            let mut seed_order = Vec::new();
+            loop {
+                let mut pick: Option<(f64, usize)> = None;
+                for i in 0..sol.nets.len() {
+                    if seed_order.iter().any(|&(_, j)| j == i) {
+                        continue;
+                    }
+                    let slack = sol.instance.segment(i).kth - sol.k[i];
+                    if slack > 1e-12 && pick.is_none_or(|(s, _)| slack > s) {
+                        pick = Some((slack, i));
+                    }
+                }
+                let Some(p) = pick else { break };
+                seed_order.push(p);
+            }
+            slack_order(sol, &mut order);
+            assert_eq!(order, seed_order, "{r} {dir:?}");
+            ties += order.windows(2).filter(|w| w[0].0 == w[1].0).count();
+        }
+        assert!(ties > 0, "the setup must exercise the index tie-break");
+    }
+
+    /// A warm-skipped step never changes a trial: starting the chain of
+    /// certificates at the installed layout gives the same result, over
+    /// the same steps, as starting it at the first solved step. Debug
+    /// builds also solve every skipped step and compare.
+    #[test]
+    fn warm_skip_changes_no_trial() {
+        let (_, _, _, _, _, sino) = pass2_setup();
+        let solver = SinoSolver::new(SolverConfig::default());
+        let mut scratch = TrialScratch::default();
+        let (mut warm, mut cold) = (RefineWork::default(), RefineWork::default());
+        for (r, dir) in sino.keys() {
+            let sol = sino.solution(r, dir).unwrap();
+            let a = run_trial(sol, &solver, true, &mut scratch, &mut warm).unwrap();
+            let b = run_trial(sol, &solver, false, &mut scratch, &mut cold).unwrap();
+            assert_eq!(a, b, "{r} {dir:?}");
+            assert_eq!(
+                warm.trial_solves + warm.warm_skips,
+                cold.trial_solves + cold.warm_skips
+            );
+        }
+        assert!(
+            warm.warm_skips > cold.warm_skips,
+            "the setup must certify some first step against the installed layout"
+        );
+    }
+
+    /// Pass-2 trials on any number of workers give the same outputs and
+    /// the same stats, work counts included.
+    #[test]
+    fn thread_count_changes_nothing() {
+        let (circuit, grid, routes, table, budgets0, sino0) = pass2_setup();
+        let config = RefineConfig {
+            pass2_density_floor: 0.0,
+            ..RefineConfig::default()
+        };
+        let run = |threads: usize| {
+            let (mut b, mut s) = (budgets0.clone(), sino0.clone());
+            let stats = refine_cancel(
+                &circuit,
+                &grid,
+                &routes,
+                &mut b,
+                &mut s,
+                &table,
+                0.15,
+                SolverConfig::default(),
+                &config,
+                threads,
+                &CancelToken::never(),
+            )
+            .unwrap();
+            (stats, b, s)
+        };
+        let serial = run(1);
+        assert!(
+            serial.0.pass2_regions - serial.0.work.cached_visits >= 64,
+            "too few trials to reach the parallel worklist"
+        );
+        for threads in [2, 4] {
+            assert!(run(threads) == serial, "threads {threads}");
+        }
     }
 }

@@ -8,12 +8,13 @@
 //! per outer iteration, and pass 2 clones the entire [`RegionSolution`]
 //! (including the O(n²) sensitivity matrix) per recovery attempt — the
 //! from-scratch hot paths the incremental pass in [`super`] replaced with
-//! the cached [`super::tracker::LskTracker`], the severity heap and the
-//! [`gsino_sino::delta::DeltaEval`] transaction API. The incremental pass
-//! must stay **bit-identical** to this module: same final [`Budgets`],
-//! same [`crate::phase2::RegionSino`], same [`RefineStats`]. That contract
-//! is enforced by the `refine_equivalence` property suite, the debug-build
-//! full-`check` oracle inside the incremental pass, and the
+//! the cached [`super::tracker::LskTracker`], the severity heap and
+//! cached, out-of-place pass-2 trials. The incremental pass must stay
+//! **bit-identical** to this module: same final [`Budgets`], same
+//! [`crate::phase2::RegionSino`], same [`RefineStats::outcome`] (only the
+//! engine work counts differ; this pass counts its trial solves). That
+//! contract is enforced by the `refine_equivalence` property suite, the
+//! debug-build full-`check` oracle inside the incremental pass, and the
 //! `phase_runtime` bench.
 //!
 //! Nothing in this module is used by any production flow.
@@ -299,6 +300,7 @@ fn try_recover_shield(
         trial.set_kth(i, trial.segment(i).kth + slack)?;
         raised.push(i);
         let layout = solver.solve(&trial)?;
+        stats.work.trial_solves += 1;
         if layout.num_shields() >= base_shields {
             continue;
         }
@@ -321,13 +323,16 @@ fn try_recover_shield(
             // invariant: same key as the tentative install above.
             let sol = sino.solution_mut(r, dir).expect("exists");
             *sol = original;
+            stats.pass2_rejected += 1;
             return Ok(false);
         }
         for &i in &raised {
             budgets.set(nets[i], r, dir, trial.segment(i).kth);
         }
         stats.pass2_shields_removed += removed;
+        stats.pass2_recovered += 1;
         return Ok(true);
     }
+    stats.pass2_no_candidate += 1;
     Ok(false)
 }

@@ -835,6 +835,7 @@ fn finish_with_refine(
         config.vth,
         config.solver,
         &config.refine,
+        config.threads,
         cancel,
     )?;
     Ok(SessionState {

@@ -39,32 +39,6 @@ use crate::instance::SinoInstance;
 use crate::keff::Evaluation;
 use crate::layout::{Layout, Slot};
 
-/// A saved [`DeltaEval`] state: the undo side of a trial transaction.
-///
-/// Reusable scratch — [`DeltaEval::save_into`] overwrites it in place, so
-/// batch drivers hold one per worker and pay no allocations after warm-up.
-#[derive(Debug, Clone, Default)]
-pub struct DeltaSnapshot {
-    slots: Vec<Slot>,
-    k: Vec<f64>,
-    overflow: Vec<f64>,
-    cap: usize,
-    shields: usize,
-    overflowing: usize,
-}
-
-impl DeltaSnapshot {
-    /// An empty snapshot; fill it with [`DeltaEval::save_into`].
-    pub fn new() -> Self {
-        DeltaSnapshot::default()
-    }
-
-    /// Shield count of the saved state (readable without restoring).
-    pub fn num_shields(&self) -> usize {
-        self.shields
-    }
-}
-
 /// Incremental evaluation state for one layout under one instance.
 ///
 /// The structure is a reusable scratch: [`DeltaEval::reset`] and
@@ -421,39 +395,6 @@ impl DeltaEval {
         self.oracle_check(instance);
     }
 
-    /// Copies the full evaluator state into `snap`, reusing its
-    /// allocations. Together with [`DeltaEval::restore`] this is the
-    /// apply/undo transaction primitive for multi-edit trials (Phase III's
-    /// pass 2 snapshots a region's evaluator, runs a trial re-solve, and
-    /// restores on rejection).
-    pub fn save_into(&self, snap: &mut DeltaSnapshot) {
-        snap.slots.clear();
-        snap.slots.extend_from_slice(&self.slots);
-        snap.k.clear();
-        snap.k.extend_from_slice(&self.k);
-        snap.overflow.clear();
-        snap.overflow.extend_from_slice(&self.overflow);
-        snap.cap = self.cap;
-        snap.shields = self.shields;
-        snap.overflowing = self.overflowing;
-    }
-
-    /// Restores a state captured by [`DeltaEval::save_into`] — bitwise, in
-    /// O(area), with no recomputation. The snapshot must come from an
-    /// evaluator tracking the same instance (debug builds re-verify via
-    /// the oracle on the next mutation).
-    pub fn restore(&mut self, snap: &DeltaSnapshot) {
-        self.slots.clear();
-        self.slots.extend_from_slice(&snap.slots);
-        self.k.clear();
-        self.k.extend_from_slice(&snap.k);
-        self.overflow.clear();
-        self.overflow.extend_from_slice(&snap.overflow);
-        self.cap = snap.cap;
-        self.shields = snap.shields;
-        self.overflowing = snap.overflowing;
-    }
-
     /// Removes the shield at track `pos`, returning whether one was there.
     pub fn remove_shield_at(&mut self, instance: &SinoInstance, pos: usize) -> bool {
         if pos < self.slots.len() && self.slots[pos] == Slot::Shield {
@@ -661,27 +602,6 @@ mod tests {
         inst.set_kth(1, 1e-6).unwrap();
         delta.rebudget(&inst, 1);
         assert!(delta.worst_overflow().is_some());
-        assert_eq!(delta.evaluation(), evaluate(&inst, &delta.to_layout()));
-    }
-
-    #[test]
-    fn snapshot_restore_roundtrips_bitwise() {
-        let inst = instance(6, 0.7, 0.3, 12);
-        let mut delta = DeltaEval::new();
-        delta.load(&inst, &Layout::from_order(&[4, 2, 0, 5, 1, 3]));
-        let mut snap = DeltaSnapshot::new();
-        delta.save_into(&mut snap);
-        let before = delta.evaluation();
-        assert_eq!(snap.num_shields(), delta.num_shields());
-        // A burst of edits, then restore: state must be bitwise-identical.
-        delta.insert_shield(&inst, 2);
-        delta.swap(&inst, 0, 5);
-        delta.relocate(&inst, 1, 4);
-        delta.restore(&snap);
-        assert_eq!(delta.evaluation(), before);
-        assert_eq!(delta.to_layout(), Layout::from_order(&[4, 2, 0, 5, 1, 3]));
-        // The restored evaluator keeps editing correctly (oracle-checked).
-        delta.insert_shield(&inst, 3);
         assert_eq!(delta.evaluation(), evaluate(&inst, &delta.to_layout()));
     }
 

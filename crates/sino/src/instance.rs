@@ -33,11 +33,27 @@ pub struct SegmentSpec {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct SinoInstance {
     segments: Vec<SegmentSpec>,
     /// Row-major symmetric boolean matrix, `n × n`.
     sensitive: Vec<bool>,
+}
+
+impl Clone for SinoInstance {
+    fn clone(&self) -> Self {
+        SinoInstance {
+            segments: self.segments.clone(),
+            sensitive: self.sensitive.clone(),
+        }
+    }
+
+    /// Reuses `self`'s allocations: Phase III's pass-2 workers copy one
+    /// region instance per trial into the same buffer.
+    fn clone_from(&mut self, source: &Self) {
+        self.segments.clone_from(&source.segments);
+        self.sensitive.clone_from(&source.sensitive);
+    }
 }
 
 impl SinoInstance {

@@ -7,14 +7,21 @@
 //! degraded replay whose result is bit-identical to a from-scratch run —
 //! never a panic, never a silently wrong answer.
 
+use gsino::core::budget::Budgets;
 use gsino::core::cancel::CancelToken;
+use gsino::core::phase2::RegionSino;
 use gsino::core::pipeline::{run_flow_with_artifacts, run_gsino, Approach, GsinoConfig};
+use gsino::core::refine::{RefineConfig, RefineStats};
 use gsino::core::session::{EcoEdit, EcoSession, FaultKind, FaultPlan, OracleConfig};
 use gsino::core::CoreError;
-use gsino::grid::{Circuit, CircuitEdit, GridError, Net, Point, Rect, RegionGrid, Technology};
+use gsino::grid::{
+    Circuit, CircuitEdit, GridError, Net, Point, Rect, RegionGrid, RouteSet, SensitivityModel,
+    Technology,
+};
 use gsino::lsk::{kth_for_le, LskError, NoiseTable};
 use gsino::rlc::{Netlist, RlcError, Waveform};
 use gsino::sino::{instance::SegmentSpec, SinoError, SinoInstance};
+use std::time::Instant;
 
 #[test]
 fn circuit_construction_rejects_bad_inputs() {
@@ -351,6 +358,116 @@ fn session_canceled_commit_restores_pre_edit_state_bitwise() {
     session.commit().unwrap();
     assert!(session.circuit().net(77).is_some());
     assert_session_matches_scratch(&session);
+}
+
+/// Everything a commit may change, for bitwise before/after comparisons.
+fn committed_state(
+    session: &EcoSession,
+) -> (
+    RouteSet,
+    Budgets,
+    RegionSino,
+    Budgets,
+    RegionSino,
+    RefineStats,
+) {
+    (
+        session.routes().clone(),
+        session.budgets().clone(),
+        session.sino().clone(),
+        session.budgets_pre_refine().clone(),
+        session.sino_pre_refine().clone(),
+        *session.refine_stats(),
+    )
+}
+
+/// Deadlines swept across a commit whose refinement is mostly pass 2 (120
+/// spread nets, density floor 0, so pass 2 visits every shielded region):
+/// at 1 and 2 refine threads, every commit either succeeds bit-identical
+/// to one that never cancels, or is canceled with the committed state
+/// bitwise untouched.
+#[test]
+fn session_deadline_inside_pass2_cancels_cleanly_or_commits_identically() {
+    let die = Rect::new(Point::new(0.0, 0.0), Point::new(640.0, 640.0)).unwrap();
+    let nets: Vec<Net> = (0..120)
+        .map(|i| {
+            let x = 8.0 + (i as f64 * 37.0) % 620.0;
+            let y = 8.0 + (i as f64 * 53.0) % 620.0;
+            let dx = 40.0 + (i as f64 * 71.0) % 300.0;
+            let dy = 40.0 + (i as f64 * 29.0) % 300.0;
+            Net::two_pin(
+                i,
+                Point::new(x, y),
+                Point::new((x + dx) % 630.0 + 4.0, (y + dy) % 630.0 + 4.0),
+            )
+        })
+        .collect();
+    let circuit = Circuit::new("pass2", die, nets).unwrap();
+    let edit = EcoEdit::TightenVth {
+        net: 7,
+        sink: 0,
+        vth: 0.12,
+    };
+    let config = |threads: usize| GsinoConfig {
+        threads,
+        sensitivity: SensitivityModel::new(0.5, 3),
+        refine: RefineConfig {
+            pass2_density_floor: 0.0,
+            ..RefineConfig::default()
+        },
+        ..session_config()
+    };
+    let mut reference = EcoSession::new(&circuit, &config(1)).unwrap();
+    reference.begin().unwrap();
+    reference.apply(edit.clone()).unwrap();
+    let t = Instant::now();
+    reference.commit().unwrap();
+    let full = t.elapsed();
+    let expected = committed_state(&reference);
+    assert!(expected.5.pass2_regions > 100, "{:?}", expected.5);
+
+    for threads in [1, 2] {
+        let mut session = EcoSession::new(&circuit, &config(threads)).unwrap();
+        let (mut canceled, mut in_refine) = (0, 0);
+        // Deadlines from 0 to 1.25× the uncanceled commit, dense at the
+        // start so a busier reference run still leaves some inside
+        // refine, then none; the sweep ends at the first success.
+        let deadlines = [0, 1, 2, 4, 8, 12, 16, 20]
+            .map(|sixteenths: u32| CancelToken::with_deadline(full * sixteenths / 16));
+        for (step, token) in deadlines
+            .into_iter()
+            .chain([CancelToken::never()])
+            .enumerate()
+        {
+            let before = committed_state(&session);
+            session.begin().unwrap();
+            session.apply(edit.clone()).unwrap();
+            match session.commit_with(&token) {
+                Ok(()) => {
+                    assert!(
+                        committed_state(&session) == expected,
+                        "threads {threads} step {step}: the commit diverged"
+                    );
+                    break;
+                }
+                Err(CoreError::Canceled { phase }) => {
+                    canceled += 1;
+                    in_refine += usize::from(phase == "phase3");
+                    assert!(!session.in_transaction());
+                    assert!(
+                        committed_state(&session) == before,
+                        "threads {threads} step {step}: a canceled commit leaked"
+                    );
+                }
+                Err(e) => panic!("threads {threads} step {step}: {e}"),
+            }
+        }
+        assert!(canceled > 0, "threads {threads}: no deadline fired");
+        assert!(
+            in_refine > 0,
+            "threads {threads}: no deadline fired in refine"
+        );
+    }
 }
 
 /// The acceptance workload: 200 random edits across many transactions

@@ -10,14 +10,20 @@
 //!    random region-edit sequences: budget tightenings *and* loosenings,
 //!    re-solves, on random regions.
 //! 2. **The pass contract** — `refine::refine` produces bit-identical
-//!    final `Budgets`, `RegionSino` and `RefineStats` to
+//!    final `Budgets`, `RegionSino` and `RefineStats::outcome` to
 //!    `refine::reference::refine` across random circuits, sensitivity
-//!    rates, constraint pairs and solver/refine configurations.
+//!    rates, constraint pairs and solver/refine configurations. The
+//!    `#[ignore]`d pass-2-heavy legs hold it on generated rungs where
+//!    pass 2 makes over a thousand visits, at 1 and 2 threads
+//!    (`cargo test --release --test refine_equivalence -- --ignored`).
 
+use gsino_circuits::generator::{generate_scaled, ScaleSpec};
 use gsino_core::budget::{uniform_budgets, Budgets, LengthModel};
+use gsino_core::cancel::CancelToken;
 use gsino_core::phase2::{solve_regions, RegionMode, RegionSino};
+use gsino_core::pipeline::{run_flow_with_artifacts, Approach, GsinoConfig};
 use gsino_core::refine::tracker::LskTracker;
-use gsino_core::refine::{self, RefineConfig};
+use gsino_core::refine::{self, RefineConfig, RefineStats};
 use gsino_core::router::{route_all, ShieldTerm, Weights};
 use gsino_core::violations::check;
 use gsino_grid::geom::{Point, Rect};
@@ -167,7 +173,7 @@ proptest! {
             &circuit, &grid, &routes, &mut b_inc, &mut s_inc, &table, vth, solver, &config,
         )
         .expect("incremental refine");
-        prop_assert_eq!(stats_ref, stats_inc);
+        prop_assert_eq!(stats_ref.outcome(), stats_inc.outcome());
         prop_assert_eq!(b_ref, b_inc);
         prop_assert_eq!(s_ref, s_inc);
     }
@@ -207,10 +213,97 @@ fn dense_refine_full_agreement() {
         &RefineConfig::default(),
     )
     .unwrap();
-    assert_eq!(stats_ref, stats_inc);
+    assert_eq!(stats_ref.outcome(), stats_inc.outcome());
     assert!(stats_inc.clean);
     assert!(stats_inc.pass1_nets > 0);
     assert_eq!(b_ref, b_inc);
     assert_eq!(s_ref, s_inc);
     assert!(check(&circuit, &grid, &routes, &s_inc, &table, 0.15).is_clean());
+}
+
+/// Pass-2-heavy leg: the pre-refine state of a generated rung (Phase I
+/// and II as the pipeline runs them, refinement switched off), refined by
+/// the seed pass and by the engine at 1 and 2 threads. Every output must
+/// agree bitwise, and the engine's work counts must not depend on the
+/// thread count.
+fn pass2_heavy_leg(spec: &ScaleSpec) -> RefineStats {
+    let workload = generate_scaled(spec).expect("rung generates");
+    let circuit = workload.circuit();
+    let defaults = GsinoConfig::default();
+    let phases_1_and_2 = GsinoConfig {
+        threads: 1,
+        refine: RefineConfig {
+            max_pass1_iters: 0,
+            enable_pass2: false,
+            ..RefineConfig::default()
+        },
+        ..GsinoConfig::default()
+    };
+    let (outcome, internals) = run_flow_with_artifacts(circuit, &phases_1_and_2, Approach::Gsino)
+        .expect("phases I and II");
+    let (grid, table, routes) = (&internals.grid, &internals.table, &outcome.routes);
+    let (mut b_ref, mut s_ref) = (internals.budgets.clone(), internals.sino.clone());
+    let stats_ref = refine::reference::refine(
+        circuit,
+        grid,
+        routes,
+        &mut b_ref,
+        &mut s_ref,
+        table,
+        defaults.vth,
+        defaults.solver,
+        &defaults.refine,
+    )
+    .expect("reference refine");
+    let mut work = None;
+    for threads in [1, 2] {
+        let (mut b, mut s) = (internals.budgets.clone(), internals.sino.clone());
+        let stats = refine::refine_cancel(
+            circuit,
+            grid,
+            routes,
+            &mut b,
+            &mut s,
+            table,
+            defaults.vth,
+            defaults.solver,
+            &defaults.refine,
+            threads,
+            &CancelToken::never(),
+        )
+        .expect("engine refine");
+        assert_eq!(
+            stats.outcome(),
+            stats_ref.outcome(),
+            "{} threads {threads}",
+            spec.id
+        );
+        assert!(
+            b == b_ref,
+            "{} threads {threads}: budgets diverged",
+            spec.id
+        );
+        assert!(
+            s == s_ref,
+            "{} threads {threads}: regions diverged",
+            spec.id
+        );
+        assert_eq!(*work.get_or_insert(stats.work), stats.work, "{}", spec.id);
+    }
+    stats_ref
+}
+
+#[test]
+#[ignore = "heavy: run in release via -- --ignored (CI scale-ladder job)"]
+fn pass2_heavy_2000_nets_matches_reference() {
+    let stats = pass2_heavy_leg(&ScaleSpec::rung("pass2_2k", 2_000, 1.0, 0.0));
+    assert!(stats.pass2_regions > 2_000, "{stats:?}");
+}
+
+#[test]
+#[ignore = "heavy: run in release via -- --ignored (CI scale-ladder job)"]
+fn pass2_heavy_congested_1000_nets_matches_reference() {
+    let stats = pass2_heavy_leg(&ScaleSpec::rung("pass2_1k_c13", 1_000, 1.3, 0.0));
+    assert!(stats.pass1_nets > 0, "{stats:?}");
+    assert!(stats.pass2_regions > 1_000, "{stats:?}");
 }
