@@ -52,8 +52,10 @@ impl NetClient {
     /// Connection-fatal wire errors (`io`, `frame_*`, `protocol`) as
     /// [`CoreError::Remote`].
     pub fn connect_tcp(addr: impl ToSocketAddrs) -> Result<NetClient> {
-        let stream = TcpStream::connect(addr).map_err(io_to_core)?;
-        Self::handshake(Stream::Tcp(stream))
+        let stream = TcpStream::connect(addr)
+            .and_then(Stream::tcp)
+            .map_err(io_to_core)?;
+        Self::handshake(stream)
     }
 
     /// Connects over a unix-domain socket and performs the handshake.

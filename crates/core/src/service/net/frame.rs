@@ -137,7 +137,9 @@ pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Option<Vec<u8>>, Fram
     Ok(Some(body))
 }
 
-/// Writes one frame (prefix + body) and flushes.
+/// Writes one frame (prefix + body) in a single `write_all`, then
+/// flushes. One write per frame keeps a TCP peer from holding the body
+/// back behind the unacknowledged 4-byte prefix.
 ///
 /// # Errors
 ///
@@ -154,9 +156,10 @@ pub fn write_frame(w: &mut impl Write, body: &[u8], max: usize) -> Result<(), Fr
             max,
         });
     }
-    let prefix = (body.len() as u32).to_be_bytes();
-    w.write_all(&prefix)?;
-    w.write_all(body)?;
+    let mut frame = Vec::with_capacity(LEN_PREFIX + body.len());
+    frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
+    frame.extend_from_slice(body);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -222,6 +225,39 @@ mod tests {
                 got: 2
             })
         ));
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        /// Accepts every byte and counts the `write` calls.
+        struct CountingWriter {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = CountingWriter {
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        let bodies: [&[u8]; 3] = [b"{}", b"[1,2,3]", &[b'x'; 70_000]];
+        for (i, body) in bodies.iter().enumerate() {
+            write_frame(&mut w, body, MAX_FRAME).unwrap();
+            assert_eq!(w.writes, i + 1, "frame {i} took more than one write");
+        }
+        let mut cursor = &w.bytes[..];
+        for body in bodies {
+            assert_eq!(read_frame(&mut cursor, MAX_FRAME).unwrap().unwrap(), body);
+        }
+        assert!(cursor.is_empty());
     }
 
     #[test]

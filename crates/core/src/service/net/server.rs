@@ -106,8 +106,8 @@ impl NetServer {
                 if shared.stop.load(Ordering::SeqCst) {
                     break;
                 }
-                if let Ok(sock) = conn {
-                    serve_connection(&shared, Stream::Tcp(sock));
+                if let Ok(stream) = conn.and_then(Stream::tcp) {
+                    serve_connection(&shared, stream);
                 }
             }
         })

@@ -19,6 +19,16 @@ pub(crate) enum Stream {
 }
 
 impl Stream {
+    /// Wraps a TCP connection with Nagle's algorithm disabled. Every frame
+    /// leaves in one write, so holding a small segment back until the
+    /// peer's ACK arrives only waits out the peer's delayed-ACK timer
+    /// (~40 ms per round trip on Linux). Every TCP stream the server
+    /// accepts or the client opens goes through here.
+    pub(crate) fn tcp(sock: TcpStream) -> io::Result<Stream> {
+        sock.set_nodelay(true)?;
+        Ok(Stream::Tcp(sock))
+    }
+
     /// An independently owned handle to the same connection (reader and
     /// writer threads each hold one).
     pub(crate) fn try_clone(&self) -> io::Result<Stream> {

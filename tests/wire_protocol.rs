@@ -387,6 +387,31 @@ fn loopback_session_is_bit_identical_to_in_process() {
 }
 
 #[test]
+fn sequential_round_trips_do_not_wait_for_delayed_acks() {
+    // A frame split over two writes with Nagle's algorithm on waits out
+    // the peer's delayed-ACK timer (>= 40 ms) on every round trip, so 50
+    // of them would take at least 2 s.
+    let service = Arc::new(RoutingService::new(ServiceConfig::default()));
+    let server = NetServer::bind_tcp("127.0.0.1:0", Arc::clone(&service)).unwrap();
+    let mut client = NetClient::connect_tcp(server.local_addr().unwrap()).unwrap();
+    client
+        .open("rtt", small_circuit("rtt", 8), fast_config())
+        .unwrap();
+    client.query("rtt").unwrap(); // the first query waits for the build
+    let start = std::time::Instant::now();
+    for _ in 0..50 {
+        assert_eq!(client.query("rtt").unwrap().nets, 8);
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "50 query round trips took {elapsed:?}"
+    );
+    client.close("rtt").unwrap();
+    server.shutdown();
+}
+
+#[test]
 fn pipelined_requests_resolve_out_of_order_waits() {
     let service = Arc::new(RoutingService::new(ServiceConfig::default()));
     let server = NetServer::bind_tcp("127.0.0.1:0", Arc::clone(&service)).unwrap();
