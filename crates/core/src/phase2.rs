@@ -24,6 +24,7 @@ use gsino_sino::layout::Layout;
 use gsino_sino::solver::{SinoSolver, SolverConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// How the per-region problem is solved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,20 +78,42 @@ impl RegionSolution {
 }
 
 /// All per-region solutions of a routing solution.
+///
+/// Each region's solution sits behind its own [`Arc`], so `clone` copies
+/// one pointer per region and shares every solution; its cost, like
+/// drop's, scales with the number of regions, not with their contents.
+/// Writes are copy-on-write: [`RegionSino::solution_mut`] copies a region
+/// first if another `RegionSino` still shares it, so a clone never sees
+/// the other's writes. The ECO session relies on this to build a commit
+/// beside the live snapshot while sharing every region the commit does
+/// not change. A `RegionSino` nothing else shares never copies.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegionSino {
-    solutions: HashMap<(RegionIdx, Dir), RegionSolution>,
+    solutions: HashMap<(RegionIdx, Dir), Arc<RegionSolution>>,
 }
 
 impl RegionSino {
     /// The solution at a region/direction, if any segments live there.
     pub fn solution(&self, region: RegionIdx, dir: Dir) -> Option<&RegionSolution> {
+        self.solutions.get(&(region, dir)).map(Arc::as_ref)
+    }
+
+    /// Mutable access for Phase III. Copy-on-write: a solution shared
+    /// with another `RegionSino` is copied before the first write.
+    pub fn solution_mut(&mut self, region: RegionIdx, dir: Dir) -> Option<&mut RegionSolution> {
+        self.solutions.get_mut(&(region, dir)).map(Arc::make_mut)
+    }
+
+    /// The shared handle to one region's solution, for installing it in
+    /// another `RegionSino` without a copy ([`Self::insert_shared`]).
+    pub(crate) fn shared(&self, region: RegionIdx, dir: Dir) -> Option<&Arc<RegionSolution>> {
         self.solutions.get(&(region, dir))
     }
 
-    /// Mutable access for Phase III.
-    pub fn solution_mut(&mut self, region: RegionIdx, dir: Dir) -> Option<&mut RegionSolution> {
-        self.solutions.get_mut(&(region, dir))
+    /// Installs (or replaces) one region's solution by handle, sharing it
+    /// with whichever `RegionSino` it came from.
+    pub(crate) fn insert_shared(&mut self, region: RegionIdx, dir: Dir, sol: Arc<RegionSolution>) {
+        self.solutions.insert((region, dir), sol);
     }
 
     /// The achieved coupling of a net's segment, if present.
@@ -136,20 +159,24 @@ impl RegionSino {
     }
 
     /// Installs (or replaces) one region's solution, returning the
-    /// displaced one — the ECO session's patch/undo primitive.
+    /// displaced one (a copy, if another `RegionSino` still shares it).
     pub fn insert_solution(
         &mut self,
         region: RegionIdx,
         dir: Dir,
         sol: RegionSolution,
     ) -> Option<RegionSolution> {
-        self.solutions.insert((region, dir), sol)
+        self.solutions
+            .insert((region, dir), Arc::new(sol))
+            .map(Arc::unwrap_or_clone)
     }
 
     /// Removes one region's solution (the region lost its last segment),
-    /// returning it so a transaction rollback can put it back.
+    /// returning it (a copy, if another `RegionSino` still shares it).
     pub fn remove_solution(&mut self, region: RegionIdx, dir: Dir) -> Option<RegionSolution> {
-        self.solutions.remove(&(region, dir))
+        self.solutions
+            .remove(&(region, dir))
+            .map(Arc::unwrap_or_clone)
     }
 }
 
@@ -408,7 +435,10 @@ pub fn solve_prepared_cancel(
         solve_instance(item, solver_config, mode, engine, scratch)
     })?;
     Ok(RegionSino {
-        solutions: solved.into_iter().collect(),
+        solutions: solved
+            .into_iter()
+            .map(|(key, sol)| (key, Arc::new(sol)))
+            .collect(),
     })
 }
 
@@ -692,6 +722,49 @@ mod tests {
             assert_eq!(sol.k, vec![0.0]);
             assert!(evaluate(&sol.instance, &sol.layout).feasible);
         }
+    }
+
+    #[test]
+    fn solution_mut_on_a_clone_leaves_the_original_untouched() {
+        let (_, _, original) = solve(10, 0.8, RegionMode::Sino);
+        let (_, _, pristine) = solve(10, 0.8, RegionMode::Sino);
+        let bits = |sino: &RegionSino| -> Vec<u64> {
+            sino.keys()
+                .into_iter()
+                .flat_map(|(r, d)| sino.solution(r, d).unwrap().k.clone())
+                .map(f64::to_bits)
+                .collect()
+        };
+        let mut copy = original.clone();
+        let keys = original.keys();
+        for &(r, d) in &keys {
+            assert!(Arc::ptr_eq(
+                original.shared(r, d).unwrap(),
+                copy.shared(r, d).unwrap()
+            ));
+        }
+        let (r, d) = keys[0];
+        let sol = copy.solution_mut(r, d).unwrap();
+        sol.k[0] = sol.k[0] * 3.0 + 1.0;
+        let reversed: Vec<usize> = (0..sol.nets.len()).rev().collect();
+        sol.layout = Layout::from_order(&reversed);
+        sol.instance.set_kth(0, 1e-6).unwrap();
+        assert_eq!(original, pristine);
+        assert_eq!(bits(&original), bits(&pristine));
+        assert_ne!(copy, original);
+        // Only the written region was copied; the rest stay shared.
+        for &(kr, kd) in &keys {
+            let shared = Arc::ptr_eq(
+                original.shared(kr, kd).unwrap(),
+                copy.shared(kr, kd).unwrap(),
+            );
+            assert_eq!(shared, (kr, kd) != (r, d), "region {kr} {kd:?}");
+        }
+        // A second write goes to the now-unshared copy in place.
+        let before = Arc::as_ptr(copy.shared(r, d).unwrap());
+        copy.solution_mut(r, d).unwrap().k[0] = 0.0;
+        assert_eq!(Arc::as_ptr(copy.shared(r, d).unwrap()), before);
+        assert_eq!(original, pristine);
     }
 
     #[test]

@@ -666,7 +666,7 @@ fn commit_trial(
         return Ok(Recovery::NoCandidate);
     };
     // invariant: trials are only run for solved keys.
-    let sol = sino.solution_mut(r, dir).expect("tried key is solved");
+    let sol = sino.solution(r, dir).expect("tried key is solved");
     tracker.region_updated(r, dir, k, table);
     if sol.nets.iter().any(|&nid| !tracker.net_is_clean(nid)) {
         // The tracker re-sums dirty sinks from its term arrays, so
@@ -675,6 +675,9 @@ fn commit_trial(
         stats.pass2_rejected += 1;
         return Ok(Recovery::Rejected);
     }
+    // Only an accepted trial writes, so a rejected one never copies a
+    // region this `RegionSino` shares (see `RegionSino::solution_mut`).
+    let sol = sino.solution_mut(r, dir).expect("tried key is solved");
     for &(i, kth) in raised {
         sol.instance.set_kth(i, kth)?;
         budgets.set(sol.nets[i], r, dir, kth);

@@ -70,7 +70,10 @@ struct Shared {
     /// Live connections by id, for shutdown's read-side half-close.
     /// Readers remove their own entry on exit.
     conns: Mutex<HashMap<u64, Stream>>,
-    /// Reader-thread handles (each reader joins its own writer).
+    /// Reader-thread handles (each reader joins its own writer). The
+    /// accept loop joins and drops finished ones as it registers each
+    /// new connection, so this holds the live readers plus any that
+    /// exited since the last accept.
     readers: Mutex<Vec<JoinHandle<()>>>,
     next_conn: AtomicU64,
 }
@@ -259,11 +262,23 @@ fn serve_connection(shared: &Arc<Shared>, stream: Stream) {
                 .remove(&conn_id);
         });
     match reader {
-        Ok(handle) => shared
-            .readers
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(handle),
+        Ok(handle) => {
+            let mut readers = shared
+                .readers
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            // Join the readers that have exited, so a long-lived server
+            // does not keep every closed connection's thread stack mapped.
+            let (finished, live) = std::mem::take(&mut *readers)
+                .into_iter()
+                .partition::<Vec<_>, _>(JoinHandle::is_finished);
+            *readers = live;
+            readers.push(handle);
+            drop(readers);
+            for r in finished {
+                let _ = r.join();
+            }
+        }
         Err(_) => {
             shared
                 .conns
@@ -437,5 +452,62 @@ fn frame_error_to_core(e: &FrameError) -> CoreError {
         kind: e.kind_str().to_string(),
         retryable: false,
         message: e.to_string(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::ServiceConfig;
+    use std::io::Read;
+
+    fn counts(server: &NetServer) -> (usize, usize) {
+        let readers = server.shared.readers.lock().unwrap();
+        let conns = server.shared.conns.lock().unwrap();
+        (readers.len(), conns.len())
+    }
+
+    fn all_readers_done(server: &NetServer) -> bool {
+        server.shared.conns.lock().unwrap().is_empty()
+            && server
+                .shared
+                .readers
+                .lock()
+                .unwrap()
+                .iter()
+                .all(JoinHandle::is_finished)
+    }
+
+    #[test]
+    fn finished_connection_threads_are_joined() {
+        let service = Arc::new(RoutingService::new(ServiceConfig::default()));
+        let server = NetServer::bind_tcp("127.0.0.1:0", service).unwrap();
+        let addr = server.local_addr().unwrap();
+        for cycle in 0..50 {
+            let mut sock = TcpStream::connect(addr).unwrap();
+            // The hello means this connection was accepted, and the accept
+            // loop registers connections one at a time, so every earlier
+            // reader handle has been pushed (and reaped, if finished).
+            assert!(read_frame(&mut sock, MAX_FRAME).unwrap().is_some());
+            let (readers, live) = counts(&server);
+            assert!(
+                readers <= live + 1,
+                "cycle {cycle}: {readers} reader handles for {live} live connections"
+            );
+            sock.shutdown(Shutdown::Write).unwrap();
+            let mut rest = Vec::new();
+            sock.read_to_end(&mut rest).unwrap();
+            // Let this connection's reader exit before the next accept,
+            // so at most one handle is between exit and the next reap.
+            let start = Instant::now();
+            while !all_readers_done(&server) {
+                assert!(
+                    start.elapsed() < Duration::from_secs(10),
+                    "reader never exited"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        server.shutdown();
     }
 }

@@ -86,7 +86,7 @@ pub(super) fn inject(state: &mut SessionState, plan: &FaultPlan) -> Result<()> {
                 })?
                 .source();
             let root = state.grid.region_of(source);
-            state.routes.replace(RouteTree::trivial(net, root));
+            std::sync::Arc::make_mut(&mut state.routes).replace(RouteTree::trivial(net, root));
         }
         FaultKind::CorruptBudget => {
             let net = resolve_net(state, plan)?;

@@ -48,6 +48,38 @@
 //! whenever its inputs are — which is exactly the invariant the session
 //! maintains.
 //!
+//! # What a commit copies
+//!
+//! A commit copies only what it changes. The routes sit behind an
+//! [`Arc`], and every Phase II region solution sits behind its own
+//! (see [`RegionSino`]):
+//!
+//! * The **budget-only** rung hands the live routes to the candidate
+//!   state as the same `Arc`. Its `sino0` starts as a clone that shares
+//!   every region, and only the regions whose `Kth` moved get new
+//!   solutions.
+//! * The **Phase I** rung routes afresh, then installs every reusable
+//!   region solution by pointer instead of copying it.
+//! * **Phase III** refines a clone of `sino0` that shares every region;
+//!   [`RegionSino::solution_mut`] copies a region the first time refine
+//!   writes it.
+//! * A **full rebuild** shares nothing.
+//!
+//! Budgets, the grid, the noise table, the circuit and the configuration
+//! are still copied; they are small next to the routes and the region
+//! solutions. Dropping a replaced state frees only what no newer state
+//! shares.
+//!
+//! This is exact. Nothing is ever written through a shared pointer:
+//! `solution_mut` is `Arc::make_mut`, which copies first, and routes are
+//! written only by fault injection, through `Arc::make_mut` as well. So
+//! every reader sees exactly the bits a deep copy would have given it. The
+//! build-aside commit keeps its meaning: the candidate shares with the
+//! live state but cannot write into it, so a canceled or failed commit
+//! still leaves the live snapshot untouched. The deadline sweep in
+//! `tests/failure_injection.rs` checks this bitwise. The batch flow never
+//! shares a region, so its writes never copy.
+//!
 //! # Oracle sampling contract
 //!
 //! Incremental replay is fast but trusts its caches. Defense in depth
@@ -136,6 +168,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Counters describing a session's lifetime (cumulative).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -176,7 +209,9 @@ struct SessionState {
     config: GsinoConfig,
     grid: RegionGrid,
     table: NoiseTable,
-    routes: RouteSet,
+    /// Shared with the candidate state by the budget-only rung, which
+    /// never changes routes.
+    routes: Arc<RouteSet>,
     router_stats: RouterStats,
     /// Phase I budgets, before Phase III retightening — the replay cache
     /// incremental budgeting patches.
@@ -476,14 +511,14 @@ impl EcoSession {
         let mut scratch = DeltaEval::new();
         for (key, nets) in assignments(&grid, &routes) {
             let (r, dir) = key;
-            let reusable = self.state.sino0.solution(r, dir).filter(|old| {
+            let reusable = self.state.sino0.shared(r, dir).filter(|old| {
                 old.nets == nets
                     && nets
                         .iter()
                         .all(|&n| budgets0.kth(n, r, dir) == self.state.budgets0.kth(n, r, dir))
             });
             if let Some(old) = reusable {
-                sino0.insert_solution(r, dir, old.clone());
+                sino0.insert_shared(r, dir, Arc::clone(old));
                 self.stats.regions_reused += 1;
             } else {
                 cancel.check("phase2")?;
@@ -495,7 +530,7 @@ impl EcoSession {
                     config.sino_engine,
                     &mut scratch,
                 )?;
-                sino0.insert_solution(r, dir, sol);
+                sino0.insert_shared(r, dir, Arc::new(sol));
                 patched.push(key);
                 self.stats.regions_resolved += 1;
             }
@@ -505,7 +540,7 @@ impl EcoSession {
             config,
             grid,
             table,
-            routes,
+            Arc::new(routes),
             router_stats,
             budgets0,
             sino0,
@@ -526,7 +561,7 @@ impl EcoSession {
         config.validate()?;
         let grid = self.state.grid.clone();
         let table = self.state.table.clone();
-        let routes = self.state.routes.clone();
+        let routes = Arc::clone(&self.state.routes);
         let router_stats = self.state.router_stats;
         let mut budgets0 = self.state.budgets0.clone();
         let mut changed: Vec<(RegionIdx, Dir)> = Vec::new();
@@ -595,7 +630,7 @@ impl EcoSession {
                 )?
                 .1
             };
-            sino0.insert_solution(r, dir, sol);
+            sino0.insert_shared(r, dir, Arc::new(sol));
             patched.push((r, dir));
         }
         self.stats.regions_reused += (sino0.len() - patched.len()) as u64;
@@ -727,7 +762,7 @@ impl SessionState {
             config,
             grid,
             table,
-            routes,
+            Arc::new(routes),
             router_stats,
             budgets0,
             sino0,
@@ -810,14 +845,15 @@ fn budget_phase(
 /// Phase III on clones of the pre-refine caches, assembling the full
 /// snapshot. Refinement is deterministic, so the post-refine state is
 /// bit-identical to a from-scratch run whenever the pre-refine inputs
-/// are.
+/// are. The `sino0` clone shares every region; refine copies only the
+/// regions it writes.
 #[allow(clippy::too_many_arguments)]
 fn finish_with_refine(
     circuit: Circuit,
     config: GsinoConfig,
     grid: RegionGrid,
     table: NoiseTable,
-    routes: RouteSet,
+    routes: Arc<RouteSet>,
     router_stats: RouterStats,
     budgets0: Budgets,
     sino0: RegionSino,
@@ -1085,6 +1121,143 @@ mod tests {
             EcoSession::new(&circuit, &config),
             Err(CoreError::BadConfig { .. })
         ));
+    }
+
+    /// Phase II from scratch on the session's circuit and config: the
+    /// pipeline's routes, then its budgeting and region solve.
+    fn scratch_phase2(session: &EcoSession) -> (Budgets, RegionSino) {
+        let (circuit, config) = (session.circuit(), session.config());
+        let (outcome, internals) =
+            run_flow_with_artifacts(circuit, config, Approach::Gsino).unwrap();
+        let budgets0 = budget_phase(
+            circuit,
+            config,
+            &internals.grid,
+            &outcome.routes,
+            &internals.table,
+        )
+        .unwrap();
+        let sino0 = crate::phase2::solve_regions_with_engine(
+            &internals.grid,
+            &outcome.routes,
+            &budgets0,
+            &config.sensitivity,
+            config.solver,
+            RegionMode::Sino,
+            config.threads,
+            config.sino_engine,
+        )
+        .unwrap();
+        (budgets0, sino0)
+    }
+
+    /// How many of `after`'s regions hold the very allocation `before`
+    /// holds for the same key.
+    fn pointer_shared(before: &RegionSino, after: &RegionSino) -> usize {
+        after
+            .keys()
+            .into_iter()
+            .filter(|&(r, d)| match (before.shared(r, d), after.shared(r, d)) {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                _ => false,
+            })
+            .count()
+    }
+
+    #[test]
+    fn budget_commit_shares_routes_and_unpatched_regions() {
+        let circuit = small_circuit(20);
+        let mut session = EcoSession::new(&circuit, &fast_config()).unwrap();
+        let routes_before = Arc::clone(&session.state.routes);
+        let sino0_before = session.state.sino0.clone();
+        let budgets0_before = session.state.budgets0.clone();
+        let reused_before = session.stats().regions_reused;
+        session.begin().unwrap();
+        session
+            .apply(EcoEdit::TightenVth {
+                net: 3,
+                sink: 0,
+                vth: 0.10,
+            })
+            .unwrap();
+        session.commit().unwrap();
+        assert_eq!(session.stats().budget_replays, 1);
+        assert!(
+            Arc::ptr_eq(&routes_before, &session.state.routes),
+            "a budget-only commit must hand the live routes on, not copy them"
+        );
+        // The patched regions are exactly those where net 3's budget moved.
+        let after = &session.state.sino0;
+        let mut patched = 0;
+        for (r, d) in after.keys() {
+            let moved = budgets0_before.kth(3, r, d) != session.state.budgets0.kth(3, r, d);
+            let shared = Arc::ptr_eq(
+                sino0_before.shared(r, d).unwrap(),
+                after.shared(r, d).unwrap(),
+            );
+            assert_ne!(
+                moved, shared,
+                "region {r} {d:?}: moved {moved}, shared {shared}"
+            );
+            patched += usize::from(moved);
+        }
+        assert!(patched > 0, "the edit moved no budget");
+        let reused = (session.stats().regions_reused - reused_before) as usize;
+        assert_eq!(pointer_shared(&sino0_before, after), reused);
+        assert_eq!(reused + patched, after.len());
+        let (budgets0, sino0) = scratch_phase2(&session);
+        assert_eq!(session.budgets_pre_refine(), &budgets0);
+        assert_eq!(session.sino_pre_refine(), &sino0);
+        assert_matches_scratch(&session);
+    }
+
+    #[test]
+    fn topology_commit_shares_every_reused_region() {
+        let circuit = small_circuit(20);
+        let mut session = EcoSession::new(&circuit, &fast_config()).unwrap();
+        let sino0_before = session.state.sino0.clone();
+        let reused_before = session.stats().regions_reused;
+        session.begin().unwrap();
+        session
+            .apply(EcoEdit::Circuit(CircuitEdit::AddNet {
+                net: Net::two_pin(99, Point::new(20.0, 600.0), Point::new(600.0, 30.0)),
+            }))
+            .unwrap();
+        session.commit().unwrap();
+        assert_eq!(session.stats().phase1_replays, 1);
+        let reused = (session.stats().regions_reused - reused_before) as usize;
+        assert!(reused > 0, "the new net should leave some region untouched");
+        assert_eq!(pointer_shared(&sino0_before, &session.state.sino0), reused);
+        let (_, sino0) = scratch_phase2(&session);
+        assert_eq!(session.sino_pre_refine(), &sino0);
+        assert_matches_scratch(&session);
+    }
+
+    #[test]
+    fn sparse_net_id_then_budget_edits_match_scratch() {
+        let circuit = small_circuit(20);
+        let mut session = EcoSession::new(&circuit, &fast_config()).unwrap();
+        session.begin().unwrap();
+        session
+            .apply(EcoEdit::Circuit(CircuitEdit::AddNet {
+                net: Net::two_pin(1_000_000, Point::new(20.0, 600.0), Point::new(600.0, 30.0)),
+            }))
+            .unwrap();
+        session.commit().unwrap();
+        for (net, vth) in [(1_000_000, 0.11), (4, 0.12), (1_000_000, 0.10)] {
+            session.begin().unwrap();
+            session
+                .apply(EcoEdit::TightenVth { net, sink: 0, vth })
+                .unwrap();
+            session.commit().unwrap();
+        }
+        assert_eq!(session.stats().budget_replays, 3);
+        assert_eq!(session.stats().divergences, 0);
+        assert_eq!(session.routes().len(), session.circuit().num_nets());
+        assert_eq!(session.routes().iter().last().unwrap().net(), 1_000_000);
+        let (_, sino0) = scratch_phase2(&session);
+        assert_eq!(session.sino_pre_refine(), &sino0);
+        assert_matches_scratch(&session);
     }
 
     #[test]

@@ -266,17 +266,35 @@ fn build_adjacency(edges: &[GridEdge]) -> HashMap<RegionIdx, Vec<RegionIdx>> {
     adjacency
 }
 
-/// The complete routing solution: one tree per net.
+/// The complete routing solution: one tree per routed net.
+///
+/// The trees are kept in one vector sorted by net id, so every cost
+/// (memory, `clone`, drop, [`RouteSet::len`], iteration) scales with the
+/// number of routed nets, never with the largest id: a net added at id
+/// 1,000,000 costs one slot, not a million. [`RouteSet::get`] is a binary
+/// search, iteration runs in ascending id order, and two sets are equal
+/// exactly when they hold the same routes.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RouteSet {
-    routes: Vec<Option<RouteTree>>,
+    /// Sorted by net id, one tree per id.
+    routes: Vec<RouteTree>,
 }
 
 impl RouteSet {
-    /// Creates an empty route set sized for `num_nets` nets.
+    /// Creates an empty route set with room for `num_nets` routes.
     pub fn with_capacity(num_nets: usize) -> Self {
         RouteSet {
-            routes: vec![None; num_nets],
+            routes: Vec::with_capacity(num_nets),
+        }
+    }
+
+    /// Where `net`'s route is (`Ok`) or would be inserted (`Err`). Routes
+    /// arriving in ascending id order land at the end without a search.
+    fn slot(&self, net: NetId) -> std::result::Result<usize, usize> {
+        match self.routes.last() {
+            None => Err(0),
+            Some(last) if last.net() < net => Err(self.routes.len()),
+            Some(_) => self.routes.binary_search_by_key(&net, RouteTree::net),
         }
     }
 
@@ -286,44 +304,44 @@ impl RouteSet {
     ///
     /// Returns [`GridError::DuplicateRoute`] if the net already has one.
     pub fn insert(&mut self, route: RouteTree) -> Result<()> {
-        let id = route.net() as usize;
-        if id >= self.routes.len() {
-            self.routes.resize(id + 1, None);
+        match self.slot(route.net()) {
+            Ok(_) => Err(GridError::DuplicateRoute { net: route.net() }),
+            Err(at) => {
+                self.routes.insert(at, route);
+                Ok(())
+            }
         }
-        if self.routes[id].is_some() {
-            return Err(GridError::DuplicateRoute { net: route.net() });
-        }
-        self.routes[id] = Some(route);
-        Ok(())
     }
 
     /// Replaces (or inserts) a route, returning the previous one if any.
     pub fn replace(&mut self, route: RouteTree) -> Option<RouteTree> {
-        let id = route.net() as usize;
-        if id >= self.routes.len() {
-            self.routes.resize(id + 1, None);
+        match self.slot(route.net()) {
+            Ok(at) => Some(std::mem::replace(&mut self.routes[at], route)),
+            Err(at) => {
+                self.routes.insert(at, route);
+                None
+            }
         }
-        self.routes[id].replace(route)
     }
 
     /// The route of a net, if routed.
     pub fn get(&self, net: NetId) -> Option<&RouteTree> {
-        self.routes.get(net as usize).and_then(Option::as_ref)
+        self.slot(net).ok().map(|at| &self.routes[at])
     }
 
-    /// Iterates over all routed nets.
+    /// Iterates over all routed nets in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = &RouteTree> {
-        self.routes.iter().filter_map(Option::as_ref)
+        self.routes.iter()
     }
 
     /// Number of routed nets.
     pub fn len(&self) -> usize {
-        self.routes.iter().filter(|r| r.is_some()).count()
+        self.routes.len()
     }
 
     /// Whether no nets are routed.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.routes.is_empty()
     }
 
     /// Total wire length over all routes (µm), edges only.
@@ -332,13 +350,23 @@ impl RouteSet {
     }
 }
 
+/// Collects, then sorts once. When a net appears more than once the last
+/// of its routes wins, as with repeated [`RouteSet::replace`] calls.
 impl FromIterator<RouteTree> for RouteSet {
     fn from_iter<I: IntoIterator<Item = RouteTree>>(iter: I) -> Self {
-        let mut set = RouteSet::default();
-        for r in iter {
-            set.replace(r);
-        }
-        set
+        let mut routes: Vec<RouteTree> = iter.into_iter().collect();
+        // Stable: routes of one net keep their arrival order.
+        routes.sort_by_key(RouteTree::net);
+        // `dedup_by` keeps the first of a run of equal ids; swapping each
+        // later route into the kept slot makes the last one survive.
+        routes.dedup_by(|later, kept| {
+            let same = later.net() == kept.net();
+            if same {
+                std::mem::swap(later, kept);
+            }
+            same
+        });
+        RouteSet { routes }
     }
 }
 
@@ -507,11 +535,113 @@ mod tests {
     }
 
     #[test]
+    fn route_set_equality_is_content_equality() {
+        let g = grid();
+        // Spare capacity beyond the largest id, then a sparse id.
+        for ids in [vec![7, 0, 3, 12], vec![7, 1_000_000, 0, 42]] {
+            let mut inserted = RouteSet::with_capacity(16);
+            for &id in &ids {
+                inserted
+                    .insert(RouteTree::trivial(id, g.idx(1, 1)))
+                    .unwrap();
+            }
+            let collected: RouteSet = ids
+                .iter()
+                .map(|&id| RouteTree::trivial(id, g.idx(1, 1)))
+                .collect();
+            assert_eq!(inserted, collected, "ids {ids:?}");
+            let mut ascending = ids.clone();
+            ascending.sort_unstable();
+            let order: Vec<NetId> = collected.iter().map(RouteTree::net).collect();
+            assert_eq!(order, ascending);
+        }
+    }
+
+    #[test]
     fn route_set_total_wirelength() {
         let g = grid();
         let set: RouteSet = vec![l_route(&g), RouteTree::trivial(1, g.idx(0, 0))]
             .into_iter()
             .collect();
         assert_eq!(set.total_wirelength(&g), 256.0);
+    }
+
+    mod model {
+        use super::super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        /// Sparse ids from 0 up to 1,064,700, so ids collide often and the
+        /// largest sits far beyond the number of routes.
+        fn sparse_id(k: u32) -> NetId {
+            k * k * 700
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn route_set_matches_btreemap_model(
+                ops in prop::collection::vec((0u8..3, 0u32..40, 0u32..1000), 0..120),
+            ) {
+                let mut set = RouteSet::default();
+                let mut model: BTreeMap<NetId, RegionIdx> = BTreeMap::new();
+                for &(op, k, root) in &ops {
+                    let id = sparse_id(k);
+                    match op {
+                        0 => match set.insert(RouteTree::trivial(id, root)) {
+                            Ok(()) => prop_assert!(model.insert(id, root).is_none()),
+                            Err(GridError::DuplicateRoute { net }) => {
+                                prop_assert_eq!(net, id);
+                                prop_assert!(model.contains_key(&id));
+                            }
+                            Err(e) => panic!("unexpected error {e:?}"),
+                        },
+                        1 => {
+                            let old = set.replace(RouteTree::trivial(id, root));
+                            prop_assert_eq!(old.map(|r| r.root()), model.insert(id, root));
+                        }
+                        _ => prop_assert_eq!(
+                            set.get(id).map(RouteTree::root),
+                            model.get(&id).copied()
+                        ),
+                    }
+                    prop_assert_eq!(set.len(), model.len());
+                    prop_assert_eq!(set.is_empty(), model.is_empty());
+                }
+                let seen: Vec<(NetId, RegionIdx)> =
+                    set.iter().map(|r| (r.net(), r.root())).collect();
+                let expected: Vec<(NetId, RegionIdx)> = model.into_iter().collect();
+                prop_assert_eq!(&seen, &expected);
+                for k in 0..40 {
+                    let id = sparse_id(k);
+                    let want = expected.iter().find(|(n, _)| *n == id).map(|&(_, r)| r);
+                    prop_assert_eq!(set.get(id).map(RouteTree::root), want);
+                }
+            }
+
+            #[test]
+            fn collect_keeps_the_last_route_per_net(
+                routes in prop::collection::vec((0u32..40, 0u32..1000), 0..120),
+            ) {
+                let mut replaced = RouteSet::default();
+                for &(k, root) in &routes {
+                    replaced.replace(RouteTree::trivial(sparse_id(k), root));
+                }
+                let collected: RouteSet = routes
+                    .iter()
+                    .map(|&(k, root)| RouteTree::trivial(sparse_id(k), root))
+                    .collect();
+                prop_assert_eq!(&collected, &replaced);
+                let mut with_capacity = RouteSet::with_capacity(routes.len());
+                // Descending order: every insert lands in front.
+                let mut descending: Vec<RouteTree> = collected.iter().cloned().collect();
+                descending.reverse();
+                for r in descending {
+                    with_capacity.insert(r).unwrap();
+                }
+                prop_assert_eq!(&with_capacity, &collected);
+            }
+        }
     }
 }
