@@ -18,12 +18,22 @@
 //! cost proportional to what an edit actually touches:
 //!
 //! * **The tracker.** A [`tracker::LskTracker`] holds, per sink, the
-//!   flat `(lⱼ, Kᵢʲ)` term list of paper Eq. (1) — region paths and
-//!   per-region lengths are fixed for the whole phase, so they are walked
-//!   exactly once at entry — plus a `(region, dir) → terms` reverse index
-//!   and the per-net worst violating voltage. A region edit patches only
-//!   the crossing nets' sums — O(crossing segments + dirty-sink terms)
-//!   instead of full `check_net` route walks.
+//!   flat `(lⱼ, Kᵢʲ)` term list of paper Eq. (1) and the per-net worst
+//!   violating voltage. It has two halves. The route-derived
+//!   [`tracker::LskIndex`] holds the lengths `lⱼ` and a
+//!   `(region, dir) → terms` reverse index; region paths and per-region
+//!   lengths are fixed for the whole phase, so they are walked once. The
+//!   tracker adds the couplings `Kᵢʲ` of one solution state. A region edit
+//!   patches only the crossing nets' sums — O(crossing segments +
+//!   dirty-sink terms) instead of full `check_net` route walks.
+//!
+//! * **The caller supplies the tracker.** [`refine_cancel`] builds the
+//!   tracker of its input state and hands it to the one refine body. The
+//!   ECO session instead fills the index it keeps across budget commits
+//!   and patches it for the regions a commit re-solved. Either way refine
+//!   starts from a tracker bitwise equal to a fresh build, and on success
+//!   the tracker mirrors the refined state, so its report is that state's
+//!   [`check`].
 //!
 //! * **Pass 1 edits in place.** Its work queue is a
 //!   [`tracker::SeverityQueue`] (lazy max-heap) instead of a full-map scan
@@ -89,10 +99,11 @@
 //!   `tests/refine_equivalence.rs` and asserted in the `phase_runtime`
 //!   bench.
 //!
-//! * **The debug oracle.** In `cfg(debug_assertions)` builds, every region
-//!   edit (pass 1 install, pass 2 commit) is followed by
-//!   [`tracker::LskTracker::oracle_check`], which re-runs the full
-//!   [`check`] and compares every severity and sink violation bitwise.
+//! * **The debug oracle.** In `cfg(debug_assertions)` builds, the
+//!   supplied tracker and every region edit (pass 1 install, pass 2
+//!   commit) are checked by [`tracker::LskTracker::oracle_check`], which
+//!   re-runs the full [`check`] and compares every severity and sink
+//!   violation bitwise.
 
 pub mod reference;
 pub mod tracker;
@@ -318,9 +329,8 @@ pub fn refine_cancel(
     threads: usize,
     cancel: &CancelToken,
 ) -> Result<RefineStats> {
-    let mut stats = RefineStats::default();
     let mut tracker = LskTracker::new(circuit, grid, routes, sino, table, vth);
-    pass1(
+    refine_tracked(
         circuit,
         grid,
         routes,
@@ -329,30 +339,45 @@ pub fn refine_cancel(
         table,
         solver,
         config,
-        &mut stats,
-        &mut tracker,
+        threads,
         cancel,
+        &mut tracker,
+    )
+}
+
+/// The refine body: [`refine_cancel`] on a caller-supplied tracker of the
+/// input state, judged at [`LskTracker::vth`]. On success the tracker
+/// mirrors the refined state, so its [`LskTracker::report`] is that
+/// state's [`check`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn refine_tracked(
+    circuit: &Circuit,
+    grid: &RegionGrid,
+    routes: &RouteSet,
+    budgets: &mut Budgets,
+    sino: &mut RegionSino,
+    table: &NoiseTable,
+    solver: SolverConfig,
+    config: &RefineConfig,
+    threads: usize,
+    cancel: &CancelToken,
+    tracker: &mut LskTracker,
+) -> Result<RefineStats> {
+    let mut stats = RefineStats::default();
+    debug_oracle(tracker, circuit, grid, routes, sino, table);
+    pass1(
+        circuit, grid, routes, budgets, sino, table, solver, config, &mut stats, tracker, cancel,
     )?;
     stats.clean = tracker.is_clean();
     debug_assert_eq!(
         stats.clean,
-        check(circuit, grid, routes, sino, table, vth).is_clean(),
+        check(circuit, grid, routes, sino, table, tracker.vth()).is_clean(),
         "tracker cleanliness diverged from a full check"
     );
     if config.enable_pass2 && stats.clean {
         pass2(
-            circuit,
-            grid,
-            routes,
-            budgets,
-            sino,
-            table,
-            solver,
-            config,
-            &mut stats,
-            &mut tracker,
-            threads,
-            cancel,
+            circuit, grid, routes, budgets, sino, table, solver, config, &mut stats, tracker,
+            threads, cancel,
         )?;
     }
     Ok(stats)
@@ -965,6 +990,43 @@ mod tests {
             );
             assert_eq!(b_ref, b_inc, "budgets diverged ({refine_cfg:?})");
             assert_eq!(s_ref, s_inc, "region solutions diverged ({refine_cfg:?})");
+        }
+    }
+
+    /// The tracker refine hands back mirrors the refined state: its report
+    /// is that state's `check`, on a setup pass 1 must repair and on a
+    /// clean one where only pass 2 works.
+    #[test]
+    fn refined_tracker_report_equals_check() {
+        let pass2_everywhere = RefineConfig {
+            pass2_density_floor: 0.0,
+            ..RefineConfig::default()
+        };
+        for (setup, violating) in [(violating_setup(), true), (pass2_setup(), false)] {
+            let (circuit, grid, routes, table, mut budgets, mut sino) = setup;
+            let mut tracker = LskTracker::new(&circuit, &grid, &routes, &sino, &table, 0.15);
+            assert_eq!(tracker.is_clean(), !violating);
+            let stats = refine_tracked(
+                &circuit,
+                &grid,
+                &routes,
+                &mut budgets,
+                &mut sino,
+                &table,
+                SolverConfig::default(),
+                &pass2_everywhere,
+                1,
+                &CancelToken::never(),
+                &mut tracker,
+            )
+            .unwrap();
+            assert!(stats.clean);
+            assert!(stats.pass2_regions > 0);
+            assert_eq!(stats.pass1_nets > 0, violating);
+            assert_eq!(
+                tracker.report(),
+                check(&circuit, &grid, &routes, &sino, &table, 0.15)
+            );
         }
     }
 

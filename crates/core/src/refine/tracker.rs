@@ -3,67 +3,214 @@
 //! The seed pass re-derives everything per recheck: [`check_net`] walks
 //! the route tree (BFS region path), re-scans the edge list for per-region
 //! lengths and re-resolves every coupling through two hash lookups — per
-//! sink, per region, per edit. But Phase III never changes the routes:
-//! the region paths, the per-region lengths and the set of segments each
-//! sink's LSK sum draws from are all fixed at entry. [`LskTracker`]
-//! computes them once and caches, per sink, the flat term list
-//! `(lⱼ, Kᵢʲ)` of paper Eq. (1) in the exact order [`sink_lsk`] iterates
-//! it, plus a reverse index `(region, dir) → terms`. A region re-solve
-//! then patches only the crossing nets' sums:
-//! [`LskTracker::region_updated`] overwrites the affected `K` entries and
-//! re-sums only the dirtied sinks — O(crossing segments + dirty-sink path
-//! terms), with no tree walks and no hash lookups per region.
+//! sink, per region, per edit. But the region paths, the per-region
+//! lengths and the set of segments each sink's LSK sum draws from depend
+//! only on the routes and the regions' occupant lists, which Phase III
+//! never changes. So the tracker is split in two:
+//!
+//! * **[`LskIndex`]: what the routes fix.** Per sink its net, sink index
+//!   and term range; per term the length `lⱼ`, in the exact order
+//!   [`sink_lsk`] iterates paper Eq. (1); and the reverse index
+//!   `(region, dir) → (sink, term, segment)`, which says which term a
+//!   region's coupling vector feeds. It is stored flat: one sorted key
+//!   array and offsets into one array of references. A net's sinks are
+//!   contiguous, in circuit order.
+//! * **[`LskTracker`]: what a solution state adds.** The index behind an
+//!   [`Arc`], each term's coupling `Kᵢʲ`, each sink's LSK and voltage,
+//!   and each violating net's worst voltage.
+//!
+//! [`LskTracker::new`] builds the index with the one full route walk and
+//! then fills it. [`LskTracker::fill`] reads the couplings of any
+//! [`RegionSino`] with the same routes and occupant lists through an
+//! existing index, in O(terms) with no route walk. The ECO session keeps
+//! its index across budget commits this way. A region re-solve then
+//! patches only the crossing nets' sums: [`LskTracker::region_updated`]
+//! overwrites the affected `K` entries and re-sums only the dirtied sinks
+//! — O(crossing segments + dirty-sink path terms), with no tree walks.
 //!
 //! # Bitwise-equality contract
 //!
 //! Every cached value is **bit-identical** to the from-scratch
-//! [`check`]/[`check_net`] walks, not merely close: dirtied sinks are
-//! re-summed over the cached term list in the exact iteration order of
-//! [`sink_lsk`] (no running-delta float updates, which would drift), so
-//! the f64 rounding sequence — and therefore every looked-up voltage and
-//! every severity comparison downstream — reproduces the seed pass
-//! exactly. `cfg(debug_assertions)` builds verify the full tracker state
+//! [`check`]/[`check_net`] walks, not merely close: sinks are summed over
+//! the cached term list in the exact iteration order of [`sink_lsk`] (no
+//! running-delta float updates, which would drift), so the f64 rounding
+//! sequence — and therefore every looked-up voltage and every severity
+//! comparison downstream — reproduces the seed pass exactly. A fill over
+//! a kept index is bitwise the tracker `new` builds, because the index is
+//! a pure function of the circuit, the grid, the routes and the occupant
+//! lists. `cfg(debug_assertions)` builds verify the full tracker state
 //! against a fresh [`check`] via [`LskTracker::oracle_check`] after every
 //! region edit of the incremental pass; the `refine_equivalence` property
-//! suite drives random edit sequences against the same oracle in any
-//! build.
+//! suite drives random edit sequences and random coupling fills against
+//! the same oracle in any build.
 //!
 //! [`check`]: crate::violations::check
 //! [`check_net`]: crate::violations::check_net
 //! [`sink_lsk`]: crate::violations::sink_lsk
 
 use crate::phase2::RegionSino;
-use crate::violations::SinkViolation;
-use gsino_grid::net::{Circuit, NetId};
+use crate::violations::{sink_terms, terms_lsk, SinkViolation, ViolationReport};
+use gsino_grid::net::{Circuit, Net, NetId};
 use gsino_grid::region::{RegionGrid, RegionIdx};
-use gsino_grid::route::{Dir, RouteSet};
+use gsino_grid::route::{Dir, RouteSet, RouteTree};
 use gsino_lsk::table::NoiseTable;
 use std::collections::{BinaryHeap, HashMap};
+use std::ops::Range;
+use std::sync::Arc;
 
-/// One cached sink: its net, its index within the net, its term range and
-/// the current LSK/voltage.
-#[derive(Debug, Clone)]
-struct SinkState {
+/// One indexed sink: its net, its index within the net and its terms.
+#[derive(Debug, Clone, Copy)]
+struct IndexedSink {
     net: NetId,
     /// Sink index within the net (0 = first sink).
     sink: u32,
-    /// `(offset, len)` into the flat term arrays.
+    /// `(offset, len)` into the term arrays.
     terms: (u32, u32),
-    lsk: f64,
-    voltage: f64,
 }
 
-/// One entry of the `(region, dir) → terms` reverse index: which term of
-/// which sink a region re-solve patches, and from which segment of the
-/// region's coupling vector the new value is read.
+/// One entry of the `(region, dir)` reverse index: which term of which
+/// sink a region re-solve patches, and from which segment of the region's
+/// coupling vector the new value is read.
 #[derive(Debug, Clone, Copy)]
 struct SegmentRef {
-    /// Index into [`LskTracker::sinks`].
+    /// Index into the sinks.
     sink: u32,
-    /// Absolute index into the flat term arrays.
+    /// Index into the term arrays.
     term: u32,
     /// Segment index within the region's `k` vector.
     seg: u32,
+}
+
+/// The route-derived half of the tracker: which terms each sink's Eq. (1)
+/// sum has, their lengths, and which region segment feeds each coupling.
+/// See the [module docs](self).
+#[derive(Debug, Clone)]
+pub struct LskIndex {
+    /// Every tracked sink, in `check`'s iteration order (circuit net
+    /// order, then sink order).
+    sinks: Vec<IndexedSink>,
+    /// Per-term lengths `lⱼ`.
+    term_len: Vec<f64>,
+    /// The `(region, dir)` keys some term reads, ascending in
+    /// [`RegionSino::keys`] order.
+    keys: Vec<(RegionIdx, Dir)>,
+    /// The references of `keys[i]` are `refs[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+    /// References grouped by key, in term order within a key.
+    refs: Vec<SegmentRef>,
+}
+
+/// The sort key of `(region, dir)`: region first, `H` before `V`.
+fn key_order((r, dir): (RegionIdx, Dir)) -> (RegionIdx, bool) {
+    (r, matches!(dir, Dir::V))
+}
+
+impl LskIndex {
+    /// Walks every routed net's source→sink paths once.
+    ///
+    /// Nets without a route, or with a trivial (edge-free) route, have no
+    /// segments and can never violate; they are not indexed, mirroring
+    /// [`check_net`](crate::violations::check_net)'s empty-route shortcut.
+    /// A term reads a coupling only where the net owns a segment of the
+    /// region in `sino`; every other term's coupling stays 0.0, exactly
+    /// like `sink_lsk`'s `unwrap_or(0.0)`.
+    pub(crate) fn new(
+        circuit: &Circuit,
+        grid: &RegionGrid,
+        routes: &RouteSet,
+        sino: &RegionSino,
+    ) -> Self {
+        let mut sinks = Vec::new();
+        let mut term_len = Vec::new();
+        let mut keyed: Vec<((RegionIdx, Dir), SegmentRef)> = Vec::new();
+        for net in circuit.nets() {
+            let route = match routes.get(net.id()) {
+                Some(r) if !r.edges().is_empty() => r,
+                _ => continue,
+            };
+            for sink_index in 0..net.sinks().len() {
+                let offset = term_len.len() as u32;
+                for (r, dir, len) in sink_terms(grid, route, net, sink_index) {
+                    if let Some(seg) = sino.solution(r, dir).and_then(|s| s.index_of(net.id())) {
+                        keyed.push((
+                            (r, dir),
+                            SegmentRef {
+                                sink: sinks.len() as u32,
+                                term: term_len.len() as u32,
+                                seg: seg as u32,
+                            },
+                        ));
+                    }
+                    term_len.push(len);
+                }
+                sinks.push(IndexedSink {
+                    net: net.id(),
+                    sink: sink_index as u32,
+                    terms: (offset, term_len.len() as u32 - offset),
+                });
+            }
+        }
+        // Terms are unique, so this order is total.
+        keyed.sort_unstable_by_key(|&(key, e)| (key_order(key), e.term));
+        let mut keys = Vec::new();
+        let mut offsets = Vec::new();
+        let mut refs = Vec::with_capacity(keyed.len());
+        for (key, e) in keyed {
+            if keys.last() != Some(&key) {
+                keys.push(key);
+                offsets.push(refs.len() as u32);
+            }
+            refs.push(e);
+        }
+        offsets.push(refs.len() as u32);
+        sinks.shrink_to_fit();
+        term_len.shrink_to_fit();
+        keys.shrink_to_fit();
+        offsets.shrink_to_fit();
+        LskIndex {
+            sinks,
+            term_len,
+            keys,
+            offsets,
+            refs,
+        }
+    }
+
+    /// The references a `(region, dir)` re-solve patches (empty if no
+    /// indexed term reads it).
+    fn refs_of(&self, key: (RegionIdx, Dir)) -> &[SegmentRef] {
+        match self
+            .keys
+            .binary_search_by_key(&key_order(key), |&k| key_order(k))
+        {
+            Ok(i) => &self.refs[self.offsets[i] as usize..self.offsets[i + 1] as usize],
+            Err(_) => &[],
+        }
+    }
+
+    /// The first sink of the net that owns sink `s` (a net's sinks are
+    /// contiguous).
+    fn net_start(&self, mut s: usize) -> usize {
+        let net = self.sinks[s].net;
+        while s > 0 && self.sinks[s - 1].net == net {
+            s -= 1;
+        }
+        s
+    }
+
+    /// The first term of `net`'s first sink, or of the first indexed sink
+    /// for `None`.
+    pub(crate) fn first_term(&self, net: Option<NetId>) -> Option<usize> {
+        self.sinks
+            .iter()
+            .find(|s| net.is_none_or(|n| n == s.net))
+            .map(|s| s.terms.0 as usize)
+    }
+
+    /// One term's length, for fault injection.
+    pub(crate) fn term_len_mut(&mut self, term: usize) -> &mut f64 {
+        &mut self.term_len[term]
+    }
 }
 
 /// Incrementally maintained per-sink LSK values and per-net violation
@@ -71,34 +218,24 @@ struct SegmentRef {
 /// [`check`](crate::violations::check) under region re-solves.
 #[derive(Debug, Clone)]
 pub struct LskTracker {
+    index: Arc<LskIndex>,
     vth: f64,
-    /// All tracked sinks, in `check`'s iteration order (circuit net order,
-    /// then sink order).
-    sinks: Vec<SinkState>,
-    /// Flat per-sink term lengths `lⱼ` (fixed: routes never change).
-    term_len: Vec<f64>,
-    /// Flat per-sink term couplings `Kᵢʲ` (patched per region re-solve).
+    /// Per-term couplings `Kᵢʲ` (patched per region re-solve).
     term_k: Vec<f64>,
-    /// Reverse index: the terms a `(region, dir)` re-solve can change.
-    by_segment: HashMap<(RegionIdx, Dir), Vec<SegmentRef>>,
-    /// `net → contiguous range into sinks`.
-    net_range: HashMap<NetId, (u32, u32)>,
+    /// Per-sink `(LSK, voltage)`.
+    values: Vec<(f64, f64)>,
     /// Ground truth: worst violating voltage per net (bit-identical to
     /// `check`'s per-net map).
     worst: HashMap<NetId, f64>,
     /// Scratch: sinks dirtied by the update in flight.
     dirty: Vec<u32>,
-    /// Scratch: nets owning dirtied sinks.
-    dirty_nets: Vec<NetId>,
+    /// Scratch: first sinks of the nets owning dirtied sinks.
+    dirty_nets: Vec<u32>,
 }
 
 impl LskTracker {
-    /// Builds the tracker from the current solution state — the only
-    /// full-circuit walk; everything after is patched per region edit.
-    ///
-    /// Nets without a route, or with a trivial (edge-free) route, have no
-    /// segments and can never violate; they are not tracked, mirroring
-    /// [`check_net`](crate::violations::check_net)'s empty-route shortcut.
+    /// Builds the index from the current solution state — the only
+    /// full-circuit walk — and fills it from `sino`.
     pub fn new(
         circuit: &Circuit,
         grid: &RegionGrid,
@@ -107,82 +244,116 @@ impl LskTracker {
         table: &NoiseTable,
         vth: f64,
     ) -> Self {
+        let index = LskIndex::new(circuit, grid, routes, sino);
+        Self::fill(Arc::new(index), sino, table, vth)
+    }
+
+    /// Fills a kept index with the couplings of `sino`: O(terms), no
+    /// route walk. `sino` must have the routes and occupant lists the
+    /// index was built on; then the result is bitwise the tracker
+    /// [`Self::new`] builds.
+    pub fn fill(index: Arc<LskIndex>, sino: &RegionSino, table: &NoiseTable, vth: f64) -> Self {
+        let mut term_k = vec![0.0; index.term_len.len()];
+        for (i, &(r, dir)) in index.keys.iter().enumerate() {
+            // invariant: the index was built on these occupant lists, so
+            // every key it reads is solved.
+            let Some(sol) = sino.solution(r, dir) else {
+                debug_assert!(false, "indexed key ({r}, {dir:?}) has no region solution");
+                continue;
+            };
+            for e in &index.refs[index.offsets[i] as usize..index.offsets[i + 1] as usize] {
+                term_k[e.term as usize] = sol.k[e.seg as usize];
+            }
+        }
+        let values = index
+            .sinks
+            .iter()
+            .map(|s| {
+                let lsk = sum_terms(&index.term_len, &term_k, s.terms);
+                (lsk, table.voltage(lsk))
+            })
+            .collect();
         let mut t = LskTracker {
+            index,
             vth,
-            sinks: Vec::new(),
-            term_len: Vec::new(),
-            term_k: Vec::new(),
-            by_segment: HashMap::new(),
-            net_range: HashMap::new(),
+            term_k,
+            values,
             worst: HashMap::new(),
             dirty: Vec::new(),
             dirty_nets: Vec::new(),
         };
-        for net in circuit.nets() {
-            let route = match routes.get(net.id()) {
-                Some(r) => r,
-                None => continue,
-            };
-            if route.edges().is_empty() {
-                continue;
+        for s in 0..t.index.sinks.len() {
+            if s == 0 || t.index.sinks[s - 1].net != t.index.sinks[s].net {
+                t.refresh_net(s);
             }
-            let root = grid.region_of(net.source());
-            let first_sink = t.sinks.len() as u32;
-            for (sink_index, sink) in net.sinks().iter().enumerate() {
-                let sink_region = grid.region_of(*sink);
-                let path = match route.path(root, sink_region) {
-                    Some(p) => p,
-                    None => route.regions(),
-                };
-                let offset = t.term_len.len() as u32;
-                for &r in &path {
-                    let (lh, lv) = route.length_in_region(grid, r);
-                    for (dir, len) in [(Dir::H, lh), (Dir::V, lv)] {
-                        let term = t.term_len.len() as u32;
-                        // Register the term only if the net owns a segment
-                        // here — only those couplings can ever change; the
-                        // rest stay 0.0 forever, exactly like `sink_lsk`'s
-                        // `unwrap_or(0.0)`.
-                        let k = match sino
-                            .solution(r, dir)
-                            .and_then(|sol| sol.index_of(net.id()).map(|i| (sol.k[i], i)))
-                        {
-                            Some((k, seg)) => {
-                                t.by_segment.entry((r, dir)).or_default().push(SegmentRef {
-                                    sink: t.sinks.len() as u32,
-                                    term,
-                                    seg: seg as u32,
-                                });
-                                k
-                            }
-                            None => 0.0,
-                        };
-                        t.term_len.push(len);
-                        t.term_k.push(k);
-                    }
-                }
-                let len = t.term_len.len() as u32 - offset;
-                let lsk: f64 = (offset..offset + len)
-                    .map(|i| t.term_len[i as usize] * t.term_k[i as usize])
-                    .sum();
-                t.sinks.push(SinkState {
-                    net: net.id(),
-                    sink: sink_index as u32,
-                    terms: (offset, len),
-                    lsk,
-                    voltage: table.voltage(lsk),
-                });
-            }
-            t.net_range
-                .insert(net.id(), (first_sink, t.sinks.len() as u32 - first_sink));
-            t.refresh_net(net.id());
         }
         t
+    }
+
+    /// The route-derived index this tracker fills.
+    pub fn index(&self) -> &Arc<LskIndex> {
+        &self.index
     }
 
     /// The constraint voltage the tracker flags against.
     pub fn vth(&self) -> f64 {
         self.vth
+    }
+
+    /// Per-term couplings `Kᵢʲ`, in index term order.
+    pub fn couplings(&self) -> &[f64] {
+        &self.term_k
+    }
+
+    /// Per-sink `(LSK, voltage)`, in `check`'s sink order.
+    pub fn sink_values(&self) -> &[(f64, f64)] {
+        &self.values
+    }
+
+    /// The first tracked sink at or after `start` that `net` does not
+    /// own. Tracked sinks follow circuit net order, so a walk over the
+    /// circuit's nets advances through them with this cursor.
+    pub(crate) fn skip_net(&self, start: usize, net: NetId) -> usize {
+        let sinks = &self.index.sinks;
+        (start..sinks.len())
+            .find(|&s| sinks[s].net != net)
+            .unwrap_or(sinks.len())
+    }
+
+    /// Checks `net`'s tracked sinks, `start..skip_net(start, net)`, against
+    /// a fresh walk of `route` on the `sino` this tracker was filled from:
+    /// every term length must be what the route gives now, and every
+    /// sink's LSK must equal [`sink_lsk`](crate::violations::sink_lsk)'s,
+    /// computed from the same walk, bitwise. The lengths are compared on
+    /// their own because a term whose coupling is zero today adds nothing
+    /// to any sum.
+    pub(crate) fn net_matches(
+        &self,
+        sinks: Range<usize>,
+        grid: &RegionGrid,
+        route: Option<&RouteTree>,
+        sino: &RegionSino,
+        net: &Net,
+    ) -> bool {
+        let Some(route) = route.filter(|r| !r.edges().is_empty()) else {
+            return sinks.is_empty();
+        };
+        if sinks.len() != net.sinks().len() {
+            return false;
+        }
+        sinks.enumerate().all(|(i, s)| {
+            let tracked = &self.index.sinks[s];
+            let (offset, len) = tracked.terms;
+            let mut lens = self.index.term_len[offset as usize..(offset + len) as usize].iter();
+            let mut same = tracked.sink as usize == i;
+            let terms = sink_terms(grid, route, net, i).inspect(|&(_, _, l)| {
+                same &= lens
+                    .next()
+                    .is_some_and(|kept| kept.to_bits() == l.to_bits());
+            });
+            let lsk = terms_lsk(sino, net.id(), terms);
+            same && lens.next().is_none() && self.values[s].0.to_bits() == lsk.to_bits()
+        })
     }
 
     /// Patches every cached term the re-solved `(region, dir)` feeds and
@@ -191,10 +362,8 @@ impl LskTracker {
     pub fn region_updated(&mut self, region: RegionIdx, dir: Dir, k: &[f64], table: &NoiseTable) {
         self.dirty.clear();
         self.dirty_nets.clear();
-        let Some(entries) = self.by_segment.get(&(region, dir)) else {
-            return;
-        };
-        for e in entries {
+        let index = &*self.index;
+        for e in index.refs_of((region, dir)) {
             let nk = k[e.seg as usize];
             // Bitwise-unchanged couplings cannot change any sum; skipping
             // them is exact, not approximate.
@@ -203,35 +372,30 @@ impl LskTracker {
                 self.dirty.push(e.sink);
             }
         }
-        for i in 0..self.dirty.len() {
-            let s = self.dirty[i] as usize;
-            let (offset, len) = self.sinks[s].terms;
+        for &s in &self.dirty {
+            let s = s as usize;
             // Full re-sum in `sink_lsk`'s term order — never a running
             // delta, so the f64 rounding matches a fresh walk bit for bit.
-            let lsk: f64 = (offset..offset + len)
-                .map(|t| self.term_len[t as usize] * self.term_k[t as usize])
-                .sum();
-            let st = &mut self.sinks[s];
-            st.lsk = lsk;
-            st.voltage = table.voltage(lsk);
-            if !self.dirty_nets.contains(&st.net) {
-                self.dirty_nets.push(st.net);
+            let lsk = sum_terms(&index.term_len, &self.term_k, index.sinks[s].terms);
+            self.values[s] = (lsk, table.voltage(lsk));
+            let start = index.net_start(s) as u32;
+            if !self.dirty_nets.contains(&start) {
+                self.dirty_nets.push(start);
             }
         }
         for i in 0..self.dirty_nets.len() {
-            self.refresh_net(self.dirty_nets[i]);
+            self.refresh_net(self.dirty_nets[i] as usize);
         }
     }
 
-    /// Recomputes one net's worst violating voltage from its cached sinks
-    /// (the same max-fold as `check`'s per-net accumulation).
-    fn refresh_net(&mut self, net: NetId) {
-        let Some(&(start, len)) = self.net_range.get(&net) else {
-            return;
-        };
+    /// Recomputes the worst violating voltage of the net whose sinks start
+    /// at `start` (the same max-fold as `check`'s per-net accumulation).
+    fn refresh_net(&mut self, start: usize) {
+        let sinks = &self.index.sinks;
+        let net = sinks[start].net;
         let mut worst: Option<f64> = None;
-        for s in start..start + len {
-            let v = self.sinks[s as usize].voltage;
+        for s in (start..sinks.len()).take_while(|&s| sinks[s].net == net) {
+            let v = self.values[s].1;
             if v > self.vth + 1e-9 {
                 worst = Some(worst.map_or(v, |w| w.max(v)));
             }
@@ -287,16 +451,25 @@ impl LskTracker {
     /// then sink order) — for oracle comparison against
     /// [`check`](crate::violations::check)`.sinks`.
     pub fn sink_violations(&self) -> Vec<SinkViolation> {
-        self.sinks
+        self.index
+            .sinks
             .iter()
-            .filter(|s| s.voltage > self.vth + 1e-9)
-            .map(|s| SinkViolation {
+            .zip(&self.values)
+            .filter(|(_, &(_, voltage))| voltage > self.vth + 1e-9)
+            .map(|(s, &(lsk, voltage))| SinkViolation {
                 net: s.net,
                 sink: s.sink as usize,
-                lsk: s.lsk,
-                voltage: s.voltage,
+                lsk,
+                voltage,
             })
             .collect()
+    }
+
+    /// The violation report of the tracked state: bitwise the
+    /// [`check`](crate::violations::check) of the same solution (see the
+    /// module docs).
+    pub fn report(&self) -> ViolationReport {
+        ViolationReport::from_parts(self.vth, self.sink_violations(), self.worst.clone())
     }
 
     /// Debug oracle: the full tracker state must be bit-identical to a
@@ -326,6 +499,16 @@ impl LskTracker {
             "LskTracker sink violations diverged from check"
         );
     }
+}
+
+/// Eq. (1) over one sink's terms, in term order.
+fn sum_terms(len: &[f64], k: &[f64], (offset, n): (u32, u32)) -> f64 {
+    let range = offset as usize..(offset + n) as usize;
+    len[range.clone()]
+        .iter()
+        .zip(&k[range])
+        .map(|(l, k)| l * k)
+        .sum()
 }
 
 /// Pass 1's work queue: the severity map plus a lazy-deletion max-heap

@@ -4,8 +4,8 @@
 //! — exactly the caches the sampled oracle audits — so tests and benches
 //! can prove the detect → quarantine → degraded-replay ladder end to end.
 //! Injection targets the *persisted* artifacts (routes, budgets, region
-//! solutions), mirroring what a wild pointer or a buggy incremental engine
-//! would clobber in production.
+//! solutions, the kept LSK index), mirroring what a wild pointer or a
+//! buggy incremental engine would clobber in production.
 
 use super::SessionState;
 use crate::{CoreError, Result};
@@ -24,6 +24,10 @@ pub enum FaultKind {
     /// Corrupts one of a net's cached `Kth` budget entries — an LSK term
     /// that no longer matches the noise table.
     CorruptBudget,
+    /// Corrupts one term length `lⱼ` of the LSK index the session keeps
+    /// across budget commits: the first term of the victim net (by
+    /// default, of the first indexed net).
+    StaleLsk,
 }
 
 /// A single planned corruption of the session's cached state.
@@ -96,6 +100,20 @@ pub(super) fn inject(state: &mut SessionState, plan: &FaultPlan) -> Result<()> {
                 id: net as u64,
             })?;
             state.budgets0.set(*n, *r, *d, v * 0.37 + 1e-3);
+        }
+        FaultKind::StaleLsk => {
+            let victim = match plan.net {
+                Some(_) => Some(resolve_net(state, plan)?),
+                None => None,
+            };
+            let term = state
+                .lsk_index
+                .first_term(victim)
+                .ok_or(CoreError::BadConfig {
+                    reason: "no LSK term to corrupt".into(),
+                })?;
+            let len = std::sync::Arc::make_mut(&mut state.lsk_index).term_len_mut(term);
+            *len = *len * 1.5 + 1.0;
         }
     }
     Ok(())

@@ -48,7 +48,7 @@
 //! whenever its inputs are — which is exactly the invariant the session
 //! maintains.
 //!
-//! # What a commit copies
+//! # What a commit keeps
 //!
 //! A commit copies only what it changes. The routes sit behind an
 //! [`Arc`], and every Phase II region solution sits behind its own
@@ -70,15 +70,39 @@
 //! solutions. Dropping a replaced state frees only what no newer state
 //! shares.
 //!
+//! Two more things are kept so that a budget commit and a query walk no
+//! route:
+//!
+//! * **The LSK index.** Refine judges each sink by its LSK, paper
+//!   Eq. (1). The route-derived half of its tracker, an
+//!   [`LskIndex`], is kept behind an `Arc`. The pre-flight audit fills
+//!   it with the live `sino0`'s couplings, O(terms) and no route walk.
+//!   The budget-only rung patches that tracker for each region it
+//!   re-solves and hands it to refine, and the candidate state keeps the
+//!   same index. The Phase I rung, a full rebuild and a degraded replay
+//!   build a new one.
+//! * **The violation report.** After refine the refined tracker's report
+//!   is stored, and [`EcoSession::violations`] returns it.
+//!
 //! This is exact. Nothing is ever written through a shared pointer:
-//! `solution_mut` is `Arc::make_mut`, which copies first, and routes are
-//! written only by fault injection, through `Arc::make_mut` as well. So
-//! every reader sees exactly the bits a deep copy would have given it. The
-//! build-aside commit keeps its meaning: the candidate shares with the
-//! live state but cannot write into it, so a canceled or failed commit
-//! still leaves the live snapshot untouched. The deadline sweep in
+//! `solution_mut` is `Arc::make_mut`, which copies first, and routes and
+//! the index are written only by fault injection, through `Arc::make_mut`
+//! as well. So every reader sees exactly the bits a deep copy would have
+//! given it. The index is a pure function of four things: the circuit,
+//! the grid, the routes and each region's occupant list. The budget-only
+//! rung changes none of them, because a re-solved region keeps its old
+//! occupants. So the fill over the kept index is bitwise the tracker a
+//! fresh build gives, and patching it per re-solved region keeps it so
+//! (the tracker contract of [`crate::refine::tracker`]). Refine keeps the
+//! same contract on every edit, so the refined tracker's report is
+//! bitwise the [`check`] of the committed state; debug builds assert it
+//! after every refine. The build-aside commit keeps its meaning: the
+//! candidate shares with the live state but cannot write into it, so a
+//! canceled or failed commit still leaves the live snapshot, its index
+//! and its report untouched. The deadline sweep in
 //! `tests/failure_injection.rs` checks this bitwise. The batch flow never
-//! shares a region, so its writes never copy.
+//! shares a region, so its writes never copy, and it builds its tracker
+//! once, as before.
 //!
 //! # Oracle sampling contract
 //!
@@ -94,10 +118,15 @@
 //! re-running the flow from scratch — correctness recovered at the price
 //! of one full replay, never a silent wrong answer.
 //!
+//! The audit also checks the kept LSK index: for each sampled net, every
+//! term length must be what its route gives now, and each sink's LSK
+//! through the index must equal [`crate::violations::sink_lsk`] on `sino0`
+//! bitwise.
+//!
 //! [`FaultPlan`] exists to prove that ladder end to end: tests inject a
-//! poisoned coupling, a stale route, or a corrupted budget term, and the
-//! suite asserts the oracle detects it and the degraded replay converges
-//! to the same bits as a from-scratch run.
+//! poisoned coupling, a stale route, a corrupted budget term or a stale
+//! LSK index term, and the suite asserts the oracle detects it and the
+//! degraded replay converges to the same bits as a from-scratch run.
 //!
 //! # Example
 //!
@@ -153,7 +182,8 @@ use crate::phase2::{
     RegionMode, RegionSino, RegionSolution,
 };
 use crate::pipeline::{reference_kth, GsinoConfig, RouterKind};
-use crate::refine::{refine_cancel, RefineStats};
+use crate::refine::tracker::{LskIndex, LskTracker};
+use crate::refine::{refine_tracked, RefineStats};
 use crate::router::{AstarRouter, IdRouter, RouterStats, ShieldTerm};
 use crate::violations::{check, ViolationReport};
 use crate::{CoreError, Result};
@@ -224,6 +254,11 @@ struct SessionState {
     /// Post-refine region solutions.
     sino: RegionSino,
     refine_stats: RefineStats,
+    /// The route-derived half of the LSK tracker of `sino0`; shared with
+    /// the candidate state by the budget-only rung.
+    lsk_index: Arc<LskIndex>,
+    /// The violation report of the post-refine state: `check` of `sino`.
+    report: ViolationReport,
 }
 
 /// An open transaction: working copies of the circuit and configuration
@@ -387,8 +422,12 @@ impl EcoSession {
         // build on. Detecting a corruption *before* replaying makes
         // recovery deterministic — the degraded rebuild below restores a
         // clean pre-edit snapshot, and the replay proceeds on top of it.
+        // The audit reads the kept index through a tracker of `sino0`,
+        // which the budget-only rung then patches instead of filling again.
+        let mut tracker = self.state.lsk_tracker();
         if let Some(reason) = oracle::audit(
             &self.state,
+            &tracker,
             self.oracle.effective_audit(),
             &mut rng,
             &mut self.stats,
@@ -399,6 +438,7 @@ impl EcoSession {
                 self.state.config.clone(),
                 cancel,
             )?;
+            tracker = self.state.lsk_tracker();
         }
 
         let Some(class) = txn.class else {
@@ -417,7 +457,7 @@ impl EcoSession {
             }
             EditClass::BudgetOnly => {
                 self.stats.budget_replays += 1;
-                self.replay_budgets(txn.circuit, txn.config, &txn.budget_nets, cancel)?
+                self.replay_budgets(txn.circuit, txn.config, &txn.budget_nets, tracker, cancel)?
             }
         };
 
@@ -447,7 +487,8 @@ impl EcoSession {
     /// Flow errors from the recovery rebuild only.
     pub fn verify_now(&mut self) -> Result<bool> {
         let mut rng = StdRng::seed_from_u64(self.oracle.seed ^ 0x5EED);
-        if let Some(reason) = oracle::audit(&self.state, 1.0, &mut rng, &mut self.stats) {
+        let tracker = self.state.lsk_tracker();
+        if let Some(reason) = oracle::audit(&self.state, &tracker, 1.0, &mut rng, &mut self.stats) {
             self.degrade(
                 reason,
                 self.state.circuit.clone(),
@@ -535,6 +576,7 @@ impl EcoSession {
                 self.stats.regions_resolved += 1;
             }
         }
+        let tracker = LskTracker::new(&circuit, &grid, &routes, &sino0, &table, config.vth);
         let next = finish_with_refine(
             circuit,
             config,
@@ -544,6 +586,7 @@ impl EcoSession {
             router_stats,
             budgets0,
             sino0,
+            tracker,
             cancel,
         )?;
         Ok((next, patched))
@@ -551,11 +594,14 @@ impl EcoSession {
 
     /// Budget-only rung: routes stand; recompute the edited nets' budget
     /// entries and re-solve exactly the regions whose `Kth` changed.
+    /// `tracker` is the live `sino0`'s; each re-solve patches it, so it
+    /// enters refine as the tracker of the candidate `sino0`.
     fn replay_budgets(
         &mut self,
         circuit: Circuit,
         config: GsinoConfig,
         budget_nets: &BTreeSet<u32>,
+        mut tracker: LskTracker,
         cancel: &CancelToken,
     ) -> Result<(SessionState, Vec<(RegionIdx, Dir)>)> {
         config.validate()?;
@@ -630,6 +676,9 @@ impl EcoSession {
                 )?
                 .1
             };
+            // The re-solve keeps `old.nets`, so the kept index still
+            // addresses this region's segments.
+            tracker.region_updated(r, dir, &sol.k, &table);
             sino0.insert_shared(r, dir, Arc::new(sol));
             patched.push((r, dir));
         }
@@ -643,6 +692,7 @@ impl EcoSession {
             router_stats,
             budgets0,
             sino0,
+            tracker,
             cancel,
         )?;
         Ok((next, patched))
@@ -715,17 +765,12 @@ impl EcoSession {
         self.txn.is_some()
     }
 
-    /// Checks the current snapshot at the configured constraint.
+    /// The violation report of the current snapshot at the configured
+    /// constraint: the report stored when the snapshot was committed,
+    /// which equals [`check`] of the snapshot (see "What a commit keeps"
+    /// in the [module docs](self)).
     pub fn violations(&self) -> ViolationReport {
-        let s = &self.state;
-        check(
-            &s.circuit,
-            &s.grid,
-            &s.routes,
-            &s.sino,
-            &s.table,
-            s.config.vth,
-        )
+        self.state.report.clone()
     }
 }
 
@@ -757,6 +802,7 @@ impl SessionState {
             config.sino_engine,
             cancel,
         )?;
+        let tracker = LskTracker::new(&circuit, &grid, &routes, &sino0, &table, config.vth);
         finish_with_refine(
             circuit,
             config,
@@ -766,7 +812,18 @@ impl SessionState {
             router_stats,
             budgets0,
             sino0,
+            tracker,
             cancel,
+        )
+    }
+
+    /// A tracker of `sino0` through the kept index: a fill, no route walk.
+    fn lsk_tracker(&self) -> LskTracker {
+        LskTracker::fill(
+            Arc::clone(&self.lsk_index),
+            &self.sino0,
+            &self.table,
+            self.config.vth,
         )
     }
 }
@@ -846,7 +903,8 @@ fn budget_phase(
 /// snapshot. Refinement is deterministic, so the post-refine state is
 /// bit-identical to a from-scratch run whenever the pre-refine inputs
 /// are. The `sino0` clone shares every region; refine copies only the
-/// regions it writes.
+/// regions it writes. `tracker` is the tracker of `sino0` at
+/// `config.vth`; the state keeps its index and the refined report.
 #[allow(clippy::too_many_arguments)]
 fn finish_with_refine(
     circuit: Circuit,
@@ -857,23 +915,31 @@ fn finish_with_refine(
     router_stats: RouterStats,
     budgets0: Budgets,
     sino0: RegionSino,
+    mut tracker: LskTracker,
     cancel: &CancelToken,
 ) -> Result<SessionState> {
+    debug_assert_eq!(tracker.vth().to_bits(), config.vth.to_bits());
     let mut budgets = budgets0.clone();
     let mut sino = sino0.clone();
-    let refine_stats = refine_cancel(
+    let refine_stats = refine_tracked(
         &circuit,
         &grid,
         &routes,
         &mut budgets,
         &mut sino,
         &table,
-        config.vth,
         config.solver,
         &config.refine,
         config.threads,
         cancel,
+        &mut tracker,
     )?;
+    let report = tracker.report();
+    debug_assert_eq!(
+        report,
+        check(&circuit, &grid, &routes, &sino, &table, config.vth),
+        "the refined tracker's report diverged from check"
+    );
     Ok(SessionState {
         circuit,
         config,
@@ -886,6 +952,8 @@ fn finish_with_refine(
         budgets,
         sino,
         refine_stats,
+        lsk_index: Arc::clone(tracker.index()),
+        report,
     })
 }
 
@@ -1258,6 +1326,119 @@ mod tests {
         let (_, sino0) = scratch_phase2(&session);
         assert_eq!(session.sino_pre_refine(), &sino0);
         assert_matches_scratch(&session);
+    }
+
+    /// `violations()` must be `check` of the committed snapshot.
+    fn assert_report_is_check(session: &EcoSession) {
+        let s = &session.state;
+        let report = check(
+            &s.circuit,
+            &s.grid,
+            &s.routes,
+            &s.sino,
+            &s.table,
+            s.config.vth,
+        );
+        assert_eq!(session.violations(), report);
+    }
+
+    fn commit(session: &mut EcoSession, edit: EcoEdit) {
+        session.begin().unwrap();
+        session.apply(edit).unwrap();
+        session.commit().unwrap();
+    }
+
+    #[test]
+    fn budget_commits_keep_the_lsk_index_and_others_replace_it() {
+        use crate::router::Weights;
+        use gsino_grid::sensitivity::SensitivityModel;
+        // An insensitive design warm-skips every moved region (see
+        // `warm_skip_fires_and_stays_bit_identical`).
+        for sensitivity in [fast_config().sensitivity, SensitivityModel::new(0.0, 1)] {
+            let config = GsinoConfig {
+                sensitivity,
+                ..fast_config()
+            };
+            let mut session = EcoSession::new(&small_circuit(20), &config).unwrap();
+            assert_report_is_check(&session);
+            let kept = Arc::clone(&session.state.lsk_index);
+            let budget_edits = [
+                EcoEdit::TightenVth {
+                    net: 3,
+                    sink: 0,
+                    vth: 0.10,
+                },
+                EcoEdit::TightenVth {
+                    net: 7,
+                    sink: 0,
+                    vth: 0.09,
+                },
+                EcoEdit::RelaxVth { net: 3, sink: 0 },
+            ];
+            for edit in budget_edits {
+                commit(&mut session, edit);
+                assert!(
+                    Arc::ptr_eq(&kept, &session.state.lsk_index),
+                    "a budget commit must keep the index"
+                );
+                assert_report_is_check(&session);
+            }
+            assert_eq!(session.stats().budget_replays, 3);
+            if sensitivity.rate() == 0.0 {
+                assert!(session.stats().warm_skips > 0, "no region was warm-skipped");
+            }
+            let others = [
+                EcoEdit::Circuit(CircuitEdit::AddNet {
+                    net: Net::two_pin(99, Point::new(20.0, 600.0), Point::new(600.0, 30.0)),
+                }),
+                EcoEdit::Reweight {
+                    weights: Weights {
+                        alpha: 3.0,
+                        ..Weights::default()
+                    },
+                },
+            ];
+            for edit in others {
+                let before = Arc::clone(&session.state.lsk_index);
+                commit(&mut session, edit);
+                assert!(
+                    !Arc::ptr_eq(&before, &session.state.lsk_index),
+                    "a routing commit must build a new index"
+                );
+                assert_report_is_check(&session);
+            }
+            assert_eq!(session.stats().phase1_replays, 1);
+            assert_eq!(session.stats().full_replays, 1);
+            assert_eq!(session.stats().divergences, 0);
+            assert_matches_scratch(&session);
+        }
+    }
+
+    #[test]
+    fn report_survives_heal_and_canceled_commit() {
+        let mut session = EcoSession::new(&small_circuit(16), &fast_config()).unwrap();
+        session
+            .inject_fault(&FaultPlan::new(FaultKind::PoisonKeff))
+            .unwrap();
+        assert!(
+            !session.verify_now().unwrap(),
+            "the poisoned coupling must be flagged"
+        );
+        assert_report_is_check(&session);
+        let report = session.violations();
+        session.begin().unwrap();
+        session
+            .apply(EcoEdit::TightenVth {
+                net: 3,
+                sink: 0,
+                vth: 0.10,
+            })
+            .unwrap();
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        assert!(session.commit_with(&cancel).is_err());
+        assert_eq!(session.violations(), report);
+        assert_report_is_check(&session);
     }
 
     #[test]

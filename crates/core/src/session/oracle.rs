@@ -10,7 +10,11 @@
 //!   recomputed from the routes, the SINO instance rebuilt from the
 //!   budgets, the region re-solved with the preserved **reference**
 //!   engine — and a sampled fraction of nets has its budget entries
-//!   recomputed through the noise table. Any mismatch is a divergence.
+//!   recomputed through the noise table and its entries in the kept LSK
+//!   index checked against its route: each term length as the route
+//!   gives it, each sink's LSK through the index equal to
+//!   [`sink_lsk`](crate::violations::sink_lsk) on `sino0`. Any mismatch is
+//!   a divergence.
 //! * **Patched check** (after replaying): a sampled fraction of the
 //!   regions the replay just patched is re-solved with the reference
 //!   engine and compared bitwise.
@@ -27,6 +31,7 @@
 use super::{SessionState, SessionStats};
 use crate::budget::{net_budget_entries, LengthModel};
 use crate::phase2::{assignments, build_instance, solve_instance, RegionMode, SinoEngine};
+use crate::refine::tracker::LskTracker;
 use gsino_grid::region::RegionIdx;
 use gsino_grid::route::Dir;
 use gsino_sino::delta::DeltaEval;
@@ -87,11 +92,13 @@ impl OracleConfig {
     }
 }
 
-/// Audits the cached replay state against first principles. Returns a
+/// Audits the cached replay state against first principles. `tracker`
+/// is the kept LSK index filled from `state.sino0`. Returns a
 /// human-readable divergence description, or `None` if every sampled
 /// check passed.
 pub(super) fn audit(
     state: &SessionState,
+    tracker: &LskTracker,
     sample: f64,
     rng: &mut StdRng,
     stats: &mut SessionStats,
@@ -131,8 +138,12 @@ pub(super) fn audit(
         }
     }
 
-    // Sampled budget recompute per net.
+    // Sampled budget recompute and LSK check per net. `tracker` fills the
+    // kept index from `sino0`, and its sinks follow circuit net order.
+    let mut cursor = 0;
     for net in state.circuit.nets() {
+        let start = cursor;
+        cursor = tracker.skip_net(start, net.id());
         if !rng.gen_bool(sample) {
             continue;
         }
@@ -158,6 +169,10 @@ pub(super) fn audit(
         };
         if stored != recomputed {
             return Some(format!("budget entries diverged for net {}", net.id()));
+        }
+        let route = state.routes.get(net.id());
+        if !tracker.net_matches(start..cursor, &state.grid, route, &state.sino0, net) {
+            return Some(format!("LSK index diverged for net {}", net.id()));
         }
     }
     None

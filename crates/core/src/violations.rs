@@ -8,7 +8,7 @@
 
 use crate::phase2::RegionSino;
 use gsino_grid::net::{Circuit, Net, NetId};
-use gsino_grid::region::RegionGrid;
+use gsino_grid::region::{RegionGrid, RegionIdx};
 use gsino_grid::route::{Dir, RouteSet, RouteTree};
 use gsino_lsk::table::NoiseTable;
 use gsino_lsk::value::lsk_value;
@@ -39,6 +39,20 @@ pub struct ViolationReport {
 }
 
 impl ViolationReport {
+    /// A report from its parts: the violating sinks in `check`'s order and
+    /// the worst voltage of each violating net.
+    pub(crate) fn from_parts(
+        vth: f64,
+        sinks: Vec<SinkViolation>,
+        per_net: HashMap<NetId, f64>,
+    ) -> Self {
+        ViolationReport {
+            vth,
+            sinks,
+            per_net,
+        }
+    }
+
     /// Number of nets with at least one violating sink (Table 1's metric).
     pub fn violating_nets(&self) -> usize {
         self.per_net.len()
@@ -94,6 +108,37 @@ impl ViolationReport {
     }
 }
 
+/// The terms of one sink's Eq. (1) sum as `(region, dir, lⱼ)`: the
+/// regions of the source→sink path (the whole tree's regions if the sink
+/// is off the tree), each horizontal then vertical.
+pub(crate) fn sink_terms<'a>(
+    grid: &'a RegionGrid,
+    route: &'a RouteTree,
+    net: &Net,
+    sink_index: usize,
+) -> impl Iterator<Item = (RegionIdx, Dir, f64)> + 'a {
+    let root = grid.region_of(net.source());
+    let sink_region = grid.region_of(net.sinks()[sink_index]);
+    let path = match route.path(root, sink_region) {
+        Some(p) => p,
+        None => route.regions(),
+    };
+    path.into_iter().flat_map(move |r| {
+        let (lh, lv) = route.length_in_region(grid, r);
+        [(r, Dir::H, lh), (r, Dir::V, lv)]
+    })
+}
+
+/// Eq. (1) of `net` over `terms`, reading each coupling from `sino` (0.0
+/// where the net has no segment).
+pub(crate) fn terms_lsk(
+    sino: &RegionSino,
+    net: NetId,
+    terms: impl Iterator<Item = (RegionIdx, Dir, f64)>,
+) -> f64 {
+    lsk_value(terms.map(|(r, dir, len)| (len, sino.k_of(net, r, dir).unwrap_or(0.0))))
+}
+
 /// LSK of one sink: `Σ lⱼ·Kᵢʲ` over the source→sink region path, summing
 /// the net's horizontal and vertical segments per region.
 pub fn sink_lsk(
@@ -103,20 +148,7 @@ pub fn sink_lsk(
     net: &Net,
     sink_index: usize,
 ) -> f64 {
-    let root = grid.region_of(net.source());
-    let sink = net.sinks()[sink_index];
-    let sink_region = grid.region_of(sink);
-    let path = match route.path(root, sink_region) {
-        Some(p) => p,
-        None => route.regions(),
-    };
-    lsk_value(path.iter().flat_map(|&r| {
-        let (lh, lv) = route.length_in_region(grid, r);
-        [
-            (lh, sino.k_of(net.id(), r, Dir::H).unwrap_or(0.0)),
-            (lv, sino.k_of(net.id(), r, Dir::V).unwrap_or(0.0)),
-        ]
-    }))
+    terms_lsk(sino, net.id(), sink_terms(grid, route, net, sink_index))
 }
 
 /// Checks every sink of one net; returns its violations.

@@ -232,13 +232,18 @@ fn assert_session_matches_scratch(session: &EcoSession) {
     assert_eq!(session.routes(), &outcome.routes, "routes diverged");
     assert_eq!(session.budgets(), &internals.budgets, "budgets diverged");
     assert_eq!(session.sino(), &internals.sino, "sino diverged");
+    assert_eq!(
+        session.violations(),
+        outcome.violations,
+        "violations diverged"
+    );
 }
 
 /// Injects one planned corruption, then commits an ordinary edit: the
 /// oracle must flag the divergence, quarantine the cached state, and
 /// recover through an explicit degraded replay whose result is
 /// bit-identical to a from-scratch run on the edited circuit.
-fn fault_is_detected_and_recovered(kind: FaultKind) {
+fn fault_is_detected_and_recovered(kind: FaultKind) -> EcoSession {
     let circuit = session_circuit(16);
     let mut session =
         EcoSession::with_oracle(&circuit, &session_config(), OracleConfig::full()).unwrap();
@@ -268,6 +273,7 @@ fn fault_is_detected_and_recovered(kind: FaultKind) {
         "{kind:?}: divergence reason must be recorded"
     );
     assert_session_matches_scratch(&session);
+    session
 }
 
 #[test]
@@ -283,6 +289,16 @@ fn session_stale_route_is_detected_and_recovered() {
 #[test]
 fn session_corrupt_budget_is_detected_and_recovered() {
     fault_is_detected_and_recovered(FaultKind::CorruptBudget);
+}
+
+#[test]
+fn session_stale_lsk_is_detected_and_recovered() {
+    let session = fault_is_detected_and_recovered(FaultKind::StaleLsk);
+    let reason = session.last_divergence().unwrap();
+    assert!(
+        reason.contains("LSK index"),
+        "caught by another check: {reason}"
+    );
 }
 
 #[test]
@@ -545,9 +561,14 @@ proptest! {
     #[test]
     fn session_random_edits_with_faults_never_diverge_silently(
         seed in 0u64..1_000_000,
-        faults in prop::collection::vec(0..3usize, 1..3),
+        faults in prop::collection::vec(0..4usize, 1..3),
     ) {
-        let kinds = [FaultKind::PoisonKeff, FaultKind::StaleRoute, FaultKind::CorruptBudget];
+        let kinds = [
+            FaultKind::PoisonKeff,
+            FaultKind::StaleRoute,
+            FaultKind::CorruptBudget,
+            FaultKind::StaleLsk,
+        ];
         let circuit = session_circuit(10);
         let mut session =
             EcoSession::with_oracle(&circuit, &session_config(), OracleConfig::full()).unwrap();

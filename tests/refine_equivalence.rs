@@ -35,6 +35,9 @@ use gsino_grid::RegionGrid;
 use gsino_lsk::table::NoiseTable;
 use gsino_sino::solver::{SinoSolver, SolverConfig};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// A dense single-row bus (every net couples hard) solved through Phase
 /// II with budgets computed at `budget_vth` — loose budgets plus a strict
@@ -65,7 +68,62 @@ fn bus_setup(
             )
         })
         .collect();
-    let circuit = Circuit::new("bus", die, nets).unwrap();
+    solved_setup(
+        Circuit::new("bus", die, nets).unwrap(),
+        rate,
+        budget_vth,
+        seed,
+    )
+}
+
+/// `n` nets of 2 to 4 pins spread over one die: several sinks per net,
+/// on routes that branch.
+#[allow(clippy::type_complexity)]
+fn multipin_setup(
+    n: u32,
+    rate: f64,
+    seed: u64,
+) -> (
+    Circuit,
+    RegionGrid,
+    RouteSet,
+    NoiseTable,
+    Budgets,
+    RegionSino,
+) {
+    let die = Rect::new(Point::new(0.0, 0.0), Point::new(1280.0, 1280.0)).unwrap();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let nets: Vec<Net> = (0..n)
+        .map(|i| {
+            let pins = (0..rng.gen_range(2..=4usize))
+                .map(|_| Point::new(rng.gen_range(8.0..1272.0), rng.gen_range(8.0..1272.0)))
+                .collect();
+            Net::new(i, pins)
+        })
+        .collect();
+    solved_setup(
+        Circuit::new("multipin", die, nets).unwrap(),
+        rate,
+        0.30,
+        seed,
+    )
+}
+
+/// Routes `circuit`, budgets it at `budget_vth` and solves Phase II.
+#[allow(clippy::type_complexity)]
+fn solved_setup(
+    circuit: Circuit,
+    rate: f64,
+    budget_vth: f64,
+    seed: u64,
+) -> (
+    Circuit,
+    RegionGrid,
+    RouteSet,
+    NoiseTable,
+    Budgets,
+    RegionSino,
+) {
     let tech = Technology::itrs_100nm();
     let grid = RegionGrid::new(&circuit, &tech, 64.0).unwrap();
     let (routes, _) = route_all(&grid, &circuit, Weights::default(), ShieldTerm::None).unwrap();
@@ -138,6 +196,49 @@ proptest! {
             prop_assert_eq!(tracker.is_clean(), report.is_clean());
             prop_assert_eq!(tracker.violating_nets(), report.violating_nets());
         }
+    }
+
+    /// A tracker filled through a kept index is bitwise the tracker built
+    /// from scratch, for any couplings over the same routes and occupant
+    /// lists: every term coupling, every sink's LSK and voltage, and the
+    /// violating set.
+    #[test]
+    fn fill_over_kept_index_matches_new(
+        n in 4u32..14,
+        rate_pct in 20u32..=80,
+        seed in 0u64..1_000,
+        vth_m in 5u32..=30,
+    ) {
+        let vth = vth_m as f64 / 100.0;
+        let (circuit, grid, routes, table, _, mut sino) =
+            multipin_setup(n, rate_pct as f64 / 100.0, seed);
+        let kept = Arc::clone(LskTracker::new(&circuit, &grid, &routes, &sino, &table, vth).index());
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xF111);
+        for (r, dir) in sino.keys() {
+            let sol = sino.solution_mut(r, dir).expect("key enumerated");
+            for k in &mut sol.k {
+                // Zero couplings, as a shield gives, in about one in four.
+                *k = if rng.gen_bool(0.25) { 0.0 } else { rng.gen_range(0.0..3.0) };
+            }
+        }
+        let filled = LskTracker::fill(kept, &sino, &table, vth);
+        let built = LskTracker::new(&circuit, &grid, &routes, &sino, &table, vth);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(filled.couplings()), bits(built.couplings()));
+        let sink_bits = |t: &LskTracker| {
+            t.sink_values()
+                .iter()
+                .map(|(lsk, v)| (lsk.to_bits(), v.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        prop_assert!(!filled.sink_values().is_empty());
+        prop_assert_eq!(sink_bits(&filled), sink_bits(&built));
+        prop_assert_eq!(filled.nets_by_severity(), built.nets_by_severity());
+        prop_assert_eq!(filled.sink_violations(), built.sink_violations());
+        prop_assert_eq!(
+            filled.report(),
+            check(&circuit, &grid, &routes, &sino, &table, vth)
+        );
     }
 
     /// The incremental pass and the preserved seed pass agree bit for bit
