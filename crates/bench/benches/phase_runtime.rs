@@ -88,16 +88,9 @@ fn phase1_speedup_report() -> KernelTimings {
     let (flat_routes, _) = flat_router
         .route_prepared(&circuit, &conns, &mut scratch)
         .expect("flat routes");
-    let (par_routes, stats) = flat_router
-        .route_prepared_with_threads(&circuit, &conns, 0)
-        .expect("parallel");
     assert_eq!(
         seed_routes, flat_routes,
         "flat Phase I must match the seed bit for bit"
-    );
-    assert_eq!(
-        seed_routes, par_routes,
-        "parallel Phase I must match the seed bit for bit"
     );
 
     let reps = 7;
@@ -111,11 +104,6 @@ fn phase1_speedup_report() -> KernelTimings {
             .route_prepared(&circuit, &conns, &mut scratch)
             .expect("routes");
     });
-    let t_par = time_median(reps, || {
-        flat_router
-            .route_prepared_with_threads(&circuit, &conns, 0)
-            .expect("routes");
-    });
     let t_prepare = time_median(reps, || {
         flat_router.prepare(&circuit);
     });
@@ -126,12 +114,6 @@ fn phase1_speedup_report() -> KernelTimings {
         "  flat scratch A*           {:>9.2} ms   ({:.2}x vs seed)",
         t_flat * 1e3,
         t_seed / t_flat
-    );
-    println!(
-        "  flat parallel A*          {:>9.2} ms   ({:.2}x vs seed, {} reroutes)",
-        t_par * 1e3,
-        t_seed / t_par,
-        stats.speculative_reroutes
     );
     println!(
         "  total wirelength identical: {} um",

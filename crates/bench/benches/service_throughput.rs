@@ -12,9 +12,8 @@
 //! request latency distribution (p50/p99 ms).
 //!
 //! A second **many-sessions-few-cores** leg then runs 64 sessions on
-//! pools of 2 and 4 workers — the regime the work-stealing scheduler
-//! exists for — reporting wall time, throughput, and the steal/park
-//! counters.
+//! pools of 2 and 4 workers — the regime the shared pool exists for —
+//! reporting wall time, throughput, and the park counter.
 //!
 //! Every retired session is asserted bit-identical to a from-scratch
 //! GSINO run on its final circuit+config, so the numbers only count for
@@ -42,7 +41,7 @@ const BURST_REQUESTS: usize = 8;
 const NETS_PER_SESSION: usize = 200;
 
 /// The many-sessions-few-cores leg: far more sessions than pool workers,
-/// exercising the scheduler's steal/park machinery under real load.
+/// exercising the pool's run queue and parking under real load.
 const MANY_SESSIONS: usize = 64;
 const MANY_NETS: usize = 40;
 const MANY_REQUESTS: usize = 4;
@@ -151,8 +150,8 @@ fn assert_matches_scratch(name: &str, session: &EcoSession) {
 /// Runs the many-sessions leg on a fixed pool size and returns its
 /// metrics section. 64 sessions share `pool_threads` workers; each
 /// session is driven by its own client thread, so runnable sessions
-/// permanently outnumber workers and the scheduler's injector, stealing
-/// and parking all see traffic. Every retired session's stats are
+/// permanently outnumber workers and the pool's run queue and parking
+/// both see traffic. Every retired session's stats are
 /// checked, and a deterministic sample is held to the from-scratch
 /// bit-identity bar (they are all twins of the same few flavors, so the
 /// sample covers every distinct final state).
@@ -253,8 +252,8 @@ fn run_many_sessions(pool_threads: usize) -> Map {
         edits / load_s
     );
     println!(
-        "  scheduler                 {:>9} steals, {} parks, {} runnable at rest",
-        pool.steals, pool.parks, pool.runnable_sessions
+        "  scheduler                 {:>9} parks, {} runnable at rest",
+        pool.parks, pool.runnable_sessions
     );
     let busy: Vec<String> = pool
         .workers
@@ -271,7 +270,6 @@ fn run_many_sessions(pool_threads: usize) -> Map {
     m.insert("load_s", Value::F64(load_s));
     m.insert("total_s", Value::F64(total_s));
     m.insert("edits_per_sec", Value::F64(edits / load_s));
-    m.insert("steals", Value::U64(pool.steals));
     m.insert("parks", Value::U64(pool.parks));
     m.insert(
         "worker_tasks",

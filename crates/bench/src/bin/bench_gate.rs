@@ -140,14 +140,12 @@ const REPORT_METRICS: &[(&str, &str, &str)] = &[
         "many_sessions_pool2",
         "edits_per_sec",
     ),
-    ("64-sess/2-pool steals", "many_sessions_pool2", "steals"),
     ("64-sess/2-pool parks", "many_sessions_pool2", "parks"),
     (
         "64-sess/4-pool edits/sec",
         "many_sessions_pool4",
         "edits_per_sec",
     ),
-    ("64-sess/4-pool steals", "many_sessions_pool4", "steals"),
     ("64-sess/4-pool parks", "many_sessions_pool4", "parks"),
 ];
 

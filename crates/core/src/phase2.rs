@@ -7,7 +7,7 @@
 //! shared worklist by a deterministic pool of workers, each reusing one
 //! [`DeltaEval`] scratch across all the regions it solves. Per-region
 //! annealer seeds are derived from the region key, so the result is
-//! identical for every thread count and work-stealing interleaving.
+//! identical for every thread count and worklist pop interleaving.
 
 use crate::budget::Budgets;
 use crate::worklist::map_worklist;

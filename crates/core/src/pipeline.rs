@@ -80,9 +80,10 @@ pub struct GsinoConfig {
     pub solver: SolverConfig,
     /// Phase III bounds.
     pub refine: RefineConfig,
-    /// Worker threads for Phase I's A* batches, Phase II's region solves
-    /// and Phase III's pass-2 region trials (0 = available parallelism).
-    /// Every result is identical for every thread count.
+    /// Worker threads for Phase II's region solves and Phase III's pass-2
+    /// region trials (0 = available parallelism). Phase I always routes on
+    /// the calling thread. Every result is identical for every thread
+    /// count.
     pub threads: usize,
     /// Pre-fitted Formula (3) model; `None` fits one per GSINO run.
     pub nss_model: Option<NssModel>,
@@ -267,7 +268,8 @@ impl GsinoConfigBuilder {
         self
     }
 
-    /// Worker threads (0 = available parallelism).
+    /// Worker threads for Phase II and Phase III (0 = available
+    /// parallelism; see [`GsinoConfig::threads`]).
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
         self
@@ -456,11 +458,9 @@ pub(crate) fn run_flow(
         RouterKind::IterativeDeletion => {
             IdRouter::new(&grid, config.weights, shield_term).route(circuit)?
         }
-        // Phase I parallelism honours the same thread budget as Phase II;
-        // the speculative batches commit in sequential order, so the
-        // output is identical for every thread count.
-        RouterKind::SequentialAstar => AstarRouter::new(&grid, config.weights, shield_term)
-            .route_with_threads(circuit, config.threads)?,
+        RouterKind::SequentialAstar => {
+            AstarRouter::new(&grid, config.weights, shield_term).route(circuit)?
+        }
     };
     let route_s = t0.elapsed().as_secs_f64();
 

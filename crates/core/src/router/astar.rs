@@ -19,12 +19,7 @@
 //! per-call `HashMap`s and `BinaryHeap`; the seed lives on in
 //! [`super::reference`] as the correctness and performance baseline, and
 //! the `router_equivalence` suite proves the two produce byte-identical
-//! route sets. [`AstarRouter::route_with_threads`] additionally routes
-//! batches of connections speculatively across threads and commits them in
-//! the sequential order, re-routing any connection whose search read a
-//! region that an earlier commit in the batch touched — so the parallel
-//! output equals the sequential output bit for bit (see `router` module
-//! docs for the argument).
+//! route sets.
 
 use super::assemble::assemble_trees;
 use super::scratch::SearchScratch;
@@ -68,19 +63,6 @@ pub struct AstarRouter<'a> {
     centers: Vec<gsino_grid::geom::Point>,
 }
 
-/// One speculative search result awaiting ordered commit.
-enum Speculative {
-    /// Terminals share a region; nothing to route.
-    Skip,
-    /// A path plus the set of regions whose demand the search read.
-    Found {
-        path: Vec<RegionIdx>,
-        reads: Vec<RegionIdx>,
-    },
-    /// The search failed; the ordered re-route will surface the error.
-    Failed,
-}
-
 impl<'a> AstarRouter<'a> {
     /// Creates the router (precomputes per-region coordinate and center
     /// tables, O(regions)).
@@ -116,53 +98,6 @@ impl<'a> AstarRouter<'a> {
     pub fn route(&self, circuit: &Circuit) -> Result<(RouteSet, super::RouterStats)> {
         let mut scratch = self.make_scratch();
         self.route_with_scratch(circuit, &mut scratch)
-    }
-
-    /// Routes the circuit, batching independent connections across
-    /// `threads` worker threads (`0` = available parallelism).
-    ///
-    /// Speculative searches run against a demand snapshot; commits happen
-    /// in the sequential order, and any connection whose search read a
-    /// region a predecessor's commit changed is re-routed on the spot — so
-    /// the result is bit-for-bit identical to [`AstarRouter::route`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`AstarRouter::route`].
-    pub fn route_with_threads(
-        &self,
-        circuit: &Circuit,
-        threads: usize,
-    ) -> Result<(RouteSet, super::RouterStats)> {
-        let conns = self.prepare(circuit);
-        self.route_prepared_with_threads(circuit, &conns, threads)
-    }
-
-    /// Parallel variant of [`AstarRouter::route_prepared`]: same
-    /// speculative batching and ordered commit as
-    /// [`AstarRouter::route_with_threads`].
-    ///
-    /// # Errors
-    ///
-    /// See [`AstarRouter::route`].
-    pub fn route_prepared_with_threads(
-        &self,
-        circuit: &Circuit,
-        conns: &[Connection],
-        threads: usize,
-    ) -> Result<(RouteSet, super::RouterStats)> {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        };
-        if threads <= 1 {
-            let mut scratch = self.make_scratch();
-            return self.route_prepared(circuit, conns, &mut scratch);
-        }
-        self.route_parallel(circuit, conns, threads)
     }
 
     /// Routes the circuit sequentially, reusing caller-owned scratch space
@@ -214,180 +149,23 @@ impl<'a> AstarRouter<'a> {
             let path = self
                 .astar(scratch, t1, t2, &demand)
                 .ok_or(CoreError::RoutingFailed { net: c.net })?;
-            commit_path(
-                self.grid,
-                path,
-                &mut demand,
-                per_net.entry(c.net).or_default(),
-                None,
-            )?;
+            // Commit: bump demand on both endpoint regions of every edge
+            // and collect the edges into the net's pool.
+            let edges = per_net.entry(c.net).or_default();
+            for w in path.windows(2) {
+                let edge = GridEdge::new(self.grid, w[0], w[1])?;
+                let d = match edge.dir(self.grid) {
+                    Dir::H => 0,
+                    Dir::V => 1,
+                };
+                for r in [w[0], w[1]] {
+                    demand[d][r as usize] += 1;
+                }
+                edges.push(edge);
+            }
         }
         stats.stale_skips = scratch.counters.stale_skips;
         let routes = assemble_trees(self.grid, circuit, &mut per_net)?;
-        Ok((routes, stats))
-    }
-
-    fn route_parallel(
-        &self,
-        circuit: &Circuit,
-        conns: &[Connection],
-        threads: usize,
-    ) -> Result<(RouteSet, super::RouterStats)> {
-        use std::sync::mpsc;
-        use std::sync::Arc;
-
-        let mut stats = super::RouterStats {
-            connections: conns.len(),
-            ..Default::default()
-        };
-        let nregions = self.grid.num_regions() as usize;
-        let mut demand = [vec![0u32; nregions], vec![0u32; nregions]];
-        // `version[r]` is the commit ordinal that last changed region r's
-        // demand; a speculative search is valid iff nothing it read moved
-        // after its snapshot.
-        let mut version: Vec<u32> = vec![0; nregions];
-        let mut commit_seq: u32 = 0;
-        let mut per_net: HashMap<NetId, Vec<GridEdge>> = HashMap::new();
-        let mut committer = self.make_scratch();
-        // Batches several times the thread count keep speculation windows
-        // (and thus re-route rates) small while leaving every worker a few
-        // connections per round.
-        let batch = threads * 4;
-
-        // One persistent worker per thread for the whole route: each gets
-        // its batch assignment over a channel (the chunk plus an Arc'd
-        // demand snapshot frozen at batch start) and reports its stripe's
-        // results back; spawning per batch would cost a thread spawn/join
-        // cycle every `batch` connections.
-        type Snapshot = Arc<[Vec<u32>; 2]>;
-        let mut result = Ok(());
-        let routes_out: Option<RouteSet> = std::thread::scope(|scope| {
-            let (result_tx, result_rx) =
-                mpsc::channel::<(usize, Vec<(usize, Speculative)>, usize)>();
-            let mut batch_txs: Vec<mpsc::Sender<(&[Connection], Snapshot)>> = Vec::new();
-            for w in 0..threads {
-                let (tx, rx) = mpsc::channel::<(&[Connection], Snapshot)>();
-                batch_txs.push(tx);
-                let result_tx = result_tx.clone();
-                scope.spawn(move || {
-                    let mut scratch = self.make_scratch();
-                    scratch.set_record_reads(true);
-                    while let Ok((chunk, snapshot)) = rx.recv() {
-                        let before = scratch.counters.stale_skips;
-                        let mut out = Vec::new();
-                        let mut i = w;
-                        while i < chunk.len() {
-                            let c = &chunk[i];
-                            let t1 = self.grid.region_of(c.from);
-                            let t2 = self.grid.region_of(c.to);
-                            let spec = if t1 == t2 {
-                                Speculative::Skip
-                            } else {
-                                match self.astar(&mut scratch, t1, t2, &snapshot) {
-                                    Some(path) => Speculative::Found {
-                                        path: path.to_vec(),
-                                        reads: scratch.reads().to_vec(),
-                                    },
-                                    None => Speculative::Failed,
-                                }
-                            };
-                            out.push((i, spec));
-                            i += threads;
-                        }
-                        let skips = scratch.counters.stale_skips - before;
-                        if result_tx.send((w, out, skips)).is_err() {
-                            return;
-                        }
-                    }
-                });
-            }
-            drop(result_tx);
-
-            let mut start = 0;
-            while start < conns.len() {
-                let chunk = &conns[start..(start + batch).min(conns.len())];
-                start += chunk.len();
-                let snapshot: Snapshot = Arc::new(demand.clone());
-                for tx in &batch_txs {
-                    if tx.send((chunk, Arc::clone(&snapshot))).is_err() {
-                        result = Err(CoreError::RoutingFailed { net: chunk[0].net });
-                        return None;
-                    }
-                }
-                let mut slots: Vec<Option<Speculative>> = Vec::new();
-                slots.resize_with(chunk.len(), || None);
-                for _ in 0..threads {
-                    let Ok((_, stripe, skips)) = result_rx.recv() else {
-                        result = Err(CoreError::RoutingFailed { net: chunk[0].net });
-                        return None;
-                    };
-                    stats.stale_skips += skips;
-                    for (i, spec) in stripe {
-                        slots[i] = Some(spec);
-                    }
-                }
-                let snap = commit_seq;
-                for (slot, c) in slots.into_iter().zip(chunk) {
-                    // invariant: the speculative pass above filled every
-                    // slot of this chunk before we got here.
-                    let spec = slot.expect("every slot routed");
-                    let valid = match &spec {
-                        Speculative::Skip => continue,
-                        Speculative::Found { reads, .. } => {
-                            reads.iter().all(|&r| version[r as usize] <= snap)
-                        }
-                        Speculative::Failed => false,
-                    };
-                    commit_seq += 1;
-                    let commit = if valid {
-                        let Speculative::Found { path, .. } = spec else {
-                            // invariant: `valid` is only true for Found.
-                            unreachable!()
-                        };
-                        commit_path(
-                            self.grid,
-                            &path,
-                            &mut demand,
-                            per_net.entry(c.net).or_default(),
-                            Some((&mut version, commit_seq)),
-                        )
-                    } else {
-                        stats.speculative_reroutes += 1;
-                        let t1 = self.grid.region_of(c.from);
-                        let t2 = self.grid.region_of(c.to);
-                        match self.astar(&mut committer, t1, t2, &demand) {
-                            None => Err(CoreError::RoutingFailed { net: c.net }),
-                            Some(path) => {
-                                let path = path.to_vec();
-                                commit_path(
-                                    self.grid,
-                                    &path,
-                                    &mut demand,
-                                    per_net.entry(c.net).or_default(),
-                                    Some((&mut version, commit_seq)),
-                                )
-                            }
-                        }
-                    };
-                    if let Err(e) = commit {
-                        result = Err(e);
-                        return None;
-                    }
-                }
-            }
-            drop(batch_txs); // Workers drain and exit before the scope joins.
-            stats.stale_skips += committer.counters.stale_skips;
-            match assemble_trees(self.grid, circuit, &mut per_net) {
-                Ok(routes) => Some(routes),
-                Err(e) => {
-                    result = Err(e);
-                    None
-                }
-            }
-        });
-        result?;
-        // invariant: the worker stores routes before returning Ok.
-        let routes = routes_out.expect("Ok result implies routes");
         Ok((routes, stats))
     }
 
@@ -468,33 +246,6 @@ impl<'a> AstarRouter<'a> {
         // α scales the pure length term, matching Formula (2)'s balance.
         self.weights.alpha * len + penalty * len
     }
-}
-
-/// Commits one routed path: bumps demand on both endpoint regions of every
-/// edge, collects the edges into the net's pool, and (in parallel mode)
-/// stamps the touched regions with the commit ordinal.
-fn commit_path(
-    grid: &RegionGrid,
-    path: &[RegionIdx],
-    demand: &mut [Vec<u32>; 2],
-    edges_out: &mut Vec<GridEdge>,
-    mut version: Option<(&mut Vec<u32>, u32)>,
-) -> Result<()> {
-    for w in path.windows(2) {
-        let edge = GridEdge::new(grid, w[0], w[1])?;
-        let d = match edge.dir(grid) {
-            Dir::H => 0,
-            Dir::V => 1,
-        };
-        for r in [w[0], w[1]] {
-            demand[d][r as usize] += 1;
-            if let Some((version, seq)) = version.as_mut() {
-                version[r as usize] = *seq;
-            }
-        }
-        edges_out.push(edge);
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -628,27 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_routing_matches_sequential_bit_for_bit() {
-        // Dense enough that speculative searches collide and re-route.
-        let (circuit, grid) = setup(
-            (0..60u32)
-                .map(|i| {
-                    let x = 16.0 + (i as f64 * 37.0) % 600.0;
-                    let y = 16.0 + (i as f64 * 53.0) % 600.0;
-                    Net::two_pin(i, Point::new(x, y), Point::new(620.0 - x, 620.0 - y))
-                })
-                .collect(),
-            640.0,
-        );
-        let router = AstarRouter::new(&grid, Weights::default(), ShieldTerm::None);
-        let (seq, _) = router.route(&circuit).unwrap();
-        for threads in [2, 3, 8] {
-            let (par, _) = router.route_with_threads(&circuit, threads).unwrap();
-            assert_eq!(seq, par, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn degenerate_one_by_n_grid_routes_without_panicking() {
         // Regression for the seed's `prev[&cur]` panic path: a 1×N die
         // exercises the narrowest possible search frontier.
@@ -664,10 +394,6 @@ mod tests {
             .route(&circuit)
             .unwrap();
         assert_eq!(routes.get(0).unwrap().wirelength(&grid), 9.0 * 64.0);
-        let (par, _) = AstarRouter::new(&grid, Weights::default(), ShieldTerm::None)
-            .route_with_threads(&circuit, 4)
-            .unwrap();
-        assert_eq!(routes, par);
     }
 
     #[test]

@@ -46,10 +46,6 @@ pub struct RouterStats {
     /// A* pop-loop entries skipped because their region was already
     /// expanded (closed-set / stale-entry skips; A* router only).
     pub stale_skips: usize,
-    /// Speculatively routed connections that had to be re-routed at
-    /// commit time because a predecessor's commit touched a region their
-    /// search read (parallel A* router only).
-    pub speculative_reroutes: usize,
     /// Connectivity queries answered in O(1) — from a revision-fresh
     /// bridge set, a monotone verdict, or through the intact witness path
     /// (ID router only).

@@ -40,20 +40,6 @@
 //! * [`mod@reference`] — the seed A* implementation and the PR-1 BFS-based ID
 //!   implementation, kept verbatim so tests and benches can prove
 //!   equivalence and measure the speedup.
-//!
-//! # Parallel Phase I and the commit-ordering rule
-//!
-//! [`AstarRouter::route_with_threads`] routes batches of connections
-//! speculatively across worker threads against a frozen demand snapshot,
-//! then **commits strictly in the sequential order**. Each speculative
-//! search records every region whose demand it read; at commit time the
-//! path is accepted only if none of those regions was touched by an
-//! earlier commit in the batch, otherwise the connection is re-routed on
-//! the committing thread against current demand. Because a deterministic
-//! search that reads identical inputs takes identical steps, an accepted
-//! speculative path is exactly what the sequential router would have
-//! produced — so parallel output equals sequential output bit for bit,
-//! for any thread count.
 
 mod assemble;
 mod astar;

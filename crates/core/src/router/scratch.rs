@@ -44,9 +44,8 @@ pub struct SearchCounters {
 
 /// Flat-array A* state, reusable across searches and circuits.
 ///
-/// One scratch serves any number of sequential searches; the parallel
-/// Phase I keeps one per worker thread. Arrays grow on demand, so a
-/// scratch built for one grid can be reused on a larger one.
+/// One scratch serves any number of sequential searches. Arrays grow on
+/// demand, so a scratch built for one grid can be reused on a larger one.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
     epoch: u32,
@@ -58,13 +57,6 @@ pub struct SearchScratch {
     prev: Vec<RegionIdx>,
     /// Stamp marking regions already expanded (closed set).
     closed: Vec<u32>,
-    /// Stamp marking regions whose cost inputs the search read.
-    read_stamp: Vec<u32>,
-    /// Dense list of regions marked in `read_stamp` this search.
-    reads: Vec<RegionIdx>,
-    /// Whether to maintain `reads` (only the speculative parallel path
-    /// needs it).
-    record_reads: bool,
     /// Bucket heap: `(exact f, region)` binned by `floor(f / width)`,
     /// clamped into the last (overflow) bucket past [`MAX_BUCKETS`].
     buckets: Vec<Vec<(f64, RegionIdx)>>,
@@ -105,18 +97,6 @@ impl SearchScratch {
         }
     }
 
-    /// Turns read-set recording on or off (off by default). The parallel
-    /// router records reads to validate speculative searches.
-    pub fn set_record_reads(&mut self, on: bool) {
-        self.record_reads = on;
-    }
-
-    /// Regions whose cost inputs the last search read (valid when
-    /// recording was on).
-    pub fn reads(&self) -> &[RegionIdx] {
-        &self.reads
-    }
-
     /// Grows the flat arrays to cover `n` regions.
     fn ensure(&mut self, n: usize) {
         if self.stamp.len() < n {
@@ -124,7 +104,6 @@ impl SearchScratch {
             self.g.resize(n, 0.0);
             self.prev.resize(n, 0);
             self.closed.resize(n, 0);
-            self.read_stamp.resize(n, 0);
         }
     }
 
@@ -135,7 +114,6 @@ impl SearchScratch {
             // One clear every 2^32 searches keeps stamps unambiguous.
             self.stamp.fill(0);
             self.closed.fill(0);
-            self.read_stamp.fill(0);
             self.epoch = 1;
         }
         // Drain only the buckets this search actually touched; a heavily
@@ -146,15 +124,6 @@ impl SearchScratch {
             self.buckets[b as usize].clear();
         }
         self.cursor = 0;
-        self.reads.clear();
-    }
-
-    #[inline]
-    fn mark_read(&mut self, r: RegionIdx) {
-        if self.record_reads && self.read_stamp[r as usize] != self.epoch {
-            self.read_stamp[r as usize] = self.epoch;
-            self.reads.push(r);
-        }
     }
 
     #[inline]
@@ -252,10 +221,8 @@ impl SearchScratch {
             }
             self.closed[region as usize] = epoch;
             self.counters.expansions += 1;
-            self.mark_read(region);
             let g_here = self.g[region as usize];
             for n in neighbors(region).into_iter().flatten() {
-                self.mark_read(n);
                 let tentative = g_here + step_cost(region, n);
                 let ni = n as usize;
                 if self.stamp[ni] != epoch || tentative < self.g[ni] - 1e-12 {
@@ -394,27 +361,6 @@ mod tests {
                 .unwrap()
                 .to_vec();
             assert_eq!(p2, vec![7, 6, 5, 4, 3, 2, 1, 0]);
-        }
-    }
-
-    #[test]
-    fn read_set_covers_expanded_frontier() {
-        let mut s = SearchScratch::new();
-        s.set_record_reads(true);
-        s.astar(
-            8,
-            0,
-            3,
-            line_neighbors(8),
-            |_, _| 1.0,
-            |r| (3i64 - r as i64).abs() as f64,
-        )
-        .unwrap();
-        let reads = s.reads().to_vec();
-        // Every region whose demand a sequential run would price must be
-        // in the read set: expanded regions and their neighbors.
-        for r in [0u32, 1, 2, 3] {
-            assert!(reads.contains(&r), "missing read {r} in {reads:?}");
         }
     }
 

@@ -17,17 +17,17 @@
 //!  ───────                ────────────────────        ───────────
 //!  handle.edit(…) ──push──▶ [req|req|req]──┐    ┌──▶ worker 0
 //!  handle.query() ─┐                       ├─sched─▶ worker 1
-//!                  └─ Full? ─▶ Err(Overloaded)  └──▶ …  (steal, park)
+//!                  └─ Full? ─▶ Err(Overloaded)  └──▶ …  (park when idle)
 //! ```
 //!
 //! Sessions no longer own threads: a fixed pool of
 //! [`ServiceConfig::pool_threads`] workers executes *session slices* —
 //! one worker claims a runnable session, drains a bounded quantum of its
-//! queue, and requeues or parks it. A work-stealing scheduler (global
-//! injector + per-worker deques, randomized stealing, condvar parking)
-//! keeps thousands of mostly-idle sessions cheap: a quiet service burns
-//! ~zero CPU. See [`scheduler`](self) internals for the pinning state
-//! machine; [`StatsReport::pool`] exposes the live gauges.
+//! queue, and requeues or parks it. One FIFO run queue of runnable
+//! sessions, with idle workers parked on a condvar, keeps thousands of
+//! mostly-idle sessions cheap: a quiet service burns ~zero CPU. See
+//! [`scheduler`](self) internals for the pinning state machine;
+//! [`StatsReport::pool`] exposes the live gauges.
 //!
 //! * **FIFO per session** — a *session-pinning* rule guarantees at most
 //!   one worker executes a given session's envelopes at a time, and only
@@ -205,8 +205,8 @@ impl RoutingService {
         self.lock().keys().cloned().collect()
     }
 
-    /// A point-in-time snapshot of the scheduler gauges (steals, parks,
-    /// runnable sessions, per-worker utilization) — the same data every
+    /// A point-in-time snapshot of the scheduler gauges (parks, runnable
+    /// sessions, per-worker utilization) — the same data every
     /// [`StatsReport::pool`] carries, readable without a live session.
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.shared.stats()
@@ -367,7 +367,7 @@ impl Drop for RoutingService {
         }
         // The Pool field drops after this body: it flags shutdown and
         // joins the workers, which exit once no runnable work remains —
-        // i.e. the injector and every deque drain clean.
+        // i.e. the pool run queue drains clean.
     }
 }
 

@@ -170,13 +170,15 @@ pub struct StatsReport {
 pub struct PoolStats {
     /// Workers in the fixed pool.
     pub pool_threads: usize,
-    /// Lifetime count of sessions claimed from another worker's deque.
+    /// Always 0. The pool has one shared FIFO run queue and no
+    /// per-worker deques to steal from; the field stays so existing
+    /// clients and reports that read it keep parsing.
     pub steals: u64,
     /// Lifetime count of idle-worker parks (a quiet pool parks all its
     /// workers and burns ~zero CPU until the next submission).
     pub parks: u64,
-    /// Sessions currently queued for execution (injector + worker
-    /// deques), excluding the one serving this request.
+    /// Sessions currently in the pool run queue, excluding the one
+    /// serving this request.
     pub runnable_sessions: usize,
     /// Detected violations of the session-pinning invariant (a session
     /// observed on two workers at once). Always 0; a non-zero value is a

@@ -1,4 +1,4 @@
-//! The shared worker pool and its work-stealing scheduler.
+//! The shared worker pool and its FIFO run queue.
 //!
 //! PR 7's execution model gave every session a dedicated OS thread; this
 //! module replaces it with a **fixed pool** of workers that thousands of
@@ -14,9 +14,8 @@
 //!   handles ──push──▶ per-session run queue (bounded, FIFO)
 //!                     │ notify: Idle → Scheduled
 //!                     ▼
-//!   global injector (FIFO) ◀──new/yielded sessions
-//!   per-worker deques (LIFO) ◀──sessions dirtied while running
-//!                     │ pop: local → injector → steal(random victim)
+//!   pool run queue (FIFO) ◀──new, yielded and dirtied sessions (back)
+//!                     │ pop front
 //!                     ▼
 //!   workers 0..pool_threads   (park on a condvar when idle)
 //! ```
@@ -30,30 +29,27 @@
 //!   session runs only flips `Running → Notified`, and the finishing
 //!   worker requeues exactly once. A redundant `running_guard` counter
 //!   cross-checks the property at runtime ([`PoolStats::pinning_violations`]).
-//! * **FIFO per session** — only the pinned worker pops the run queue,
-//!   so requests execute in submission order exactly as the dedicated
-//!   threads did, and same-[`EditClass`](crate::session::EditClass)
+//! * **FIFO per session** — only the pinned worker pops the session's
+//!   run queue, so requests execute in submission order exactly as the
+//!   dedicated threads did, and same-[`EditClass`](crate::session::EditClass)
 //!   coalescing drains see the identical envelope sequence. Outputs are
 //!   therefore bit-identical to the thread-per-session baseline at any
 //!   pool size.
 //! * **Quiet pool burns ~zero CPU** — a worker that finds no task parks
 //!   on a condvar keyed by a wake epoch (the epoch is read *before*
-//!   scanning the queues, so a push between scan and park always bumps
+//!   scanning the queue, so a push between scan and park always bumps
 //!   it and the park returns immediately: no lost wakeups).
-//! * **Fairness** — yielded sessions go to the back of the global
-//!   injector; dirtied sessions go to the owner's LIFO deque for cache
-//!   warmth, but every [`FAIRNESS_INTERVAL`]-th claim checks the
-//!   injector first so a hot session cannot starve the cold ones, and
-//!   idle workers steal from random victims.
+//! * **Fairness** — every requeued session, whether its quantum expired
+//!   or work arrived while it ran, goes to the back of the one run queue
+//!   and waits behind every session already queued, so a hot session
+//!   cannot starve the cold ones.
 
 use super::protocol::{Envelope, PoolStats, ReplyTo, WorkerGauge};
 use super::worker::{self, Body, SliceOutcome};
 use crate::session::EcoSession;
 use crate::{CoreError, Result};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -64,16 +60,11 @@ use std::time::Instant;
 /// quantum's worth of drained envelopes per claim.
 pub(crate) const QUANTUM: usize = 16;
 
-/// Every n-th task claim checks the global injector before the worker's
-/// own LIFO deque, bounding how long injected sessions can wait behind a
-/// self-requeueing hot session.
-const FAIRNESS_INTERVAL: u64 = 61;
-
 /// Session scheduling states (the pinning state machine).
 mod state {
     /// Not queued, not running; the next notify schedules it.
     pub const IDLE: u8 = 0;
-    /// In the injector or a worker deque, awaiting a claim.
+    /// In the pool run queue, awaiting a claim.
     pub const SCHEDULED: u8 = 1;
     /// A worker is executing its slice.
     pub const RUNNING: u8 = 2;
@@ -234,17 +225,15 @@ impl SessionCell {
 /// State shared by every pool worker, the handles, and the service.
 pub(crate) struct PoolShared {
     pub(crate) pool_threads: usize,
-    injector: Mutex<VecDeque<Arc<SessionCell>>>,
-    locals: Vec<Mutex<VecDeque<Arc<SessionCell>>>>,
+    /// Runnable sessions, claimed from the front.
+    run_queue: Mutex<VecDeque<Arc<SessionCell>>>,
     /// Wake epoch: bumped on every push, waited on by idle workers.
     park_lot: Mutex<u64>,
     park_cv: Condvar,
     shutdown: AtomicBool,
     started: Instant,
-    // Gauges (all monotone except `runnable`).
-    steals: AtomicU64,
+    // Monotone gauges.
     parks: AtomicU64,
-    runnable: AtomicUsize,
     pinning_violations: AtomicU64,
     worker_tasks: Vec<AtomicU64>,
     worker_busy_ns: Vec<AtomicU64>,
@@ -268,7 +257,7 @@ impl PoolShared {
                         )
                         .is_ok()
                     {
-                        self.inject(Arc::clone(cell));
+                        self.enqueue(Arc::clone(cell));
                         return;
                     }
                 }
@@ -293,26 +282,16 @@ impl PoolShared {
         }
     }
 
-    /// Pushes a session to the back of the global injector and wakes a
-    /// parked worker.
-    fn inject(&self, cell: Arc<SessionCell>) {
-        self.injector
+    fn lock_run_queue(&self) -> MutexGuard<'_, VecDeque<Arc<SessionCell>>> {
+        self.run_queue
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push_back(cell);
-        self.runnable.fetch_add(1, Ordering::Relaxed);
-        self.wake();
     }
 
-    /// Pushes a session onto `worker`'s own LIFO deque (dirty requeue:
-    /// the session's state is cache-warm on this core) and wakes a
-    /// parked worker so it can be stolen if this one stays busy.
-    fn push_local(&self, worker: usize, cell: Arc<SessionCell>) {
-        self.locals[worker]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push_back(cell);
-        self.runnable.fetch_add(1, Ordering::Relaxed);
+    /// Pushes a session to the back of the run queue and wakes the
+    /// parked workers.
+    fn enqueue(&self, cell: Arc<SessionCell>) {
+        self.lock_run_queue().push_back(cell);
         self.wake();
     }
 
@@ -352,66 +331,13 @@ impl PoolShared {
         }
     }
 
-    /// Claims the next runnable session for `worker`: own deque (LIFO),
-    /// then the injector (FIFO), then a randomized steal sweep over the
-    /// other workers' deques — with the injector checked *first* every
-    /// [`FAIRNESS_INTERVAL`]-th claim.
-    fn find_task(&self, worker: usize, tick: u64, rng: &mut StdRng) -> Option<Arc<SessionCell>> {
-        let pop_local = |w: usize| {
-            self.locals[w]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .pop_back()
-        };
-        let pop_injector = || {
-            self.injector
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .pop_front()
-        };
-        let found = if tick % FAIRNESS_INTERVAL == 0 {
-            pop_injector().or_else(|| pop_local(worker))
-        } else {
-            pop_local(worker).or_else(pop_injector)
-        };
-        let found = found.or_else(|| {
-            // Steal: sweep every other worker's deque from a random
-            // starting offset, taking the *oldest* (front) entry so the
-            // victim keeps its cache-warm LIFO end.
-            let n = self.locals.len();
-            if n <= 1 {
-                return None;
-            }
-            let start = rng.gen_range(0..n);
-            for k in 0..n {
-                let victim = (start + k) % n;
-                if victim == worker {
-                    continue;
-                }
-                if let Some(cell) = self.locals[victim]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .pop_front()
-                {
-                    self.steals.fetch_add(1, Ordering::Relaxed);
-                    return Some(cell);
-                }
-            }
-            None
-        });
-        if found.is_some() {
-            self.runnable.fetch_sub(1, Ordering::Relaxed);
-        }
-        found
-    }
-
     /// A point-in-time snapshot of the pool gauges.
     pub(crate) fn stats(&self) -> PoolStats {
         PoolStats {
             pool_threads: self.pool_threads,
-            steals: self.steals.load(Ordering::Relaxed),
+            steals: 0,
             parks: self.parks.load(Ordering::Relaxed),
-            runnable_sessions: self.runnable.load(Ordering::Relaxed),
+            runnable_sessions: self.lock_run_queue().len(),
             pinning_violations: self.pinning_violations.load(Ordering::Relaxed),
             uptime_ms: self.started.elapsed().as_secs_f64() * 1e3,
             workers: (0..self.pool_threads)
@@ -442,15 +368,12 @@ impl Pool {
         let n = pool_threads.max(1);
         let shared = Arc::new(PoolShared {
             pool_threads: n,
-            injector: Mutex::new(VecDeque::new()),
-            locals: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
+            run_queue: Mutex::new(VecDeque::new()),
             park_lot: Mutex::new(0),
             park_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
-            steals: AtomicU64::new(0),
             parks: AtomicU64::new(0),
-            runnable: AtomicUsize::new(0),
             pinning_violations: AtomicU64::new(0),
             worker_tasks: (0..n).map(|_| AtomicU64::new(0)).collect(),
             worker_busy_ns: (0..n).map(|_| AtomicU64::new(0)).collect(),
@@ -479,19 +402,17 @@ impl Drop for Pool {
 }
 
 /// One pool worker's main loop: claim → run slice → requeue/park, until
-/// shutdown *and* no runnable work remains (shutdown drains the injector
-/// clean rather than abandoning scheduled sessions).
+/// shutdown *and* no runnable work remains (shutdown drains the run
+/// queue clean rather than abandoning scheduled sessions).
 fn worker_main(shared: &Arc<PoolShared>, worker: usize) {
-    // Deterministic per-worker seed: victim rotation varies across
-    // workers and across steals without consulting the wall clock.
-    let mut rng = StdRng::seed_from_u64(0x9E37_79B9_7F4A_7C15 ^ (worker as u64 + 1));
-    let mut tick: u64 = 0;
     loop {
         // Epoch before the scan: any push after this point bumps it,
         // so the park below cannot sleep through it.
         let seen = shared.epoch();
-        tick = tick.wrapping_add(1);
-        match shared.find_task(worker, tick, &mut rng) {
+        // Bound before the match so the queue lock is released before
+        // the slice runs (the slice may requeue into this same queue).
+        let claimed = shared.lock_run_queue().pop_front();
+        match claimed {
             Some(cell) => run_cell(shared, worker, cell),
             None => {
                 if shared.shutdown.load(Ordering::Acquire) {
@@ -517,10 +438,10 @@ fn run_cell(shared: &Arc<PoolShared>, worker: usize, cell: Arc<SessionCell>) {
     cell.running_guard.fetch_sub(1, Ordering::SeqCst);
     match outcome {
         SliceOutcome::Yield => {
-            // Quantum expired with work left: back of the global
-            // injector, behind every other waiting session.
+            // Quantum expired with work left: back of the run queue,
+            // behind every other waiting session.
             cell.state.store(state::SCHEDULED, Ordering::Release);
-            shared.inject(cell);
+            shared.enqueue(cell);
         }
         SliceOutcome::Retired => {
             // No requeue ever: push() rejects on the retired latch, so
@@ -542,7 +463,7 @@ fn run_cell(shared: &Arc<PoolShared>, worker: usize, cell: Arc<SessionCell>) {
                     cell.state.store(state::RUNNING, Ordering::Release);
                     if cell.depth() > 0 {
                         cell.state.store(state::SCHEDULED, Ordering::Release);
-                        shared.push_local(worker, cell);
+                        shared.enqueue(cell);
                         break;
                     }
                 }

@@ -859,11 +859,10 @@ fn route_phase1(
             IdRouter::new(grid, config.weights, shield_term).route_cancel(circuit, cancel)
         }
         RouterKind::SequentialAstar => {
-            // The A* batches poll no token internally; the deadline is
-            // honoured between stages only.
+            // The A* loop polls no token; the deadline is honoured before
+            // routing and between stages only.
             cancel.check("phase1")?;
-            AstarRouter::new(grid, config.weights, shield_term)
-                .route_with_threads(circuit, config.threads)
+            AstarRouter::new(grid, config.weights, shield_term).route(circuit)
         }
     }
 }
@@ -1104,17 +1103,24 @@ mod tests {
     #[test]
     fn topology_edit_commits_and_matches_scratch() {
         let circuit = small_circuit(20);
-        let mut session = EcoSession::new(&circuit, &fast_config()).unwrap();
-        session.begin().unwrap();
-        session
-            .apply(EcoEdit::Circuit(CircuitEdit::AddNet {
-                net: Net::two_pin(99, Point::new(20.0, 600.0), Point::new(600.0, 30.0)),
-            }))
-            .unwrap();
-        session.commit().unwrap();
-        assert_eq!(session.stats().phase1_replays, 1);
-        assert!(session.circuit().net(99).is_some());
-        assert_matches_scratch(&session);
+        let astar = |threads| GsinoConfig {
+            router: RouterKind::SequentialAstar,
+            threads,
+            ..fast_config()
+        };
+        for config in [fast_config(), astar(1), astar(2)] {
+            let mut session = EcoSession::new(&circuit, &config).unwrap();
+            session.begin().unwrap();
+            session
+                .apply(EcoEdit::Circuit(CircuitEdit::AddNet {
+                    net: Net::two_pin(99, Point::new(20.0, 600.0), Point::new(600.0, 30.0)),
+                }))
+                .unwrap();
+            session.commit().unwrap();
+            assert_eq!(session.stats().phase1_replays, 1);
+            assert!(session.circuit().net(99).is_some());
+            assert_matches_scratch(&session);
+        }
     }
 
     #[test]

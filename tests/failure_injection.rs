@@ -21,7 +21,7 @@ use gsino::grid::{
 use gsino::lsk::{kth_for_le, LskError, NoiseTable};
 use gsino::rlc::{Netlist, RlcError, Waveform};
 use gsino::sino::{instance::SegmentSpec, SinoError, SinoInstance};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 #[test]
 fn circuit_construction_rejects_bad_inputs() {
@@ -402,8 +402,18 @@ fn committed_state(
 /// at 1 and 2 refine threads, every commit either succeeds bit-identical
 /// to one that never cancels, or is canceled with the committed state
 /// bitwise untouched.
+///
+/// The sweep runs until one deadline has fired inside refine and one
+/// commit has succeeded. A coarse pass tries budgets from 0 to 1.25× the
+/// uncanceled commit until the first success. If no deadline has landed
+/// in refine by then, the sweep bisects between the longest budget that
+/// canceled before refine and the shortest that committed, starting each
+/// probe from a fresh session. Refine is most of the commit, so bisection
+/// lands in it within a few probes however the run's timing drifts;
+/// `MAX_STEPS` bounds the sweep.
 #[test]
 fn session_deadline_inside_pass2_cancels_cleanly_or_commits_identically() {
+    const MAX_STEPS: usize = 40;
     let die = Rect::new(Point::new(0.0, 0.0), Point::new(640.0, 640.0)).unwrap();
     let nets: Vec<Net> = (0..120)
         .map(|i| {
@@ -445,30 +455,45 @@ fn session_deadline_inside_pass2_cancels_cleanly_or_commits_identically() {
     for threads in [1, 2] {
         let mut session = EcoSession::new(&circuit, &config(threads)).unwrap();
         let (mut canceled, mut in_refine) = (0, 0);
-        // Deadlines from 0 to 1.25× the uncanceled commit, dense at the
-        // start so a busier reference run still leaves some inside
-        // refine, then none; the sweep ends at the first success.
-        let deadlines = [0, 1, 2, 4, 8, 12, 16, 20]
-            .map(|sixteenths: u32| CancelToken::with_deadline(full * sixteenths / 16));
-        for (step, token) in deadlines
-            .into_iter()
-            .chain([CancelToken::never()])
-            .enumerate()
-        {
+        // Dense at the start, so a busier reference run still leaves some
+        // budgets short of the commit.
+        let coarse = [0, 1, 2, 4, 8, 12, 16, 20].map(|sixteenths: u32| full * sixteenths / 16);
+        // The longest budget that canceled before refine, and the
+        // shortest one that committed.
+        let (mut lo, mut hi) = (Duration::ZERO, None::<Duration>);
+        for step in 0..MAX_STEPS {
+            if in_refine > 0 && hi.is_some() {
+                break;
+            }
+            // `None` is no deadline at all: the coarse pass ran out
+            // without a success.
+            let budget = match hi {
+                Some(hi) => Some((lo + hi) / 2),
+                None => coarse.get(step).copied(),
+            };
             let before = committed_state(&session);
             session.begin().unwrap();
             session.apply(edit.clone()).unwrap();
+            let token = budget.map_or_else(CancelToken::never, CancelToken::with_deadline);
+            let started = Instant::now();
             match session.commit_with(&token) {
                 Ok(()) => {
+                    let took = started.elapsed();
                     assert!(
                         committed_state(&session) == expected,
                         "threads {threads} step {step}: the commit diverged"
                     );
-                    break;
+                    hi = Some(budget.unwrap_or(took));
+                    // Later probes must start from the pre-edit state.
+                    session = EcoSession::new(&circuit, &config(threads)).unwrap();
                 }
                 Err(CoreError::Canceled { phase }) => {
                     canceled += 1;
-                    in_refine += usize::from(phase == "phase3");
+                    if phase == "phase3" {
+                        in_refine += 1;
+                    } else if let Some(budget) = budget {
+                        lo = budget;
+                    }
                     assert!(!session.in_transaction());
                     assert!(
                         committed_state(&session) == before,
