@@ -23,11 +23,11 @@
 //! exists to catch. The absolute times are reported alongside for humans.
 //!
 //! Deterministic **behaviour counts** (the ID router's connectivity
-//! recompute/repair counters and, per scale workload, violations, shields
-//! and refine pass 2's trial solves) are gated alongside the
-//! timings with the same tolerance; being exact integers on a fixed
-//! workload, they catch algorithmic regressions that wall-time noise
-//! would mask.
+//! recompute/repair counters and, per scale workload, violations, shields,
+//! and refine pass 2's trial solves and their block recomputes) are gated
+//! alongside the timings with the same tolerance; being exact integers on
+//! a fixed workload, they catch algorithmic regressions that wall-time
+//! noise would mask.
 //!
 //! The normalization removes most but not all hardware sensitivity: the
 //! clone-heavy reference kernels and the flat/incremental kernels respond
@@ -110,6 +110,7 @@ const MATRIX_COUNT_METRICS: &[(&str, &str)] = &[
     ("violations", "violations"),
     ("shields", "total_shields"),
     ("refine trial solves", "refine_trial_solves"),
+    ("refine block recomputes", "refine_block_recomputes"),
 ];
 
 /// Per-workload report-only metrics: wall times and memory ceilings vary

@@ -3,11 +3,12 @@
 //!
 //! The original ISPD'98 netlists and their DRAGON placements are not
 //! available offline, so [`generator`] synthesizes circuits calibrated to
-//! the published observables the experiments depend on (see `DESIGN.md`):
+//! the published observables the experiments depend on (see [`spec`]):
 //! the die dimensions of Table 3's ID+NO row, the average wire lengths of
 //! Table 2's ID+NO column, a 2-pin-dominated pin-count distribution, and a
 //! net count sized so the paper's single over-the-cell layer pair runs at
-//! a realistic track density (≈65% before shields).
+//! a realistic track density ([`spec::TARGET_DENSITY`], 70% before
+//! shields).
 //!
 //! [`experiment`] runs the ID+NO / iSINO / GSINO flows across the suite
 //! and renders the paper's three tables plus the derived observations.

@@ -3,8 +3,11 @@
 //! Die dimensions come from the paper's Table 3 (ID+NO row); target average
 //! wire lengths from Table 2 (ID+NO column). Net counts are sized for the
 //! routable global-net population of a single over-the-cell layer pair at
-//! ≈65% average track density (capped by the published signal-net totals
-//! back-solved from Table 1) — see `DESIGN.md` for the full derivation.
+//! [`TARGET_DENSITY`] average track density, capped by the published
+//! signal-net totals back-solved from Table 1. The sizing assumes a net
+//! of average length `wl` occupies `wl / 64 µm + 2.5` track slots on the
+//! 64 µm, 16-track grid, so
+//! `nets = TARGET_DENSITY × 16 × 2 × regions / (wl / 64 µm + 2.5)`.
 
 use serde::{Deserialize, Serialize};
 

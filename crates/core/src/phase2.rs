@@ -365,7 +365,7 @@ pub fn solve_instance(
     // to `coupling` — the `k` component of `evaluate`, without
     // rescanning for violations the solvers already enforced.
     let k = if engine == SinoEngine::Incremental && scratch.slots() == layout.slots() {
-        scratch.k_values().to_vec()
+        scratch.k_values(instance).to_vec()
     } else {
         coupling(instance, &layout)
     };

@@ -204,6 +204,9 @@ pub struct RefineWork {
     pub warm_skips: u64,
     /// Visits served by a trial computed in an earlier sweep.
     pub cached_visits: usize,
+    /// Coupling blocks the trial solves recomputed
+    /// ([`DeltaEval::block_recomputes`]).
+    pub block_recomputes: u64,
 }
 
 /// The persistent per-`(region, dir)` evaluators of pass 1: each mirrors
@@ -485,7 +488,7 @@ fn pass1(
                 // The evaluator mirrors the re-solved layout, so the
                 // couplings come straight from its cache — no re-evaluate.
                 sol.k.clear();
-                sol.k.extend_from_slice(engine.k_values());
+                sol.k.extend_from_slice(engine.k_values(&sol.instance));
                 stats.pass1_shields_added +=
                     (sol.layout.num_shields().saturating_sub(before)) as u64;
                 tracker.region_updated(r, dir, &sol.k, table);
@@ -558,6 +561,7 @@ fn pass2(
         for (key, trial, work) in trials {
             stats.work.trial_solves += work.trial_solves;
             stats.work.warm_skips += work.warm_skips;
+            stats.work.block_recomputes += work.block_recomputes;
             cache.insert(key, trial);
         }
         let mut improved = false;
@@ -657,12 +661,14 @@ fn run_trial(
             continue;
         }
         work.trial_solves += 1;
+        let recomputes = s.eval.block_recomputes();
         let layout = solver.resolve_after_kth(inst, &mut s.eval)?;
-        if layout.num_shields() < base {
+        // The scratch mirrors the returned layout, so its couplings are
+        // the layout's.
+        let dropped = (layout.num_shields() < base).then(|| s.eval.k_values(inst).to_vec());
+        work.block_recomputes += s.eval.block_recomputes() - recomputes;
+        if let Some(k) = dropped {
             let raised = s.order[..=t].iter().map(|&(_, j)| (j, s.kth[j])).collect();
-            // The scratch mirrors the returned layout, so its couplings
-            // are the layout's.
-            let k = s.eval.k_values().to_vec();
             return Ok(Trial::Drop { raised, layout, k });
         }
         anchored = true;

@@ -48,8 +48,10 @@ impl Default for AnnealConfig {
 /// Cost: area plus steep penalties for violations, so the search may pass
 /// through infeasible states but is pulled back. Identical arithmetic to
 /// the seed annealer's cost function.
-fn cost(delta: &DeltaEval) -> f64 {
-    delta.area() as f64 + 25.0 * delta.cap_violations() as f64 + 50.0 * delta.total_overflow()
+fn cost(instance: &SinoInstance, delta: &mut DeltaEval) -> f64 {
+    delta.area() as f64
+        + 25.0 * delta.cap_violations() as f64
+        + 50.0 * delta.total_overflow(instance)
 }
 
 /// Anneals from a feasible starting layout; returns a layout that is never
@@ -84,19 +86,19 @@ pub fn improve_with(
     }
     let mut rng = StdRng::seed_from_u64(config.seed);
     delta.load(instance, &start);
-    let mut current_cost = cost(delta);
+    let mut current_cost = cost(instance, delta);
     let mut best_slots: Vec<Slot> = start.slots().to_vec();
     let mut best_area = start.area();
     let ratio = (config.t1 / config.t0).max(1e-9);
     for step in 0..config.iters {
         let t = config.t0 * ratio.powf(step as f64 / config.iters as f64);
         let undo = propose(instance, delta, &mut rng);
-        let c = cost(delta);
+        let c = cost(instance, delta);
         let accept =
             c <= current_cost || rng.gen::<f64>() < ((current_cost - c) / t.max(1e-12)).exp();
         if accept {
             current_cost = c;
-            if delta.area() < best_area && delta.feasible() {
+            if delta.area() < best_area && delta.feasible(instance) {
                 best_slots.clear();
                 best_slots.extend_from_slice(delta.slots());
                 best_area = best_slots.len();

@@ -1,5 +1,6 @@
 //! Incremental SINO evaluation: [`DeltaEval`] re-scores single-track edits
-//! by patching only the affected track neighbourhood.
+//! by patching only the affected track neighbourhood, and only when a
+//! caller reads a value that depends on it.
 //!
 //! The seed solvers ([`crate::reference`]) clone the whole [`Layout`] per
 //! candidate move and rescan every track pair from scratch, making one
@@ -15,25 +16,42 @@
 //! * capacitive violations change only at the edited track adjacencies.
 //!
 //! `DeltaEval` therefore keeps the slot sequence plus per-segment `Kᵢ`,
-//! per-segment overflow, the capacitive-violation count and the shield
-//! count, and patches them in O(affected block²) per edit instead of
-//! O(instance²).
+//! per-segment overflow, the set of overflowing segments, the
+//! capacitive-violation count and the shield count.
+//!
+//! # Deferred recomputes
+//!
+//! An edit keeps the capacitive and shield counts exact in O(1) and only
+//! **marks** the blocks it touched as stale. Every read of a value that
+//! depends on couplings — [`DeltaEval::k`], [`DeltaEval::k_values`],
+//! [`DeltaEval::total_overflow`], [`DeltaEval::worst_overflow`],
+//! [`DeltaEval::feasible`] (once the capacitive count is zero) and
+//! [`DeltaEval::evaluation`] — first recomputes each stale block once.
+//! Those readers take `&mut self` and the instance, so a stale value
+//! cannot be read in any build. A run of edits between two reads pays for
+//! the blocks it left changed, not for every intermediate state, and a
+//! caller that decides on the capacitive count alone (the greedy
+//! placement, see [`crate::greedy`]) never pays for couplings it does not
+//! read.
 //!
 //! # Bitwise-equality contract
 //!
-//! Every cached value is **bit-identical** to a from-scratch
+//! Every value a reader returns is **bit-identical** to a from-scratch
 //! [`crate::keff::evaluate`] of the current slots, not merely close:
-//! affected blocks are recomputed with the exact pair order of
+//! stale blocks are recomputed with the exact pair order of
 //! [`crate::keff::coupling`] (each segment's `Kᵢ` accumulates only within
-//! its own block, so a per-block recompute reproduces the global f64
-//! rounding exactly), and [`DeltaEval::total_overflow`] sums the overflow
-//! vector in the same index order as
+//! its own block, and a block's couplings are a pure function of its
+//! slots, so when a recompute runs cannot change its bits), and
+//! [`DeltaEval::total_overflow`] adds the overflowing entries in index
+//! order — the entries it skips are `+0.0`, and adding `+0.0` to a
+//! non-negative partial sum leaves its bits unchanged, so it equals
 //! [`Evaluation::total_overflow`](crate::keff::Evaluation::total_overflow).
 //! This is what lets the rewritten [`crate::greedy`] and [`crate::anneal`]
 //! solvers reproduce the seed solvers' decisions — and layouts — bit for
-//! bit. In debug builds every mutation checks itself against a full
-//! `evaluate` oracle; the `proptests` module drives random edit sequences
-//! against the same oracle in any build.
+//! bit. In debug builds every flush checks the whole state against a full
+//! `evaluate` oracle; the `proptests` module drives random edit sequences,
+//! with reads interleaved between deferred edits, against `evaluate` in
+//! any build.
 
 use crate::instance::SinoInstance;
 use crate::keff::Evaluation;
@@ -45,6 +63,9 @@ use crate::layout::{Layout, Slot};
 /// [`DeltaEval::load`] retarget it to a new instance/layout while keeping
 /// the allocations, which is how Phase II's worklist reuses one `DeltaEval`
 /// per worker thread across all its regions.
+///
+/// Every method that takes an `instance` must be given the instance the
+/// evaluator was last reset or loaded with.
 ///
 /// # Example
 ///
@@ -65,9 +86,9 @@ use crate::layout::{Layout, Slot};
 ///
 /// // Trial move: a shield between them fixes both violations...
 /// delta.insert_shield(&inst, 1);
-/// assert!(delta.feasible());
-/// // ...and the cached state always equals a from-scratch evaluate.
-/// assert_eq!(delta.evaluation(), evaluate(&inst, &delta.to_layout()));
+/// assert!(delta.feasible(&inst));
+/// // ...and every read equals a from-scratch evaluate.
+/// assert_eq!(delta.evaluation(&inst), evaluate(&inst, &delta.to_layout()));
 ///
 /// // Undo restores the previous state exactly.
 /// delta.remove_shield_at(&inst, 1);
@@ -79,16 +100,26 @@ use crate::layout::{Layout, Slot};
 pub struct DeltaEval {
     /// The current track contents (mirrors a [`Layout`]).
     slots: Vec<Slot>,
-    /// Per-segment coupling `Kᵢ`, bit-identical to [`crate::keff::coupling`].
+    /// Per-segment coupling `Kᵢ`; exact for every segment outside a stale
+    /// block.
     k: Vec<f64>,
-    /// Per-segment overflow `max(0, Kᵢ − Kth(i))`.
+    /// Per-segment overflow `max(0, Kᵢ − Kth(i))`, as exact as `k`.
     overflow: Vec<f64>,
-    /// Adjacent sensitive pairs.
+    /// Bit `i` is set iff `overflow[i] > 0`.
+    overflowing: Vec<u64>,
+    /// Adjacent sensitive pairs (always exact).
     cap: usize,
-    /// Shield slots.
+    /// Shield slots (always exact).
     shields: usize,
-    /// Segments with positive overflow (feasibility counter).
-    overflowing: usize,
+    /// Per-segment stale marks: the block holding a marked segment must be
+    /// recomputed before any coupling is read.
+    stale: Vec<bool>,
+    /// Track range `stale_lo..stale_end` holding every marked segment
+    /// (empty when `stale_lo >= stale_end`).
+    stale_lo: usize,
+    stale_end: usize,
+    /// Blocks recomputed over this evaluator's lifetime.
+    recomputes: u64,
 }
 
 impl DeltaEval {
@@ -101,19 +132,24 @@ impl DeltaEval {
     /// Retargets the evaluator to `instance` with an empty layout, keeping
     /// allocations.
     pub fn reset(&mut self, instance: &SinoInstance) {
+        let n = instance.n();
         self.slots.clear();
         self.k.clear();
-        self.k.resize(instance.n(), 0.0);
+        self.k.resize(n, 0.0);
         self.overflow.clear();
-        self.overflow.resize(instance.n(), 0.0);
+        self.overflow.resize(n, 0.0);
+        self.overflowing.clear();
+        self.overflowing.resize(n.div_ceil(64), 0);
+        self.stale.clear();
+        self.stale.resize(n, false);
+        self.stale_lo = 0;
+        self.stale_end = 0;
         self.cap = 0;
         self.shields = 0;
-        self.overflowing = 0;
     }
 
-    /// Retargets the evaluator to `instance` holding `layout`, rebuilding
-    /// every cached aggregate from scratch (the only O(instance) entry
-    /// point — everything after is incremental).
+    /// Retargets the evaluator to `instance` holding `layout`. Every block
+    /// starts stale, so the couplings are computed by the first read.
     ///
     /// # Panics
     ///
@@ -122,25 +158,12 @@ impl DeltaEval {
         self.reset(instance);
         self.slots.extend_from_slice(layout.slots());
         self.shields = layout.num_shields();
-        let len = self.slots.len();
-        let mut pos = 0;
-        while pos < len {
-            if matches!(self.slots[pos], Slot::Signal(_)) {
-                let start = pos;
-                while pos < len && matches!(self.slots[pos], Slot::Signal(_)) {
-                    pos += 1;
-                }
-                self.recompute_block(instance, start);
-            } else {
-                pos += 1;
-            }
-        }
-        for p in 0..len.saturating_sub(1) {
+        for p in 0..self.slots.len() {
+            self.mark(p);
             if self.sens_pair(instance, p) {
                 self.cap += 1;
             }
         }
-        self.oracle_check(instance);
     }
 
     /// Occupied tracks.
@@ -158,9 +181,15 @@ impl DeltaEval {
         &self.slots
     }
 
-    /// Adjacent sensitive pairs.
+    /// Adjacent sensitive pairs (O(1), never needs a recompute).
     pub fn cap_violations(&self) -> usize {
         self.cap
+    }
+
+    /// Blocks recomputed since this evaluator was created — a
+    /// deterministic count of the coupling work its reads cost.
+    pub fn block_recomputes(&self) -> u64 {
+        self.recomputes
     }
 
     /// Coupling `Kᵢ` of one segment.
@@ -168,40 +197,44 @@ impl DeltaEval {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn k(&self, i: usize) -> f64 {
+    pub fn k(&mut self, instance: &SinoInstance, i: usize) -> f64 {
+        self.flush(instance);
         self.k[i]
     }
 
     /// All per-segment couplings (indexed by segment).
-    pub fn k_values(&self) -> &[f64] {
+    pub fn k_values(&mut self, instance: &SinoInstance) -> &[f64] {
+        self.flush(instance);
         &self.k
     }
 
     /// Sum of inductive overflows, bit-identical to
-    /// [`Evaluation::total_overflow`] on the same layout (same summation
-    /// order over identical per-segment values; summing all-zero entries
-    /// yields exactly `0.0`, so the feasible case short-circuits).
-    pub fn total_overflow(&self) -> f64 {
-        if self.overflowing == 0 {
-            return 0.0;
-        }
-        self.overflow.iter().sum()
+    /// [`Evaluation::total_overflow`] on the same layout: the overflowing
+    /// entries are added in index order, and the `+0.0` entries it skips
+    /// would not change the sum's bits.
+    pub fn total_overflow(&mut self, instance: &SinoInstance) -> f64 {
+        self.flush(instance);
+        self.overflowing_segments()
+            .fold(0.0, |sum, i| sum + self.overflow[i])
     }
 
     /// Index and magnitude of the worst inductive overflow, if any —
     /// identical tie-breaking to [`Evaluation::worst_overflow`].
-    pub fn worst_overflow(&self) -> Option<(usize, f64)> {
-        self.overflow
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| v > 0.0)
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite overflow"))
-            .map(|(i, &v)| (i, v))
+    pub fn worst_overflow(&mut self, instance: &SinoInstance) -> Option<(usize, f64)> {
+        self.flush(instance);
+        self.overflowing_segments()
+            .map(|i| (i, self.overflow[i]))
+            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite overflow"))
     }
 
-    /// Whether the layout satisfies all RLC constraints (O(1)).
-    pub fn feasible(&self) -> bool {
-        self.cap == 0 && self.overflowing == 0
+    /// Whether the layout satisfies all RLC constraints. A capacitive
+    /// violation answers `false` without recomputing anything.
+    pub fn feasible(&mut self, instance: &SinoInstance) -> bool {
+        if self.cap > 0 {
+            return false;
+        }
+        self.flush(instance);
+        self.overflowing.iter().all(|&w| w == 0)
     }
 
     /// Track position of a segment, if present.
@@ -211,15 +244,9 @@ impl DeltaEval {
 
     /// A full [`Evaluation`], bit-identical to
     /// [`crate::keff::evaluate`] on [`DeltaEval::to_layout`].
-    pub fn evaluation(&self) -> Evaluation {
-        Evaluation {
-            k: self.k.clone(),
-            cap_violations: self.cap,
-            overflow: self.overflow.clone(),
-            area: self.slots.len(),
-            shields: self.shields,
-            feasible: self.feasible(),
-        }
+    pub fn evaluation(&mut self, instance: &SinoInstance) -> Evaluation {
+        self.flush(instance);
+        self.snapshot()
     }
 
     /// Materializes the current slots as a [`Layout`]. The editing API
@@ -230,7 +257,7 @@ impl DeltaEval {
     }
 
     /// Inserts `slot` before track `pos` (`pos == area()` appends),
-    /// patching couplings of the touched blocks only.
+    /// marking the touched blocks stale.
     ///
     /// # Panics
     ///
@@ -253,6 +280,14 @@ impl DeltaEval {
             self.cap -= 1;
         }
         self.slots.insert(pos, slot);
+        if self.stale_lo < self.stale_end {
+            if pos <= self.stale_lo {
+                self.stale_lo += 1;
+            }
+            if pos < self.stale_end {
+                self.stale_end += 1;
+            }
+        }
         if slot == Slot::Shield {
             self.shields += 1;
         }
@@ -265,14 +300,17 @@ impl DeltaEval {
         match slot {
             // The (possibly extended) block containing `pos` covers every
             // segment whose coupling changed.
-            Slot::Signal(_) => self.recompute_around(instance, &[pos]),
+            Slot::Signal(_) => self.mark(pos),
             // A shield splits its enclosing block: both sides change.
-            Slot::Shield => self.recompute_around(instance, &[pos.wrapping_sub(1), pos + 1]),
+            Slot::Shield => {
+                self.mark(pos.wrapping_sub(1));
+                self.mark(pos + 1);
+            }
         }
-        self.oracle_check(instance);
     }
 
-    /// Removes and returns the slot at `pos`, patching the touched blocks.
+    /// Removes and returns the slot at `pos`, marking the touched blocks
+    /// stale.
     ///
     /// # Panics
     ///
@@ -286,23 +324,30 @@ impl DeltaEval {
             self.cap -= 1;
         }
         let slot = self.slots.remove(pos);
+        if self.stale_lo < self.stale_end {
+            if pos < self.stale_lo {
+                self.stale_lo -= 1;
+            }
+            if pos < self.stale_end {
+                self.stale_end -= 1;
+            }
+        }
         if pos > 0 && self.sens_pair(instance, pos - 1) {
             self.cap += 1;
         }
         match slot {
+            // The removed segment no longer couples at all.
             Slot::Signal(s) => {
-                // The removed segment no longer couples at all; its former
-                // block (still contiguous around `pos`) is recomputed.
-                if self.overflow[s] > 0.0 {
-                    self.overflowing -= 1;
-                }
+                self.stale[s] = false;
                 self.k[s] = 0.0;
-                self.overflow[s] = 0.0;
+                self.set_overflow(s, 0.0);
             }
             Slot::Shield => self.shields -= 1,
         }
-        self.recompute_around(instance, &[pos.wrapping_sub(1), pos]);
-        self.oracle_check(instance);
+        // Its former block (still contiguous around `pos`), or the two
+        // blocks a removed shield merged.
+        self.mark(pos.wrapping_sub(1));
+        self.mark(pos);
         slot
     }
 
@@ -338,18 +383,16 @@ impl DeltaEval {
                 self.cap += 1;
             }
         }
-        self.recompute_around(
-            instance,
-            &[
-                lo.wrapping_sub(1),
-                lo,
-                lo + 1,
-                hi.wrapping_sub(1),
-                hi,
-                hi + 1,
-            ],
-        );
-        self.oracle_check(instance);
+        for p in [
+            lo.wrapping_sub(1),
+            lo,
+            lo + 1,
+            hi.wrapping_sub(1),
+            hi,
+            hi + 1,
+        ] {
+            self.mark(p);
+        }
     }
 
     /// Moves the slot at `from` so it ends up at position `to` — identical
@@ -374,25 +417,19 @@ impl DeltaEval {
         self.insert(instance, gap, Slot::Shield);
     }
 
-    /// Re-syncs one segment's overflow bookkeeping after its budget was
-    /// changed externally ([`SinoInstance::set_kth`]) — the O(1) warm-start
-    /// entry point Phase III uses to keep a persistent evaluator valid
-    /// across budget edits without reloading the layout. Couplings are
-    /// untouched (a budget edit cannot change any `Kᵢ`).
+    /// Re-syncs one segment's overflow after its budget was changed
+    /// externally ([`SinoInstance::set_kth`]) — the O(1) warm-start entry
+    /// point Phase III uses to keep a persistent evaluator valid across
+    /// budget edits without reloading the layout. Couplings are untouched
+    /// (a budget edit cannot change any `Kᵢ`); if the segment's block is
+    /// stale, its recompute applies the new budget anyway.
     ///
     /// # Panics
     ///
     /// Panics if `seg` is out of range of the tracked instance.
     pub fn rebudget(&mut self, instance: &SinoInstance, seg: usize) {
-        let was = self.overflow[seg] > 0.0;
         let of = (self.k[seg] - instance.segment(seg).kth).max(0.0);
-        self.overflow[seg] = of;
-        match (was, of > 0.0) {
-            (true, false) => self.overflowing -= 1,
-            (false, true) => self.overflowing += 1,
-            _ => {}
-        }
-        self.oracle_check(instance);
+        self.set_overflow(seg, of);
     }
 
     /// Removes the shield at track `pos`, returning whether one was there.
@@ -419,45 +456,57 @@ impl DeltaEval {
         }
     }
 
-    /// Recomputes every block containing one of `positions` (post-edit
-    /// indices; out-of-range and shield positions are skipped, blocks are
-    /// deduplicated by start).
-    fn recompute_around(&mut self, instance: &SinoInstance, positions: &[usize]) {
-        let mut starts = [usize::MAX; 6];
-        let mut ns = 0;
-        for &p in positions {
-            if p >= self.slots.len() || !matches!(self.slots[p], Slot::Signal(_)) {
-                continue;
-            }
-            let mut start = p;
-            while start > 0 && matches!(self.slots[start - 1], Slot::Signal(_)) {
-                start -= 1;
-            }
-            if !starts[..ns].contains(&start) {
-                starts[ns] = start;
-                ns += 1;
-            }
-        }
-        for &start in &starts[..ns] {
-            self.recompute_block(instance, start);
+    /// Marks the block holding track `p` stale (post-edit index;
+    /// out-of-range and shield positions are ignored).
+    fn mark(&mut self, p: usize) {
+        let Some(&Slot::Signal(s)) = self.slots.get(p) else {
+            return;
+        };
+        self.stale[s] = true;
+        if self.stale_lo < self.stale_end {
+            self.stale_lo = self.stale_lo.min(p);
+            self.stale_end = self.stale_end.max(p + 1);
+        } else {
+            self.stale_lo = p;
+            self.stale_end = p + 1;
         }
     }
 
+    /// Recomputes every stale block once, in track order.
+    fn flush(&mut self, instance: &SinoInstance) {
+        let mut p = self.stale_lo;
+        while p < self.stale_end {
+            match self.slots[p] {
+                Slot::Signal(s) if self.stale[s] => {
+                    let mut start = p;
+                    while start > 0 && matches!(self.slots[start - 1], Slot::Signal(_)) {
+                        start -= 1;
+                    }
+                    p = self.recompute_block(instance, start) + 1;
+                }
+                _ => p += 1,
+            }
+        }
+        self.stale_lo = 0;
+        self.stale_end = 0;
+        self.oracle_check(instance);
+    }
+
     /// Recomputes the couplings of the block starting at `start` with the
-    /// exact pair order of [`crate::keff::coupling`], then refreshes the
-    /// members' overflow bookkeeping.
-    fn recompute_block(&mut self, instance: &SinoInstance, start: usize) {
+    /// exact pair order of [`crate::keff::coupling`], refreshes the
+    /// members' overflow and clears their stale marks. Returns the block's
+    /// last track.
+    fn recompute_block(&mut self, instance: &SinoInstance, start: usize) -> usize {
         debug_assert!(matches!(self.slots[start], Slot::Signal(_)));
+        self.recomputes += 1;
         let mut end = start;
         while end + 1 < self.slots.len() && matches!(self.slots[end + 1], Slot::Signal(_)) {
             end += 1;
         }
         for p in start..=end {
             if let Slot::Signal(s) = self.slots[p] {
-                if self.overflow[s] > 0.0 {
-                    self.overflowing -= 1;
-                }
                 self.k[s] = 0.0;
+                self.stale[s] = false;
             }
         }
         // Contiguous signal run: pair distance is the position difference,
@@ -481,20 +530,63 @@ impl DeltaEval {
         for p in start..=end {
             if let Slot::Signal(s) = self.slots[p] {
                 let of = (self.k[s] - instance.segment(s).kth).max(0.0);
-                self.overflow[s] = of;
-                if of > 0.0 {
-                    self.overflowing += 1;
-                }
+                self.set_overflow(s, of);
             }
+        }
+        end
+    }
+
+    /// Stores one segment's overflow and its bit in the overflowing set.
+    fn set_overflow(&mut self, s: usize, of: f64) {
+        self.overflow[s] = of;
+        let bit = 1u64 << (s % 64);
+        if of > 0.0 {
+            self.overflowing[s / 64] |= bit;
+        } else {
+            self.overflowing[s / 64] &= !bit;
         }
     }
 
-    /// Debug-build oracle: every mutation must leave the cached state
+    /// The overflowing segments in index order.
+    fn overflowing_segments(&self) -> impl Iterator<Item = usize> + '_ {
+        self.overflowing.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    w * 64 + b
+                })
+            })
+        })
+    }
+
+    /// The cached state as an [`Evaluation`] (exact only when nothing is
+    /// stale).
+    fn snapshot(&self) -> Evaluation {
+        Evaluation {
+            k: self.k.clone(),
+            cap_violations: self.cap,
+            overflow: self.overflow.clone(),
+            area: self.slots.len(),
+            shields: self.shields,
+            feasible: self.cap == 0 && self.overflowing.iter().all(|&w| w == 0),
+        }
+    }
+
+    /// Debug-build oracle: every flush must leave the cached state
     /// bit-identical to a from-scratch [`crate::keff::evaluate`].
     #[cfg(debug_assertions)]
     fn oracle_check(&self, instance: &SinoInstance) {
+        debug_assert!(!self.stale.contains(&true), "flush left a stale mark");
         let eval = crate::keff::evaluate(instance, &self.to_layout());
-        debug_assert_eq!(self.evaluation(), eval, "DeltaEval diverged from evaluate");
+        debug_assert_eq!(self.snapshot(), eval, "DeltaEval diverged from evaluate");
+        debug_assert!(
+            (0..instance.n()).all(
+                |i| (eval.overflow[i] > 0.0) == (self.overflowing[i / 64] >> (i % 64) & 1 == 1)
+            ),
+            "overflowing set diverged from the overflow vector"
+        );
     }
 
     #[cfg(not(debug_assertions))]
@@ -522,7 +614,7 @@ mod tests {
         layout.insert_shield(5);
         let mut delta = DeltaEval::new();
         delta.load(&inst, &layout);
-        assert_eq!(delta.evaluation(), evaluate(&inst, &layout));
+        assert_eq!(delta.evaluation(&inst), evaluate(&inst, &layout));
         assert_eq!(delta.to_layout(), layout);
     }
 
@@ -531,11 +623,11 @@ mod tests {
         let inst = instance(5, 1.0, 0.3, 4);
         let mut delta = DeltaEval::new();
         delta.load(&inst, &Layout::from_order(&[0, 1, 2, 3, 4]));
-        let before = delta.evaluation();
+        let before = delta.evaluation(&inst);
         for gap in 0..=delta.area() {
             delta.insert_shield(&inst, gap);
             delta.remove_shield_at(&inst, gap);
-            assert_eq!(delta.evaluation(), before, "gap {gap}");
+            assert_eq!(delta.evaluation(&inst), before, "gap {gap}");
         }
     }
 
@@ -547,10 +639,10 @@ mod tests {
         delta.insert(&inst, 0, Slot::Signal(2));
         delta.insert(&inst, 1, Slot::Signal(0));
         assert_eq!(delta.area(), 2);
-        assert!(delta.k(2) > 0.0, "adjacent sensitive pair couples");
+        assert!(delta.k(&inst, 2) > 0.0, "adjacent sensitive pair couples");
         let removed = delta.remove(&inst, 0);
         assert_eq!(removed, Slot::Signal(2));
-        assert_eq!(delta.k(2), 0.0);
+        assert_eq!(delta.k(&inst, 2), 0.0);
     }
 
     #[test]
@@ -565,7 +657,7 @@ mod tests {
             expect.relocate(from, to);
             delta.relocate(&inst, from, to);
             assert_eq!(delta.to_layout(), expect, "relocate {from}->{to}");
-            assert_eq!(delta.evaluation(), evaluate(&inst, &expect));
+            assert_eq!(delta.evaluation(&inst), evaluate(&inst, &expect));
         }
     }
 
@@ -576,9 +668,9 @@ mod tests {
         delta.load(&big, &Layout::from_order(&(0..9).collect::<Vec<_>>()));
         let small = instance(3, 1.0, 0.2, 2);
         delta.load(&small, &Layout::from_order(&[2, 1, 0]));
-        assert_eq!(delta.k_values().len(), 3);
+        assert_eq!(delta.k_values(&small).len(), 3);
         assert_eq!(
-            delta.evaluation(),
+            delta.evaluation(&small),
             evaluate(&small, &Layout::from_order(&[2, 1, 0]))
         );
     }
@@ -588,21 +680,23 @@ mod tests {
         let mut inst = instance(3, 1.0, 0.4, 6);
         let mut delta = DeltaEval::new();
         delta.load(&inst, &Layout::from_order(&[0, 1, 2]));
-        assert!(delta.worst_overflow().is_some());
+        assert!(delta.worst_overflow(&inst).is_some());
         // Loosen every budget: rebudget must drain the overflow counter
         // segment by segment, staying oracle-clean throughout.
         for seg in 0..3 {
             inst.set_kth(seg, 10.0).unwrap();
             delta.rebudget(&inst, seg);
-            assert_eq!(delta.evaluation(), evaluate(&inst, &delta.to_layout()));
+            let layout = delta.to_layout();
+            assert_eq!(delta.evaluation(&inst), evaluate(&inst, &layout));
         }
-        assert!(delta.worst_overflow().is_none());
-        assert_eq!(delta.total_overflow(), 0.0);
+        assert!(delta.worst_overflow(&inst).is_none());
+        assert_eq!(delta.total_overflow(&inst), 0.0);
         // Tighten one again: overflow returns.
         inst.set_kth(1, 1e-6).unwrap();
         delta.rebudget(&inst, 1);
-        assert!(delta.worst_overflow().is_some());
-        assert_eq!(delta.evaluation(), evaluate(&inst, &delta.to_layout()));
+        assert!(delta.worst_overflow(&inst).is_some());
+        let layout = delta.to_layout();
+        assert_eq!(delta.evaluation(&inst), evaluate(&inst, &layout));
     }
 
     #[test]
@@ -610,13 +704,13 @@ mod tests {
         let inst = instance(2, 1.0, 0.4, 3);
         let mut delta = DeltaEval::new();
         delta.load(&inst, &Layout::from_order(&[0, 1]));
-        assert!(!delta.feasible());
+        assert!(!delta.feasible(&inst));
         delta.insert_shield(&inst, 1);
-        assert!(delta.feasible());
-        assert!(delta.worst_overflow().is_none());
+        assert!(delta.feasible(&inst));
+        assert!(delta.worst_overflow(&inst).is_none());
         delta.remove_shield_at(&inst, 1);
-        assert!(!delta.feasible());
-        let (_, worst) = delta.worst_overflow().unwrap();
+        assert!(!delta.feasible(&inst));
+        let (_, worst) = delta.worst_overflow(&inst).unwrap();
         assert!((worst - 0.6).abs() < 1e-12);
     }
 }
@@ -637,33 +731,58 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Random move/swap/shield sequences keep every `DeltaEval`
-        /// aggregate bitwise-equal to a from-scratch `evaluate` — the
-        /// contract the rewritten Phase II solvers rely on.
+        /// Random move/swap/shield/budget sequences, with reads of every
+        /// kind interleaved at random between runs of deferred edits, keep
+        /// every `DeltaEval` read bitwise-equal to a from-scratch
+        /// `evaluate` — the contract the rewritten Phase II solvers rely
+        /// on, checked here in release builds too, where the flush oracle
+        /// is off.
         #[test]
         fn random_edit_sequences_match_scratch_evaluate(
             n in 1usize..9,
             rate_pct in 0u32..=100,
             kth_exp in -3i32..2,
             seed in 0u64..1000,
-            ops in prop::collection::vec((0u8..4, 0usize..64, 0usize..64), 1..40),
+            ops in prop::collection::vec((0u8..10, 0usize..64, 0usize..64), 1..40),
         ) {
-            let inst = instance(n, rate_pct as f64 / 100.0, 10f64.powi(kth_exp), seed);
+            let mut inst = instance(n, rate_pct as f64 / 100.0, 10f64.powi(kth_exp), seed);
             let mut delta = DeltaEval::new();
             delta.load(&inst, &Layout::from_order(&(0..n).collect::<Vec<_>>()));
             for (op, x, y) in ops {
                 let area = delta.area();
+                let layout = delta.to_layout();
                 match op {
                     0 => delta.swap(&inst, x % area, y % area),
                     1 => delta.relocate(&inst, x % area, y % (area + 1)),
                     2 => delta.insert_shield(&inst, x % (area + 1)),
-                    _ => {
+                    3 => {
                         delta.remove_shield_at(&inst, x % area);
                     }
+                    4 => {
+                        inst.set_kth(x % n, [1e-3, 0.3, 1.0, 2.5][y % 4]).unwrap();
+                        delta.rebudget(&inst, x % n);
+                    }
+                    5 => prop_assert_eq!(delta.evaluation(&inst), evaluate(&inst, &layout)),
+                    6 => prop_assert_eq!(
+                        delta.k(&inst, x % n).to_bits(),
+                        evaluate(&inst, &layout).k[x % n].to_bits()
+                    ),
+                    7 => prop_assert_eq!(
+                        delta.total_overflow(&inst).to_bits(),
+                        evaluate(&inst, &layout).total_overflow().to_bits()
+                    ),
+                    8 => prop_assert_eq!(
+                        delta.worst_overflow(&inst),
+                        evaluate(&inst, &layout).worst_overflow()
+                    ),
+                    _ => prop_assert_eq!(delta.feasible(&inst), evaluate(&inst, &layout).feasible),
                 }
+                // The capacitive count is exact between reads too.
                 let layout = delta.to_layout();
-                prop_assert_eq!(delta.evaluation(), evaluate(&inst, &layout));
+                prop_assert_eq!(delta.cap_violations(), evaluate(&inst, &layout).cap_violations);
             }
+            let layout = delta.to_layout();
+            prop_assert_eq!(delta.evaluation(&inst), evaluate(&inst, &layout));
         }
     }
 }

@@ -15,12 +15,16 @@
 //! 3. **Compaction** — drop every shield whose removal keeps feasibility,
 //!    right to left, minimizing area.
 //!
-//! Every candidate is scored as a trial edit against one reusable
-//! [`DeltaEval`] (apply, read the key, undo) — O(affected block) per
-//! candidate instead of the seed's clone + full re-evaluate
-//! (preserved in [`crate::reference`]). The trial keys are bit-identical
-//! to the seed's, so the produced layouts are too (`sino_equivalence`
-//! property suite).
+//! Every candidate is a trial edit against one reusable [`DeltaEval`]
+//! (apply, read the key, undo) instead of the seed's clone + full
+//! re-evaluate (preserved in [`crate::reference`]). An edit itself is
+//! O(1) plus a memmove of the slots; the couplings of the blocks it
+//! touched are recomputed, in O(block²), only when the candidate's key
+//! reads them. Placement compares keys capacitive count first, and that
+//! count is exact after every edit, so a gap whose count already loses to
+//! the best so far is skipped without recomputing anything. The keys
+//! that are read are bit-identical to the seed's, so the produced layouts
+//! are too (`sino_equivalence` property suite).
 
 use crate::delta::DeltaEval;
 use crate::instance::SinoInstance;
@@ -141,17 +145,25 @@ fn place_first_cap_clean(instance: &SinoInstance, delta: &mut DeltaEval, seg: us
 }
 
 /// Tries every insertion gap for `seg` (sliding, see
-/// [`place_first_cap_clean`]) and keeps the best.
+/// [`place_first_cap_clean`]) and keeps the best by `(capacitive count,
+/// total overflow)`. A gap whose capacitive count exceeds the best so far
+/// loses whatever its overflow, so its overflow is never read.
 fn place_best(instance: &SinoInstance, delta: &mut DeltaEval, seg: usize) {
     let last = delta.area();
     delta.insert(instance, 0, Slot::Signal(seg));
-    let mut best_key = (delta.cap_violations(), delta.total_overflow());
+    let mut best_cap = delta.cap_violations();
+    let mut best_overflow = delta.total_overflow(instance);
     let mut best_gap = 0;
     for gap in 1..=last {
         delta.swap(instance, gap - 1, gap);
-        let key = (delta.cap_violations(), delta.total_overflow());
-        if key.0 < best_key.0 || (key.0 == best_key.0 && key.1 < best_key.1 - 1e-12) {
-            best_key = key;
+        let cap = delta.cap_violations();
+        if cap > best_cap {
+            continue;
+        }
+        let overflow = delta.total_overflow(instance);
+        if cap < best_cap || overflow < best_overflow - 1e-12 {
+            best_cap = cap;
+            best_overflow = overflow;
             best_gap = gap;
         }
     }
@@ -165,7 +177,7 @@ pub(crate) fn repair(instance: &SinoInstance, delta: &mut DeltaEval) {
     // Bounded by the number of insertable gaps (full isolation).
     let max_iters = 4 * instance.n() + 4;
     for _ in 0..max_iters {
-        if delta.feasible() {
+        if delta.feasible(instance) {
             return;
         }
         if delta.cap_violations() > 0 {
@@ -188,14 +200,14 @@ pub(crate) fn repair(instance: &SinoInstance, delta: &mut DeltaEval) {
         // Inductive overflow: split the worst segment's block at the gap
         // that minimizes (total overflow, worst segment's K).
         let (worst, _) = delta
-            .worst_overflow()
+            .worst_overflow(instance)
             .expect("infeasible without cap violations");
         let pos = delta.position_of(worst).expect("segment is placed");
         let (block_start, block_len) = enclosing_block(delta.slots(), pos);
         let mut best: Option<(f64, f64, usize)> = None;
         for gap in (block_start + 1)..(block_start + block_len) {
             delta.insert_shield(instance, gap);
-            let key = (delta.total_overflow(), delta.k(worst));
+            let key = (delta.total_overflow(instance), delta.k(instance, worst));
             let better = match &best {
                 None => true,
                 Some((bo, bk, _)) => {
@@ -214,7 +226,7 @@ pub(crate) fn repair(instance: &SinoInstance, delta: &mut DeltaEval) {
         }
     }
     debug_assert!(
-        delta.feasible(),
+        delta.feasible(instance),
         "repair must reach feasibility within its iteration bound"
     );
 }
@@ -239,7 +251,7 @@ pub(crate) fn compact(instance: &SinoInstance, delta: &mut DeltaEval) {
         pos -= 1;
         if matches!(delta.slots().get(pos), Some(Slot::Shield)) {
             delta.remove_shield_at(instance, pos);
-            if !delta.feasible() {
+            if !delta.feasible(instance) {
                 delta.insert_shield(instance, pos);
             }
         }

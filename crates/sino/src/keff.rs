@@ -1,7 +1,7 @@
 //! The Keff coupling model and solution evaluation.
 //!
 //! Our instantiation of the formula-based Keff model of the paper's
-//! references \[4\] and \[8\] (see `DESIGN.md` §2.2):
+//! references \[4\] and \[8\], stated in full here:
 //!
 //! * the region's tracks split into **blocks** at shields and walls;
 //! * within a block, a sensitive pair at track distance `d` contributes
@@ -225,14 +225,14 @@ mod tests {
         let k0 = coupling(&inst, &base);
         let mut delta = crate::delta::DeltaEval::new();
         delta.load(&inst, &base);
-        assert_eq!(delta.k_values(), &k0[..]);
+        assert_eq!(delta.k_values(&inst), &k0[..]);
         for gap in 0..=base.area() {
             delta.insert_shield(&inst, gap);
             for (i, &k) in k0.iter().enumerate() {
-                assert!(delta.k(i) <= k + 1e-12, "gap {gap} segment {i}");
+                assert!(delta.k(&inst, i) <= k + 1e-12, "gap {gap} segment {i}");
             }
             delta.remove_shield_at(&inst, gap);
-            assert_eq!(delta.k_values(), &k0[..], "undo restores gap {gap}");
+            assert_eq!(delta.k_values(&inst), &k0[..], "undo restores gap {gap}");
         }
     }
 

@@ -17,8 +17,8 @@
 //! * [`layout`] — a candidate solution: an ordered sequence of signal and
 //!   shield tracks;
 //! * [`keff`] — the block-based Keff coupling model and solution evaluation;
-//! * [`delta`] — the incremental evaluation engine: single-track edits are
-//!   re-scored by patching only the affected block neighbourhoods, with
+//! * [`delta`] — the incremental evaluation engine: single-track edits mark
+//!   the affected blocks stale, and a read recomputes only those, with
 //!   bit-identical values to a from-scratch [`keff::evaluate`];
 //! * [`greedy`] — constructive solver (order + shield insertion + compaction),
 //!   scoring candidates through [`delta::DeltaEval`];

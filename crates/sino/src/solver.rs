@@ -101,11 +101,12 @@ impl SinoSolver {
     /// greedy construction is a pure function of the instance, so a budget
     /// edit is handled by re-running it against the warm scratch), with one
     /// extra guarantee the plain facade does not make: on return, `scratch`
-    /// **mirrors the returned layout** — its [`DeltaEval::k_values`] are
-    /// bit-identical to a from-scratch [`evaluate`] of the result. Callers
-    /// that maintain one persistent `DeltaEval` per region (the incremental
-    /// refinement pass) read the couplings straight from the scratch
-    /// instead of paying a full re-evaluate per edit.
+    /// **mirrors the returned layout** — its slots are the layout's, so
+    /// [`DeltaEval::k_values`] (which first recomputes whatever blocks the
+    /// solve left stale) is bit-identical to a from-scratch [`evaluate`] of
+    /// the result. Callers that maintain one persistent `DeltaEval` per
+    /// region (the incremental refinement pass) read the couplings straight
+    /// from the scratch instead of paying a full re-evaluate per edit.
     ///
     /// # Errors
     ///
@@ -267,7 +268,7 @@ mod tests {
             let second = solver.resolve_after_kth(&inst, &mut scratch).unwrap();
             assert_eq!(second, solver.solve(&inst).unwrap());
             assert_eq!(scratch.slots(), second.slots());
-            assert_eq!(scratch.k_values(), &evaluate(&inst, &second).k[..]);
+            assert_eq!(scratch.k_values(&inst), &evaluate(&inst, &second).k[..]);
         }
     }
 

@@ -16,9 +16,11 @@
 //! 1. **Slack budgets never produce overflow.** A segment's coupling in
 //!    *any* layout over this instance (including every intermediate state
 //!    the solvers visit) is at most [`coupling_upper_bound`]: each of its
-//!    `c` sensitive partners contributes `1/d` for a distinct in-block
-//!    distance `d`, so the sum is maximized by packing them on the
-//!    nearest tracks (`d = 1, 1, 2, 2, …`). If both the old and the new
+//!    `c` sensitive partners contributes `1/d` for a distinct per-side
+//!    in-block distance `d`, so the sum is maximized by packing them on
+//!    the nearest tracks (`d = 1, 1, 2, 2, …`), padded for rounding (a
+//!    block adds its terms in track order, not largest first). If both
+//!    the old and the new
 //!    budget of every *changed* segment are ≥ that bound, the segment's
 //!    overflow term `max(0, Kᵢ − Kth(i))` is identically zero in every
 //!    reachable state under either budget vector. Unchanged segments
@@ -40,17 +42,25 @@
 use crate::greedy::{placement_order, placement_order_kth};
 use crate::instance::SinoInstance;
 
-/// An upper bound on segment `i`'s coupling `Kᵢ` over **every** layout of
-/// this instance (and every subset of it, i.e. every intermediate solver
-/// state): its `c` sensitive partners each contribute `1/d` for distinct
-/// per-side distances, so packing them closest (`d = 1, 1, 2, 2, 3, …`)
-/// dominates any real arrangement.
+/// An upper bound on segment `i`'s **computed** coupling `Kᵢ` over
+/// **every** layout of this instance (and every subset of it, i.e. every
+/// intermediate solver state): its `c` sensitive partners each contribute
+/// `1/d` for distinct per-side distances, so packing them closest
+/// (`d = 1, 1, 2, 2, 3, …`) dominates any real arrangement term by term.
+///
+/// The two sums round differently: a block adds its terms in track order,
+/// the packed sum largest first, and from 33 partners up the block's f64
+/// can exceed the packed one by an ulp or two. Each rounded sum of `c`
+/// non-negative terms lies within a relative `(c − 1)·2⁻⁵³` of its exact
+/// value, so padding the packed sum by a relative `2c·ε` covers both
+/// roundings and the padding's own.
 pub fn coupling_upper_bound(instance: &SinoInstance, i: usize) -> f64 {
     let n = instance.n();
     let c = (0..n)
         .filter(|&j| j != i && instance.is_sensitive(i, j))
         .count();
-    (0..c).map(|t| 1.0 / (t / 2 + 1) as f64).sum()
+    let packed: f64 = (0..c).map(|t| 1.0 / (t / 2 + 1) as f64).sum();
+    packed * (1.0 + 2.0 * c as f64 * f64::EPSILON)
 }
 
 /// Whether replacing the instance's budgets with `new_kth` provably
@@ -92,6 +102,7 @@ mod tests {
     use super::*;
     use crate::instance::SegmentSpec;
     use crate::keff::evaluate;
+    use crate::layout::Layout;
     use crate::solver::{SinoSolver, SolverConfig};
     use gsino_grid::SensitivityModel;
 
@@ -123,6 +134,25 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn bound_covers_track_order_rounding() {
+        // 34 fully sensitive segments, segment 0 at track 17: the block
+        // sums its 33 terms in track order and lands above the packed
+        // largest-first sum.
+        let inst = instance(34, 1.0, 100.0, 1);
+        let order: Vec<usize> = (1..=17).chain([0]).chain(18..34).collect();
+        let k0 = evaluate(&inst, &Layout::from_order(&order)).k[0];
+        let packed: f64 = (0..33).map(|t| 1.0 / (t / 2 + 1) as f64).sum();
+        assert!(k0 > packed, "K₀ {k0:.17} vs packed sum {packed:.17}");
+        assert!(k0 <= coupling_upper_bound(&inst, 0));
+        // A swap whose old budget sits on the packed sum must not be
+        // certified: that layout overflows under it.
+        let mut old_kth = vec![100.0; 34];
+        old_kth[0] = packed;
+        let tight = with_kth(&inst, &old_kth);
+        assert!(!budget_swap_preserves_solution(&tight, &[100.0; 34]));
     }
 
     #[test]

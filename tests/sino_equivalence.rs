@@ -25,6 +25,18 @@ fn instance(n: usize, rate: f64, kth: f64, seed: u64) -> SinoInstance {
     SinoInstance::from_model(segs, &SensitivityModel::new(rate, seed)).expect("valid instance")
 }
 
+/// An instance with one budget per segment: `budgets[i] / 20`, so
+/// `0.05..3.0` in steps the solver's comparisons can tie on.
+fn mixed_instance(n: usize, rate: f64, seed: u64, budgets: &[u32]) -> SinoInstance {
+    let segs = (0..n)
+        .map(|i| SegmentSpec {
+            net: i as u32,
+            kth: f64::from(budgets[i]) / 20.0,
+        })
+        .collect();
+    SinoInstance::from_model(segs, &SensitivityModel::new(rate, seed)).expect("valid instance")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -129,7 +141,63 @@ proptest! {
                 }
             }
             let layout = delta.to_layout();
-            prop_assert_eq!(delta.evaluation(), evaluate(&inst, &layout), "op {}", i);
+            prop_assert_eq!(delta.evaluation(&inst), evaluate(&inst, &layout), "op {}", i);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// Production-shaped instances: the 5k rung's refine trials average
+    /// 16.6 segments, reach 35, and carry a budget per segment. `n` runs
+    /// up to 72, across the 64-bit word boundary of the evaluator's
+    /// overflowing set.
+    #[test]
+    fn solver_matches_reference_on_production_shaped_instances(
+        n in 16usize..=72,
+        rate_pct in 0u32..=100,
+        seed in 0u64..5000,
+        budgets in prop::collection::vec(1u32..60, 72..73),
+    ) {
+        let inst = mixed_instance(n, rate_pct as f64 / 100.0, seed, &budgets);
+        let slow = reference::solve(&SolverConfig::default(), &inst).expect("reference solve");
+        let mut scratch = DeltaEval::new();
+        let fast = SinoSolver::default()
+            .solve_with(&inst, &mut scratch)
+            .expect("incremental solve");
+        prop_assert_eq!(&fast, &slow);
+        prop_assert_eq!(scratch.evaluation(&inst), evaluate(&inst, &slow));
+    }
+
+    /// Refine's trial chain: one reused scratch re-solves through
+    /// `resolve_after_kth` while one budget at a time is raised. Every
+    /// step matches `reference::solve`, and the scratch mirrors the
+    /// returned layout's `evaluate`.
+    #[test]
+    fn raise_chain_through_one_scratch_matches_reference(
+        n in 16usize..=72,
+        rate_pct in 0u32..=100,
+        seed in 0u64..5000,
+        budgets in prop::collection::vec(1u32..60, 72..73),
+        raises in prop::collection::vec((0usize..72, 1u32..40), 1..5),
+    ) {
+        let mut inst = mixed_instance(n, rate_pct as f64 / 100.0, seed, &budgets);
+        let solver = SinoSolver::default();
+        let mut scratch = DeltaEval::new();
+        let mut layout = solver.resolve_after_kth(&inst, &mut scratch).expect("solve");
+        for (step, &(seg, by)) in raises.iter().enumerate() {
+            if step > 0 {
+                let seg = seg % n;
+                let kth = inst.segment(seg).kth + f64::from(by) / 20.0;
+                inst.set_kth(seg, kth).expect("positive budget");
+                scratch.rebudget(&inst, seg);
+                layout = solver.resolve_after_kth(&inst, &mut scratch).expect("re-solve");
+            }
+            let slow = reference::solve(&SolverConfig::default(), &inst).expect("reference solve");
+            prop_assert_eq!(&layout, &slow, "step {}", step);
+            prop_assert_eq!(scratch.slots(), layout.slots());
+            prop_assert_eq!(scratch.evaluation(&inst), evaluate(&inst, &layout), "step {}", step);
         }
     }
 }
