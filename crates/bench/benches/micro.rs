@@ -164,8 +164,10 @@ fn bench_astar_search(c: &mut Criterion) {
     });
     c.bench_function("astar_full_flat_500nets", |b| {
         b.iter(|| {
+            let circuit = std::hint::black_box(&circuit);
+            let conns = flat_router.prepare(circuit);
             flat_router
-                .route_with_scratch(std::hint::black_box(&circuit), &mut scratch)
+                .route_prepared(circuit, &conns, &mut scratch)
                 .expect("routes")
         })
     });

@@ -551,7 +551,7 @@ fn main() {
             println!("{}", results.render_runtime_breakdown());
             println!(
                 "paper reference (S5): routing dominates; our Phase III does more work \n\
-                 per violation than the paper's, so see EXPERIMENTS.md for the measured split"
+                 per violation than the paper's, so its share is larger than the paper's"
             );
         }
         Err(e) => {

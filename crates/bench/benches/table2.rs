@@ -4,8 +4,7 @@
 //! Paper values: GSINO pays 6.6–10.8% wire length at 30% sensitivity and
 //! 10.5–16.4% at 50%, because its router detours to separate sensitive
 //! nets. Reproduction criterion: GSINO's wire length stays within a few
-//! percent of ID+NO (see EXPERIMENTS.md for the measured deviation on the
-//! magnitude of this overhead).
+//! percent of ID+NO.
 
 use gsino_bench::{banner, bench_experiment_config};
 use gsino_circuits::experiment::run_suite;

@@ -24,8 +24,13 @@ pub mod report;
 /// Bench-default experiment configuration: honours `GSINO_SCALE` and
 /// `GSINO_CIRCUITS`, otherwise runs `ibm01` at scale 0.3 so that
 /// `cargo bench --workspace` finishes in minutes.
+///
+/// # Panics
+///
+/// With [`ExperimentConfig::from_env`]'s error when either variable holds
+/// a bad value.
 pub fn bench_experiment_config() -> ExperimentConfig {
-    let mut config = ExperimentConfig::from_env();
+    let mut config = ExperimentConfig::from_env().unwrap_or_else(|e| panic!("{e}"));
     if std::env::var("GSINO_SCALE").is_err() {
         config.scale = 0.3;
     }
@@ -39,8 +44,7 @@ pub fn bench_experiment_config() -> ExperimentConfig {
 pub fn banner(name: &str, config: &ExperimentConfig) -> String {
     format!(
         "== {name} == scale {:.2}, circuits {:?}, rates {:?}\n\
-         (set GSINO_SCALE=1.0 GSINO_CIRCUITS=ibm01,ibm02,... for the full suite; \
-         see EXPERIMENTS.md for recorded full-scale results)",
+         (set GSINO_SCALE=1.0 GSINO_CIRCUITS=ibm01,ibm02,... for the full suite)",
         config.scale,
         config
             .circuits

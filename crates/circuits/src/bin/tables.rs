@@ -8,11 +8,16 @@
 //! Environment variables `GSINO_SCALE` / `GSINO_CIRCUITS` provide the same
 //! controls for the bench targets.
 
-use gsino_circuits::experiment::{run_suite, ExperimentConfig};
-use gsino_circuits::spec::CircuitSpec;
+use gsino_circuits::experiment::{parse_circuits, parse_scale, run_suite, ExperimentConfig};
+
+/// Prints a configuration error and exits with the usage status.
+fn bad_config(e: gsino_core::CoreError) -> ! {
+    eprintln!("bad configuration: {e}");
+    std::process::exit(2);
+}
 
 fn main() {
-    let mut config = ExperimentConfig::from_env();
+    let mut config = ExperimentConfig::from_env().unwrap_or_else(|e| bad_config(e));
     let mut json_path: Option<String> = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -20,11 +25,9 @@ fn main() {
         match args[i].as_str() {
             "--scale" => {
                 i += 1;
-                config.scale = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .map(|v: f64| v.clamp(0.01, 1.0))
-                    .unwrap_or(config.scale);
+                if let Some(s) = args.get(i) {
+                    config.scale = parse_scale(s).unwrap_or_else(|e| bad_config(e));
+                }
             }
             "--rates" => {
                 i += 1;
@@ -41,11 +44,7 @@ fn main() {
             "--circuits" => {
                 i += 1;
                 if let Some(list) = args.get(i) {
-                    let wanted: Vec<&str> = list.split(',').map(str::trim).collect();
-                    config.circuits = CircuitSpec::suite()
-                        .into_iter()
-                        .filter(|c| wanted.contains(&c.name.as_str()))
-                        .collect();
+                    config.circuits = parse_circuits(list).unwrap_or_else(|e| bad_config(e));
                 }
             }
             "--seed" => {

@@ -48,23 +48,29 @@ impl Default for ExperimentConfig {
 impl ExperimentConfig {
     /// Reads `GSINO_SCALE` (default 0.2) and `GSINO_CIRCUITS` (a comma list
     /// such as `ibm01,ibm02`; default all six) from the environment.
-    pub fn from_env() -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::BadConfig`] naming the bad value: see [`parse_scale`]
+    /// and [`parse_circuits`].
+    pub fn from_env() -> Result<Self> {
+        let var = |name| std::env::var(name).ok();
+        Self::from_vars(
+            var("GSINO_SCALE").as_deref(),
+            var("GSINO_CIRCUITS").as_deref(),
+        )
+    }
+
+    /// [`Self::from_env`] over explicit values, `None` meaning unset.
+    fn from_vars(scale: Option<&str>, circuits: Option<&str>) -> Result<Self> {
         let mut config = ExperimentConfig::default();
-        if let Ok(s) = std::env::var("GSINO_SCALE") {
-            if let Ok(v) = s.parse::<f64>() {
-                config.scale = v.clamp(0.01, 1.0);
-            }
+        if let Some(s) = scale {
+            config.scale = parse_scale(s)?;
         }
-        if let Ok(list) = std::env::var("GSINO_CIRCUITS") {
-            let wanted: Vec<&str> = list.split(',').map(str::trim).collect();
-            config
-                .circuits
-                .retain(|c| wanted.contains(&c.name.as_str()));
-            if config.circuits.is_empty() {
-                config.circuits = CircuitSpec::suite();
-            }
+        if let Some(list) = circuits {
+            config.circuits = parse_circuits(list)?;
         }
-        config
+        Ok(config)
     }
 
     /// A tiny configuration for unit tests and smoke runs.
@@ -77,6 +83,39 @@ impl ExperimentConfig {
             threads: 0,
         }
     }
+}
+
+/// Parses a problem scale, which must be a number in `(0, 1]`.
+///
+/// # Errors
+///
+/// [`CoreError::BadConfig`] naming the value otherwise.
+pub fn parse_scale(s: &str) -> Result<f64> {
+    match s.trim().parse::<f64>() {
+        Ok(v) if v > 0.0 && v <= 1.0 => Ok(v),
+        _ => Err(CoreError::BadConfig {
+            reason: format!("scale {s:?} is not a number in (0, 1]"),
+        }),
+    }
+}
+
+/// Parses a comma list of suite circuit names, returning the named
+/// circuits in suite order.
+///
+/// # Errors
+///
+/// [`CoreError::BadConfig`] naming the first name that is not one of
+/// `ibm01`–`ibm06`.
+pub fn parse_circuits(list: &str) -> Result<Vec<CircuitSpec>> {
+    let wanted: Vec<&str> = list.split(',').map(str::trim).collect();
+    let mut suite = CircuitSpec::suite();
+    if let Some(bad) = wanted.iter().find(|w| !suite.iter().any(|c| c.name == **w)) {
+        return Err(CoreError::BadConfig {
+            reason: format!("unknown circuit {bad:?} (expected ibm01 to ibm06)"),
+        });
+    }
+    suite.retain(|c| wanted.contains(&c.name.as_str()));
+    Ok(suite)
 }
 
 /// The tabulated quantities of one flow on one circuit.
@@ -523,10 +562,18 @@ mod tests {
 
     #[test]
     fn env_config_parses_scale() {
-        // Serialize access to the env var via a temp value.
-        std::env::set_var("GSINO_SCALE", "0.07");
-        let config = ExperimentConfig::from_env();
+        let config = ExperimentConfig::from_vars(Some("0.07"), None).unwrap();
         assert!((config.scale - 0.07).abs() < 1e-9);
-        std::env::remove_var("GSINO_SCALE");
+        assert_eq!(config.circuits.len(), 6);
+        let config = ExperimentConfig::from_vars(None, Some("ibm03, ibm01")).unwrap();
+        let names: Vec<&str> = config.circuits.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["ibm01", "ibm03"]);
+        let bad = |scale, circuits| match ExperimentConfig::from_vars(scale, circuits) {
+            Err(CoreError::BadConfig { reason }) => reason,
+            other => panic!("expected BadConfig, got {other:?}"),
+        };
+        assert!(bad(Some("fast"), None).contains("\"fast\""));
+        assert!(bad(Some("1.5"), None).contains("(0, 1]"));
+        assert!(bad(None, Some("ibm01,ibm07")).contains("\"ibm07\""));
     }
 }

@@ -24,8 +24,8 @@
 //! * [`session`] — fault-tolerant transactional ECO sessions over a routed
 //!   snapshot, with divergence self-checks and graceful degradation;
 //! * [`service`] — the multi-session routing-service front: named
-//!   sessions on thread-per-session executors, request batching,
-//!   admission control and graceful shutdown;
+//!   sessions on a shared worker pool with one FIFO run queue, request
+//!   batching, admission control and graceful shutdown;
 //! * [`cancel`] — the deadline/cancellation token the phase drivers poll.
 //!
 //! # Example

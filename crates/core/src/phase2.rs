@@ -157,33 +157,12 @@ impl RegionSino {
     pub fn is_empty(&self) -> bool {
         self.solutions.is_empty()
     }
-
-    /// Installs (or replaces) one region's solution, returning the
-    /// displaced one (a copy, if another `RegionSino` still shares it).
-    pub fn insert_solution(
-        &mut self,
-        region: RegionIdx,
-        dir: Dir,
-        sol: RegionSolution,
-    ) -> Option<RegionSolution> {
-        self.solutions
-            .insert((region, dir), Arc::new(sol))
-            .map(Arc::unwrap_or_clone)
-    }
-
-    /// Removes one region's solution (the region lost its last segment),
-    /// returning it (a copy, if another `RegionSino` still shares it).
-    pub fn remove_solution(&mut self, region: RegionIdx, dir: Dir) -> Option<RegionSolution> {
-        self.solutions
-            .remove(&(region, dir))
-            .map(Arc::unwrap_or_clone)
-    }
 }
 
 /// Groups routed nets by `(region, direction)`: every pair whose tracks
 /// host at least one net segment, with its occupant list sorted ascending.
-/// Sorted by key, so iteration is deterministic. Public because the ECO
-/// session diffs two of these maps to find the regions an edit touched.
+/// Sorted by key, so iteration is deterministic. The pipeline's Phase II
+/// stage and the ECO session's runtime oracle both start from it.
 pub fn assignments(grid: &RegionGrid, routes: &RouteSet) -> Vec<((RegionIdx, Dir), Vec<NetId>)> {
     let mut map: HashMap<(RegionIdx, Dir), Vec<NetId>> = HashMap::new();
     for route in routes.iter() {
@@ -204,8 +183,9 @@ pub fn assignments(grid: &RegionGrid, routes: &RouteSet) -> Vec<((RegionIdx, Dir
     out
 }
 
-/// Solves every region with the production (incremental) engine.
-/// `threads = 0` uses the available parallelism.
+/// Solves every region with the production (incremental) engine:
+/// [`prepare_instances`] followed by [`solve_prepared`]. `threads = 0`
+/// uses the available parallelism.
 ///
 /// # Errors
 ///
@@ -220,37 +200,8 @@ pub fn solve_regions(
     mode: RegionMode,
     threads: usize,
 ) -> Result<RegionSino> {
-    solve_regions_with_engine(
-        grid,
-        routes,
-        budgets,
-        sensitivity,
-        solver_config,
-        mode,
-        threads,
-        SinoEngine::Incremental,
-    )
-}
-
-/// [`solve_regions`] with an explicit [`SinoEngine`]:
-/// [`prepare_instances`] followed by [`solve_prepared`].
-///
-/// # Errors
-///
-/// Same conditions as [`solve_regions`].
-#[allow(clippy::too_many_arguments)]
-pub fn solve_regions_with_engine(
-    grid: &RegionGrid,
-    routes: &RouteSet,
-    budgets: &Budgets,
-    sensitivity: &SensitivityModel,
-    solver_config: SolverConfig,
-    mode: RegionMode,
-    threads: usize,
-    engine: SinoEngine,
-) -> Result<RegionSino> {
     let work = prepare_instances(grid, routes, budgets, sensitivity, threads)?;
-    solve_prepared(work, solver_config, mode, threads, engine)
+    solve_prepared(work, solver_config, mode, threads, SinoEngine::Incremental)
 }
 
 /// One prepared per-region SINO problem (the Phase II analogue of the
@@ -297,8 +248,9 @@ pub fn prepare_instances(
 }
 
 /// Builds one region's [`RegionInstance`] from its occupant list — the
-/// loop body of [`prepare_instances`], public so the ECO session can
-/// rebuild exactly the regions an edit touched with the same code path.
+/// loop body of [`prepare_instances`] and of the flow's Phase II stage,
+/// public so the ECO session's budget-only rung and runtime oracle rebuild
+/// a region with the same code path.
 ///
 /// # Errors
 ///
@@ -326,9 +278,10 @@ pub fn build_instance(
 }
 
 /// Solves one prepared region instance — the loop body of
-/// [`solve_prepared`], public so the ECO session (and its runtime oracle)
-/// can re-solve exactly the regions an edit touched with the same seeds
-/// and the same engine dispatch, guaranteeing bit-identical results.
+/// [`solve_prepared`] and of the flow's Phase II stage, public so the ECO
+/// session's budget-only rung and runtime oracle re-solve a region with
+/// the same seeds and the same engine dispatch, guaranteeing bit-identical
+/// results.
 ///
 /// # Errors
 ///
@@ -402,36 +355,7 @@ pub fn solve_prepared(
     threads: usize,
     engine: SinoEngine,
 ) -> Result<RegionSino> {
-    solve_prepared_cancel(
-        work,
-        solver_config,
-        mode,
-        threads,
-        engine,
-        &crate::cancel::CancelToken::never(),
-    )
-}
-
-/// [`solve_prepared`] polling a [`CancelToken`](crate::cancel::CancelToken)
-/// before each region solve. On cancellation the partial result is
-/// discarded and [`CoreError::Canceled`](crate::CoreError) is
-/// returned; no shared state has been touched, so transactional callers
-/// need nothing undone from this phase.
-///
-/// # Errors
-///
-/// [`CoreError::Canceled`](crate::CoreError) once the token
-/// fires, plus the same solver errors as [`solve_prepared`].
-pub fn solve_prepared_cancel(
-    work: Vec<RegionInstance>,
-    solver_config: SolverConfig,
-    mode: RegionMode,
-    threads: usize,
-    engine: SinoEngine,
-    cancel: &crate::cancel::CancelToken,
-) -> Result<RegionSino> {
     let solved = map_worklist(work, threads, DeltaEval::new, |item, scratch| {
-        cancel.check("phase2")?;
         solve_instance(item, solver_config, mode, engine, scratch)
     })?;
     Ok(RegionSino {
@@ -648,29 +572,14 @@ mod tests {
         // preserved reference solver.
         for config in [SolverConfig::default(), SolverConfig::with_anneal(400, 9)] {
             for mode in [RegionMode::Sino, RegionMode::OrderOnly] {
-                let reference = solve_regions_with_engine(
-                    &grid,
-                    &routes,
-                    &budgets,
-                    &sens,
-                    config,
-                    mode,
-                    1,
-                    SinoEngine::Reference,
-                )
-                .unwrap();
+                let work = prepare_instances(&grid, &routes, &budgets, &sens, 1).unwrap();
+                let reference =
+                    solve_prepared(work, config, mode, 1, SinoEngine::Reference).unwrap();
                 for threads in [1, 4] {
-                    let incremental = solve_regions_with_engine(
-                        &grid,
-                        &routes,
-                        &budgets,
-                        &sens,
-                        config,
-                        mode,
-                        threads,
-                        SinoEngine::Incremental,
-                    )
-                    .unwrap();
+                    let work = prepare_instances(&grid, &routes, &budgets, &sens, threads).unwrap();
+                    let incremental =
+                        solve_prepared(work, config, mode, threads, SinoEngine::Incremental)
+                            .unwrap();
                     assert_eq!(reference, incremental, "mode {mode:?} threads {threads}");
                 }
             }
@@ -692,17 +601,9 @@ mod tests {
         .unwrap();
         let sens = SensitivityModel::new(0.5, 3);
         for engine in [SinoEngine::Incremental, SinoEngine::Reference] {
-            let sino = solve_regions_with_engine(
-                &grid,
-                &routes,
-                &budgets,
-                &sens,
-                SolverConfig::default(),
-                RegionMode::Sino,
-                0,
-                engine,
-            )
-            .unwrap();
+            let work = prepare_instances(&grid, &routes, &budgets, &sens, 0).unwrap();
+            let sino =
+                solve_prepared(work, SolverConfig::default(), RegionMode::Sino, 0, engine).unwrap();
             assert!(sino.is_empty(), "{engine:?}");
             assert_eq!(sino.len(), 0);
             assert_eq!(sino.total_shields(), 0);

@@ -1,27 +1,40 @@
 //! End-to-end flows: GSINO and the shared plumbing for the baselines.
+//!
+//! The flow's stages live here and nowhere else: Phase I routing,
+//! §3.1 budgeting and Phase II per-region SINO, each a crate-private
+//! function (`route_stage`, `budget_stage`, `sino_stage`); Phase III is
+//! [`crate::refine`]. [`run_gsino`] and the baselines run them from
+//! scratch. The ECO session ([`crate::session`]) runs the same stages to
+//! open a session, for a full rebuild and for a degraded replay, and its
+//! Phase I rung hands `sino_stage` the live Phase II state so regions
+//! whose occupants and budgets did not change are reused by pointer.
 
 use crate::budget::{
-    budgets_with_constraints, congestion_weighted_budgets, uniform_budgets, BudgetPolicy, Budgets,
-    LengthModel,
+    budgets_with_constraints, congestion_weighted_budgets, BudgetPolicy, Budgets, LengthModel,
 };
 use crate::cancel::CancelToken;
 use crate::metrics::{wirelength_stats, WirelengthStats};
-use crate::phase2::{solve_regions_with_engine, RegionMode, RegionSino, SinoEngine};
+use crate::phase2::{
+    assignments, build_instance, solve_instance, RegionMode, RegionSino, SinoEngine,
+};
 use crate::refine::{refine_cancel, RefineConfig, RefineStats};
 use crate::router::{AstarRouter, IdRouter, RouterStats, ShieldTerm, Weights};
 use crate::violations::{check, ViolationReport};
+use crate::worklist::map_worklist;
 use crate::{CoreError, Result};
 use gsino_grid::area::{AreaModel, RoutingArea};
 use gsino_grid::net::Circuit;
-use gsino_grid::region::RegionGrid;
-use gsino_grid::route::RouteSet;
+use gsino_grid::region::{RegionGrid, RegionIdx};
+use gsino_grid::route::{Dir, RouteSet};
 use gsino_grid::sensitivity::SensitivityModel;
 use gsino_grid::tech::Technology;
 use gsino_grid::usage::TrackUsage;
 use gsino_lsk::table::NoiseTable;
+use gsino_sino::delta::DeltaEval;
 use gsino_sino::nss::NssModel;
 use gsino_sino::solver::SolverConfig;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Which global router drives Phase I.
@@ -431,90 +444,21 @@ pub(crate) fn run_flow(
     approach: Approach,
 ) -> Result<(GsinoOutcome, FlowArtifacts)> {
     config.validate()?;
+    let never = CancelToken::never();
     let t_start = Instant::now();
     let grid = RegionGrid::new(circuit, &config.tech, config.tile_um)?;
     let table = NoiseTable::calibrated(&config.tech);
 
-    // Routing: GSINO reserves shielding area through Formula (3); the
-    // baselines route with net utilization only (paper §4).
     let t0 = Instant::now();
-    let shield_term = match approach {
-        Approach::Gsino if config.shield_reservation => {
-            let model = match &config.nss_model {
-                Some(m) => m.clone(),
-                None => {
-                    let kth_ref = reference_kth(circuit, &table, config.vth);
-                    NssModel::fit(kth_ref, config.nss_fit_seed)?
-                }
-            };
-            ShieldTerm::Estimated {
-                model,
-                rate: config.sensitivity.rate(),
-            }
-        }
-        _ => ShieldTerm::None,
-    };
-    let (routes, router_stats) = match config.router {
-        RouterKind::IterativeDeletion => {
-            IdRouter::new(&grid, config.weights, shield_term).route(circuit)?
-        }
-        RouterKind::SequentialAstar => {
-            AstarRouter::new(&grid, config.weights, shield_term).route(circuit)?
-        }
-    };
+    let (routes, router_stats) = route_stage(circuit, config, approach, &grid, &table, &never)?;
     let route_s = t0.elapsed().as_secs_f64();
 
-    // Budgeting: GSINO budgets before knowing final lengths (Manhattan);
-    // iSINO budgets after routing (path lengths); ID+NO ignores budgets but
-    // needs positive Kth placeholders for its instances.
     let t0 = Instant::now();
-    let length_model = match approach {
-        Approach::Isino => LengthModel::RoutedPath,
-        _ => LengthModel::Manhattan,
-    };
-    let mut budgets = match config.budget_policy {
-        BudgetPolicy::Uniform if !config.vth_overrides.is_empty() => budgets_with_constraints(
-            circuit,
-            &grid,
-            &routes,
-            &table,
-            &|net, sink| config.vth_for(net, sink),
-            length_model,
-        )?,
-        BudgetPolicy::Uniform => {
-            uniform_budgets(circuit, &grid, &routes, &table, config.vth, length_model)?
-        }
-        BudgetPolicy::CongestionWeighted => {
-            let usage = TrackUsage::from_routes(&grid, &routes);
-            congestion_weighted_budgets(
-                circuit,
-                &grid,
-                &routes,
-                &usage,
-                &table,
-                config.vth,
-                length_model,
-            )?
-        }
-    };
+    let mut budgets = budget_stage(circuit, config, approach, &grid, &routes, &table)?;
     let budget_s = t0.elapsed().as_secs_f64();
 
-    // Phase II.
     let t0 = Instant::now();
-    let mode = match approach {
-        Approach::IdNo => RegionMode::OrderOnly,
-        _ => RegionMode::Sino,
-    };
-    let mut sino = solve_regions_with_engine(
-        &grid,
-        &routes,
-        &budgets,
-        &config.sensitivity,
-        config.solver,
-        mode,
-        config.threads,
-        config.sino_engine,
-    )?;
+    let (mut sino, _) = sino_stage(&grid, &routes, &budgets, config, approach, None, &never)?;
     let sino_s = t0.elapsed().as_secs_f64();
 
     // Phase III (GSINO only).
@@ -531,7 +475,7 @@ pub(crate) fn run_flow(
             config.solver,
             &config.refine,
             config.threads,
-            &CancelToken::never(),
+            &never,
         )?)
     } else {
         None
@@ -573,6 +517,140 @@ pub(crate) fn run_flow(
             sino,
         },
     ))
+}
+
+/// Phase I: routes every net with the configured router. GSINO reserves
+/// shielding area through Formula (3), fitting the model when none is
+/// configured (the fit depends on the netlist, so it is never cached);
+/// the baselines, and GSINO without shield reservation, route with net
+/// utilization only (paper §4). The token is polled before routing and,
+/// by the ID router, once per deletion batch.
+pub(crate) fn route_stage(
+    circuit: &Circuit,
+    config: &GsinoConfig,
+    approach: Approach,
+    grid: &RegionGrid,
+    table: &NoiseTable,
+    cancel: &CancelToken,
+) -> Result<(RouteSet, RouterStats)> {
+    let shield_term = if approach == Approach::Gsino && config.shield_reservation {
+        let model = match &config.nss_model {
+            Some(m) => m.clone(),
+            None => NssModel::fit(
+                reference_kth(circuit, table, config.vth),
+                config.nss_fit_seed,
+            )?,
+        };
+        ShieldTerm::Estimated {
+            model,
+            rate: config.sensitivity.rate(),
+        }
+    } else {
+        ShieldTerm::None
+    };
+    match config.router {
+        RouterKind::IterativeDeletion => {
+            let router = IdRouter::new(grid, config.weights, shield_term);
+            router.route_prepared_cancel(circuit, &router.prepare(circuit), cancel)
+        }
+        RouterKind::SequentialAstar => {
+            // The A* loop polls no token.
+            cancel.check("phase1")?;
+            AstarRouter::new(grid, config.weights, shield_term).route(circuit)
+        }
+    }
+}
+
+/// Crosstalk budgeting (paper §3.1). GSINO budgets before knowing final
+/// lengths (Manhattan); iSINO budgets after routing (path lengths); ID+NO
+/// ignores budgets but needs positive `Kth` placeholders for its
+/// instances. Under the uniform policy each sink budgets against
+/// [`GsinoConfig::vth_for`], which is the global `vth` unless overridden.
+pub(crate) fn budget_stage(
+    circuit: &Circuit,
+    config: &GsinoConfig,
+    approach: Approach,
+    grid: &RegionGrid,
+    routes: &RouteSet,
+    table: &NoiseTable,
+) -> Result<Budgets> {
+    let length_model = match approach {
+        Approach::Isino => LengthModel::RoutedPath,
+        _ => LengthModel::Manhattan,
+    };
+    match config.budget_policy {
+        BudgetPolicy::Uniform => budgets_with_constraints(
+            circuit,
+            grid,
+            routes,
+            table,
+            &|net, sink| config.vth_for(net, sink),
+            length_model,
+        ),
+        BudgetPolicy::CongestionWeighted => congestion_weighted_budgets(
+            circuit,
+            grid,
+            routes,
+            &TrackUsage::from_routes(grid, routes),
+            table,
+            config.vth,
+            length_model,
+        ),
+    }
+}
+
+/// Phase II: one SINO solve per occupied `(region, dir)` (order-only for
+/// ID+NO), on the `threads` worklist. With `prev`, an earlier Phase II
+/// state and the budgets it was solved under, every region whose
+/// occupants and budgets are unchanged is installed by pointer instead of
+/// re-solved; a solve is a pure function of both, so the result is the
+/// same bits either way. Returns the solutions and the keys solved here,
+/// in key order.
+pub(crate) fn sino_stage(
+    grid: &RegionGrid,
+    routes: &RouteSet,
+    budgets: &Budgets,
+    config: &GsinoConfig,
+    approach: Approach,
+    prev: Option<(&RegionSino, &Budgets)>,
+    cancel: &CancelToken,
+) -> Result<(RegionSino, Vec<(RegionIdx, Dir)>)> {
+    let mode = match approach {
+        Approach::IdNo => RegionMode::OrderOnly,
+        _ => RegionMode::Sino,
+    };
+    let mut sino = RegionSino::default();
+    let mut work = Vec::new();
+    for ((r, dir), nets) in assignments(grid, routes) {
+        let reusable = prev.and_then(|(old_sino, old_budgets)| {
+            old_sino.shared(r, dir).filter(|old| {
+                old.nets == nets
+                    && nets
+                        .iter()
+                        .all(|&n| budgets.kth(n, r, dir) == old_budgets.kth(n, r, dir))
+            })
+        });
+        match reusable {
+            Some(old) => sino.insert_shared(r, dir, Arc::clone(old)),
+            None => work.push(((r, dir), nets)),
+        }
+    }
+    let solved = map_worklist(
+        work,
+        config.threads,
+        DeltaEval::new,
+        |(key, nets), scratch| {
+            cancel.check("phase2")?;
+            let inst = build_instance(key, nets, budgets, &config.sensitivity)?;
+            solve_instance(inst, config.solver, mode, config.sino_engine, scratch)
+        },
+    )?;
+    let mut patched = Vec::with_capacity(solved.len());
+    for ((r, dir), sol) in solved {
+        sino.insert_shared(r, dir, Arc::new(sol));
+        patched.push((r, dir));
+    }
+    Ok((sino, patched))
 }
 
 /// Representative segment budget for fitting Formula (3) before any route

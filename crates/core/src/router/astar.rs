@@ -96,23 +96,8 @@ impl<'a> AstarRouter<'a> {
     /// [`CoreError::RoutingFailed`] if a connection's target region cannot
     /// be reached or route assembly fails.
     pub fn route(&self, circuit: &Circuit) -> Result<(RouteSet, super::RouterStats)> {
-        let mut scratch = self.make_scratch();
-        self.route_with_scratch(circuit, &mut scratch)
-    }
-
-    /// Routes the circuit sequentially, reusing caller-owned scratch space
-    /// (epoch stamping makes consecutive calls independent).
-    ///
-    /// # Errors
-    ///
-    /// See [`AstarRouter::route`].
-    pub fn route_with_scratch(
-        &self,
-        circuit: &Circuit,
-        scratch: &mut SearchScratch,
-    ) -> Result<(RouteSet, super::RouterStats)> {
         let conns = self.prepare(circuit);
-        self.route_prepared(circuit, &conns, scratch)
+        self.route_prepared(circuit, &conns, &mut self.make_scratch())
     }
 
     /// Routes pre-decomposed connections (see [`AstarRouter::prepare`])
@@ -369,10 +354,15 @@ mod tests {
             640.0,
         );
         let router = AstarRouter::new(&grid, Weights::default(), ShieldTerm::None);
+        let conns = router.prepare(&circuit);
         let mut scratch = router.make_scratch();
-        let (a, _) = router.route_with_scratch(&circuit, &mut scratch).unwrap();
+        let (a, _) = router
+            .route_prepared(&circuit, &conns, &mut scratch)
+            .unwrap();
         // Same scratch, second run: epoch stamping must isolate it fully.
-        let (b, _) = router.route_with_scratch(&circuit, &mut scratch).unwrap();
+        let (b, _) = router
+            .route_prepared(&circuit, &conns, &mut scratch)
+            .unwrap();
         let (fresh, _) = router.route(&circuit).unwrap();
         assert_eq!(a, b);
         assert_eq!(a, fresh);

@@ -212,22 +212,6 @@ impl<'a> IdRouter<'a> {
         self.route_prepared(circuit, &conns)
     }
 
-    /// [`Self::route`] polling a [`CancelToken`] between deletion batches,
-    /// so an ECO replay under a deadline can abandon Phase I cleanly.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Canceled`](crate::CoreError) once the token
-    /// fires, plus the same conditions as [`Self::route`].
-    pub fn route_cancel(
-        &self,
-        circuit: &Circuit,
-        cancel: &CancelToken,
-    ) -> Result<(RouteSet, RouterStats)> {
-        let conns = self.prepare(circuit);
-        self.route_prepared_cancel(circuit, &conns, cancel)
-    }
-
     /// Routes pre-decomposed connections (the ID loop without the shared
     /// Steiner preprocessing), so benches can compare deletion kernels
     /// without the identical decomposition cost drowning the signal —

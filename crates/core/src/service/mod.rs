@@ -127,10 +127,6 @@ pub struct ServiceConfig {
     /// Maximum live sessions; opening beyond it is rejected with
     /// [`CoreError::Overloaded`].
     pub max_sessions: usize,
-    /// Whether the serving worker coalesces queued same-class edit
-    /// requests into one transactional replay. On by default; turn off to
-    /// force one commit per request (e.g. to measure batching's effect).
-    pub coalesce: bool,
     /// Workers in the shared execution pool. `0` (the default) means
     /// *auto*: the machine's available parallelism. Sessions far
     /// outnumbering workers is the intended regime — idle sessions cost
@@ -143,7 +139,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             mailbox_capacity: 64,
             max_sessions: 16,
-            coalesce: true,
             pool_threads: 0,
         }
     }
@@ -244,7 +239,6 @@ impl RoutingService {
             let cell = SessionCell::new(
                 name.to_string(),
                 self.config.mailbox_capacity,
-                self.config.coalesce,
                 Body::Unbuilt {
                     circuit: Box::new(circuit),
                     config: Box::new(config),

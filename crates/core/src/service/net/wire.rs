@@ -15,7 +15,7 @@ use crate::pipeline::GsinoConfig;
 use crate::router::Weights;
 use crate::service::{EditReceipt, ServiceRequest, ServiceResponse, SessionSnapshot, StatsReport};
 use crate::session::{EcoEdit, SessionStats};
-use crate::{CoreError, ErrorKind};
+use crate::CoreError;
 use gsino_grid::net::{Circuit, CircuitEdit, Net};
 use serde::{DeError, Deserialize, Map, Serialize, Value};
 
@@ -79,8 +79,9 @@ pub struct ResponseEnvelope {
 /// without breaking old clients.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WireError {
-    /// [`ErrorKind::as_str`] of the failing error, or a connection-fatal
-    /// frame kind (`frame_*`, `io`, `protocol`).
+    /// [`ErrorKind::as_str`](crate::ErrorKind::as_str) of the failing
+    /// error, or a connection-fatal frame kind (`frame_*`, `io`,
+    /// `protocol`).
     pub kind: String,
     /// [`CoreError::is_retryable`] of the failing error.
     pub retryable: bool,
@@ -112,14 +113,6 @@ impl From<WireError> for CoreError {
             retryable: w.retryable,
             message: w.message,
         }
-    }
-}
-
-impl WireError {
-    /// The parsed [`ErrorKind`] of the carried kind string (unknown
-    /// strings classify as [`ErrorKind::Remote`]).
-    pub fn error_kind(&self) -> ErrorKind {
-        ErrorKind::parse(&self.kind)
     }
 }
 

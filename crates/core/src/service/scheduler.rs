@@ -85,7 +85,6 @@ struct QueueState {
 pub(crate) struct SessionCell {
     pub(crate) name: String,
     pub(crate) capacity: usize,
-    pub(crate) coalesce: bool,
     queue: Mutex<QueueState>,
     state: AtomicU8,
     /// Redundant runtime cross-check of the pinning invariant; see
@@ -100,11 +99,10 @@ pub(crate) struct SessionCell {
 }
 
 impl SessionCell {
-    pub(crate) fn new(name: String, capacity: usize, coalesce: bool, body: Body) -> Arc<Self> {
+    pub(crate) fn new(name: String, capacity: usize, body: Body) -> Arc<Self> {
         Arc::new(SessionCell {
             name,
             capacity,
-            coalesce,
             queue: Mutex::new(QueueState {
                 q: VecDeque::new(),
                 retired: false,

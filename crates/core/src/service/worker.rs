@@ -265,10 +265,9 @@ fn cancel_in_queue(live: &mut LiveBody, reply: ReplyTo, submitted: Instant) {
 }
 
 /// Serves one edit request, first greedily draining queued same-class
-/// edit requests into the batch (when coalescing is on). Returns the
-/// first incompatible envelope hit during the drain (served next by the
-/// slice loop) and the number of extra envelopes drained (counted
-/// against the quantum).
+/// edit requests into the batch. Returns the first incompatible envelope
+/// hit during the drain (served next by the slice loop) and the number of
+/// extra envelopes drained (counted against the quantum).
 fn serve_edits(
     cell: &SessionCell,
     live: &mut LiveBody,
@@ -278,41 +277,39 @@ fn serve_edits(
     let mut batch = vec![first];
     let mut carry = None;
     let mut drained = 0usize;
-    if cell.coalesce {
-        while let Some(env) = cell.pop() {
-            drained += 1;
-            match env {
-                Envelope::Request {
-                    req: ServiceRequest::Edit(edits),
-                    reply,
-                    deadline,
-                    submitted,
-                } => {
-                    if expired(deadline) {
-                        cancel_in_queue(live, reply, submitted);
-                        continue;
-                    }
-                    if request_class(&edits) == class {
-                        batch.push(Member {
-                            edits,
-                            reply,
-                            deadline,
-                            submitted,
-                        });
-                    } else {
-                        carry = Some(Envelope::Request {
-                            req: ServiceRequest::Edit(edits),
-                            reply,
-                            deadline,
-                            submitted,
-                        });
-                        break;
-                    }
+    while let Some(env) = cell.pop() {
+        drained += 1;
+        match env {
+            Envelope::Request {
+                req: ServiceRequest::Edit(edits),
+                reply,
+                deadline,
+                submitted,
+            } => {
+                if expired(deadline) {
+                    cancel_in_queue(live, reply, submitted);
+                    continue;
                 }
-                other => {
-                    carry = Some(other);
+                if request_class(&edits) == class {
+                    batch.push(Member {
+                        edits,
+                        reply,
+                        deadline,
+                        submitted,
+                    });
+                } else {
+                    carry = Some(Envelope::Request {
+                        req: ServiceRequest::Edit(edits),
+                        reply,
+                        deadline,
+                        submitted,
+                    });
                     break;
                 }
+            }
+            other => {
+                carry = Some(other);
+                break;
             }
         }
     }

@@ -43,6 +43,16 @@
 //! * **Full rebuild** ([`EcoEdit::Retile`] / [`EcoEdit::Reweight`]):
 //!   everything is invalidated; the flow re-runs from scratch.
 //!
+//! The Phase I rung, a full rebuild, a degraded replay and opening a
+//! session all run the pipeline's stages ([`crate::pipeline`]), the code
+//! [`crate::pipeline::run_gsino`] runs. The Phase I rung passes the live
+//! Phase II state to the Phase II stage, which reuses every region whose
+//! occupants and budgets are unchanged. The budget-only rung keeps its
+//! own per-region loop, for its warm-start certificate and tracker
+//! patching, over the same per-net budgeting
+//! ([`crate::budget::net_budget_entries`]) and per-region
+//! [`build_instance`] and [`solve_instance`] calls the stages make.
+//!
 //! Phase III always re-runs on clones of the pre-refine state: refinement
 //! is deterministic, so its output is bit-identical to a from-scratch run
 //! whenever its inputs are — which is exactly the invariant the session
@@ -172,19 +182,13 @@ pub use edit::{EcoEdit, EditClass};
 pub use fault::{FaultKind, FaultPlan};
 pub use oracle::OracleConfig;
 
-use crate::budget::{
-    budgets_with_constraints, net_budget_entries, uniform_budgets, BudgetPolicy, Budgets,
-    LengthModel,
-};
+use crate::budget::{net_budget_entries, BudgetPolicy, Budgets, LengthModel};
 use crate::cancel::CancelToken;
-use crate::phase2::{
-    assignments, build_instance, prepare_instances, solve_instance, solve_prepared_cancel,
-    RegionMode, RegionSino, RegionSolution,
-};
-use crate::pipeline::{reference_kth, GsinoConfig, RouterKind};
+use crate::phase2::{build_instance, solve_instance, RegionMode, RegionSino, RegionSolution};
+use crate::pipeline::{budget_stage, route_stage, sino_stage, Approach, GsinoConfig};
 use crate::refine::tracker::{LskIndex, LskTracker};
 use crate::refine::{refine_tracked, RefineStats};
-use crate::router::{AstarRouter, IdRouter, RouterStats, ShieldTerm};
+use crate::router::RouterStats;
 use crate::violations::{check, ViolationReport};
 use crate::{CoreError, Result};
 use gsino_grid::net::Circuit;
@@ -192,7 +196,6 @@ use gsino_grid::region::{RegionGrid, RegionIdx};
 use gsino_grid::route::{Dir, RouteSet};
 use gsino_lsk::table::NoiseTable;
 use gsino_sino::delta::DeltaEval;
-use gsino_sino::nss::NssModel;
 use gsino_sino::warm::budget_swap_preserves_solution;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -314,7 +317,8 @@ impl EcoSession {
                     .into(),
             });
         }
-        let state = SessionState::rebuild(circuit.clone(), config.clone(), &CancelToken::never())?;
+        let (state, _) =
+            SessionState::build(circuit.clone(), config.clone(), None, &CancelToken::never())?;
         Ok(EcoSession {
             state,
             txn: None,
@@ -447,13 +451,15 @@ impl EcoSession {
         let (next, patched) = match class {
             EditClass::FullRebuild => {
                 self.stats.full_replays += 1;
-                let next = SessionState::rebuild(txn.circuit, txn.config, cancel)?;
-                let patched = next.sino0.keys();
-                (next, patched)
+                SessionState::build(txn.circuit, txn.config, None, cancel)?
             }
             EditClass::Phase1 => {
                 self.stats.phase1_replays += 1;
-                self.replay_phase1(txn.circuit, txn.config, cancel)?
+                let (next, patched) =
+                    SessionState::build(txn.circuit, txn.config, Some(&self.state), cancel)?;
+                self.stats.regions_resolved += patched.len() as u64;
+                self.stats.regions_reused += (next.sino0.len() - patched.len()) as u64;
+                (next, patched)
             }
             EditClass::BudgetOnly => {
                 self.stats.budget_replays += 1;
@@ -523,73 +529,10 @@ impl EcoSession {
     ) -> Result<()> {
         self.stats.divergences += 1;
         self.last_divergence = Some(reason);
-        let rebuilt = SessionState::rebuild(circuit, config, cancel)?;
+        let (rebuilt, _) = SessionState::build(circuit, config, None, cancel)?;
         self.stats.degraded_replays += 1;
         self.state = rebuilt;
         Ok(())
-    }
-
-    /// Phase I rung: re-route the edited netlist, recompute budgets, and
-    /// reuse every Phase II region whose occupants and budgets are
-    /// unchanged (bit-identical by the determinism of
-    /// [`solve_instance`]).
-    fn replay_phase1(
-        &mut self,
-        circuit: Circuit,
-        config: GsinoConfig,
-        cancel: &CancelToken,
-    ) -> Result<(SessionState, Vec<(RegionIdx, Dir)>)> {
-        config.validate()?;
-        // invariant: the region grid depends only on the die, technology
-        // and tile size — all unchanged on this rung — so the cached grid
-        // equals RegionGrid::new on the edited circuit.
-        let grid = self.state.grid.clone();
-        let table = self.state.table.clone();
-        let (routes, router_stats) = route_phase1(&circuit, &config, &grid, &table, cancel)?;
-        let budgets0 = budget_phase(&circuit, &config, &grid, &routes, &table)?;
-        let mut sino0 = RegionSino::default();
-        let mut patched = Vec::new();
-        let mut scratch = DeltaEval::new();
-        for (key, nets) in assignments(&grid, &routes) {
-            let (r, dir) = key;
-            let reusable = self.state.sino0.shared(r, dir).filter(|old| {
-                old.nets == nets
-                    && nets
-                        .iter()
-                        .all(|&n| budgets0.kth(n, r, dir) == self.state.budgets0.kth(n, r, dir))
-            });
-            if let Some(old) = reusable {
-                sino0.insert_shared(r, dir, Arc::clone(old));
-                self.stats.regions_reused += 1;
-            } else {
-                cancel.check("phase2")?;
-                let inst = build_instance(key, nets, &budgets0, &config.sensitivity)?;
-                let (_, sol) = solve_instance(
-                    inst,
-                    config.solver,
-                    RegionMode::Sino,
-                    config.sino_engine,
-                    &mut scratch,
-                )?;
-                sino0.insert_shared(r, dir, Arc::new(sol));
-                patched.push(key);
-                self.stats.regions_resolved += 1;
-            }
-        }
-        let tracker = LskTracker::new(&circuit, &grid, &routes, &sino0, &table, config.vth);
-        let next = finish_with_refine(
-            circuit,
-            config,
-            grid,
-            table,
-            Arc::new(routes),
-            router_stats,
-            budgets0,
-            sino0,
-            tracker,
-            cancel,
-        )?;
-        Ok((next, patched))
     }
 
     /// Budget-only rung: routes stand; recompute the edited nets' budget
@@ -775,35 +718,43 @@ impl EcoSession {
 }
 
 impl SessionState {
-    /// The full GSINO flow, stage for stage identical to
-    /// [`crate::pipeline::run_gsino`], keeping the pre-refine caches.
-    fn rebuild(
+    /// Runs the pipeline's stages on `(circuit, config)` and keeps the
+    /// pre-refine caches: from scratch when `prev` is `None` (a new
+    /// session, a full rebuild, a degraded replay), else as the Phase I
+    /// rung over the live state `prev`, whose Phase II regions are reused
+    /// wherever occupants and budgets are unchanged. Returns the state and
+    /// the regions Phase II solved.
+    fn build(
         circuit: Circuit,
         config: GsinoConfig,
+        prev: Option<&SessionState>,
         cancel: &CancelToken,
-    ) -> Result<SessionState> {
+    ) -> Result<(SessionState, Vec<(RegionIdx, Dir)>)> {
         config.validate()?;
-        let grid = RegionGrid::new(&circuit, &config.tech, config.tile_um)?;
-        let table = NoiseTable::calibrated(&config.tech);
-        let (routes, router_stats) = route_phase1(&circuit, &config, &grid, &table, cancel)?;
-        let budgets0 = budget_phase(&circuit, &config, &grid, &routes, &table)?;
-        let work = prepare_instances(
+        let (grid, table) = match prev {
+            // invariant: the region grid depends only on the die, technology
+            // and tile size, all unchanged on the Phase I rung, so the kept
+            // grid equals RegionGrid::new on the edited circuit.
+            Some(prev) => (prev.grid.clone(), prev.table.clone()),
+            None => (
+                RegionGrid::new(&circuit, &config.tech, config.tile_um)?,
+                NoiseTable::calibrated(&config.tech),
+            ),
+        };
+        let (routes, router_stats) =
+            route_stage(&circuit, &config, Approach::Gsino, &grid, &table, cancel)?;
+        let budgets0 = budget_stage(&circuit, &config, Approach::Gsino, &grid, &routes, &table)?;
+        let (sino0, patched) = sino_stage(
             &grid,
             &routes,
             &budgets0,
-            &config.sensitivity,
-            config.threads,
-        )?;
-        let sino0 = solve_prepared_cancel(
-            work,
-            config.solver,
-            RegionMode::Sino,
-            config.threads,
-            config.sino_engine,
+            &config,
+            Approach::Gsino,
+            prev.map(|p| (&p.sino0, &p.budgets0)),
             cancel,
         )?;
         let tracker = LskTracker::new(&circuit, &grid, &routes, &sino0, &table, config.vth);
-        finish_with_refine(
+        let next = finish_with_refine(
             circuit,
             config,
             grid,
@@ -814,7 +765,8 @@ impl SessionState {
             sino0,
             tracker,
             cancel,
-        )
+        )?;
+        Ok((next, patched))
     }
 
     /// A tracker of `sino0` through the kept index: a fill, no route walk.
@@ -824,76 +776,6 @@ impl SessionState {
             &self.sino0,
             &self.table,
             self.config.vth,
-        )
-    }
-}
-
-/// Phase I exactly as [`crate::pipeline::run_gsino`] runs it for the
-/// GSINO approach: shield-aware weights (re-fitting Formula (3) when no
-/// pre-fitted model is configured — the fit depends on the netlist, so
-/// topology replays must not cache it) and the configured router.
-fn route_phase1(
-    circuit: &Circuit,
-    config: &GsinoConfig,
-    grid: &RegionGrid,
-    table: &NoiseTable,
-    cancel: &CancelToken,
-) -> Result<(RouteSet, RouterStats)> {
-    let shield_term = if config.shield_reservation {
-        let model = match &config.nss_model {
-            Some(m) => m.clone(),
-            None => {
-                let kth_ref = reference_kth(circuit, table, config.vth);
-                NssModel::fit(kth_ref, config.nss_fit_seed)?
-            }
-        };
-        ShieldTerm::Estimated {
-            model,
-            rate: config.sensitivity.rate(),
-        }
-    } else {
-        ShieldTerm::None
-    };
-    match config.router {
-        RouterKind::IterativeDeletion => {
-            IdRouter::new(grid, config.weights, shield_term).route_cancel(circuit, cancel)
-        }
-        RouterKind::SequentialAstar => {
-            // The A* loop polls no token; the deadline is honoured before
-            // routing and between stages only.
-            cancel.check("phase1")?;
-            AstarRouter::new(grid, config.weights, shield_term).route(circuit)
-        }
-    }
-}
-
-/// Phase I budgeting exactly as [`crate::pipeline::run_gsino`] runs it
-/// for the GSINO approach (Manhattan estimates; constraint overrides
-/// honoured).
-fn budget_phase(
-    circuit: &Circuit,
-    config: &GsinoConfig,
-    grid: &RegionGrid,
-    routes: &RouteSet,
-    table: &NoiseTable,
-) -> Result<Budgets> {
-    if config.vth_overrides.is_empty() {
-        uniform_budgets(
-            circuit,
-            grid,
-            routes,
-            table,
-            config.vth,
-            LengthModel::Manhattan,
-        )
-    } else {
-        budgets_with_constraints(
-            circuit,
-            grid,
-            routes,
-            table,
-            &|n, s| config.vth_for(n, s),
-            LengthModel::Manhattan,
         )
     }
 }
@@ -981,9 +863,11 @@ fn diff_changed_keys(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{run_flow_with_artifacts, Approach};
+    use crate::phase2::{prepare_instances, solve_prepared};
+    use crate::pipeline::{run_flow_with_artifacts, RouterKind};
     use gsino_grid::geom::{Point, Rect};
     use gsino_grid::net::{CircuitEdit, Net};
+    use gsino_sino::nss::NssModel;
 
     fn small_circuit(n: u32) -> Circuit {
         let die = Rect::new(Point::new(0.0, 0.0), Point::new(640.0, 640.0)).unwrap();
@@ -1198,24 +1082,26 @@ mod tests {
     }
 
     /// Phase II from scratch on the session's circuit and config: the
-    /// pipeline's routes, then its budgeting and region solve.
+    /// pipeline's routes and budgeting, then the public prepare-and-solve
+    /// path every region.
     fn scratch_phase2(session: &EcoSession) -> (Budgets, RegionSino) {
         let (circuit, config) = (session.circuit(), session.config());
         let (outcome, internals) =
             run_flow_with_artifacts(circuit, config, Approach::Gsino).unwrap();
-        let budgets0 = budget_phase(
+        let (grid, routes) = (&internals.grid, &outcome.routes);
+        let budgets0 = budget_stage(
             circuit,
             config,
-            &internals.grid,
-            &outcome.routes,
+            Approach::Gsino,
+            grid,
+            routes,
             &internals.table,
         )
         .unwrap();
-        let sino0 = crate::phase2::solve_regions_with_engine(
-            &internals.grid,
-            &outcome.routes,
-            &budgets0,
-            &config.sensitivity,
+        let work = prepare_instances(grid, routes, &budgets0, &config.sensitivity, config.threads)
+            .unwrap();
+        let sino0 = solve_prepared(
+            work,
             config.solver,
             RegionMode::Sino,
             config.threads,
@@ -1417,6 +1303,62 @@ mod tests {
             assert_eq!(session.stats().full_replays, 1);
             assert_eq!(session.stats().divergences, 0);
             assert_matches_scratch(&session);
+        }
+    }
+
+    #[test]
+    fn every_session_config_runs_the_pipeline_stages() {
+        // The Formula (3) fit (the default, and every routebench session's
+        // path), no shield reservation, a per-sink override, and the A*
+        // router on two threads. Each opens, then commits one topology and
+        // one budget edit, and matches from-scratch runs after every step.
+        let configs = [
+            GsinoConfig {
+                nss_model: None,
+                ..fast_config()
+            },
+            GsinoConfig {
+                shield_reservation: false,
+                ..fast_config()
+            },
+            GsinoConfig {
+                vth_overrides: vec![(5, 0, 0.12)],
+                ..fast_config()
+            },
+            GsinoConfig {
+                router: RouterKind::SequentialAstar,
+                threads: 2,
+                ..fast_config()
+            },
+        ];
+        let matches_scratch = |session: &EcoSession| {
+            assert_matches_scratch(session);
+            let (budgets0, sino0) = scratch_phase2(session);
+            assert_eq!(session.budgets_pre_refine(), &budgets0);
+            assert_eq!(session.sino_pre_refine(), &sino0);
+        };
+        for config in configs {
+            let mut session = EcoSession::new(&small_circuit(20), &config).unwrap();
+            matches_scratch(&session);
+            commit(
+                &mut session,
+                EcoEdit::Circuit(CircuitEdit::AddNet {
+                    net: Net::two_pin(99, Point::new(20.0, 600.0), Point::new(600.0, 30.0)),
+                }),
+            );
+            matches_scratch(&session);
+            commit(
+                &mut session,
+                EcoEdit::TightenVth {
+                    net: 3,
+                    sink: 0,
+                    vth: 0.10,
+                },
+            );
+            matches_scratch(&session);
+            let stats = session.stats();
+            assert_eq!((stats.phase1_replays, stats.budget_replays), (1, 1));
+            assert_eq!(stats.divergences, 0);
         }
     }
 

@@ -85,11 +85,6 @@ impl ViolationReport {
             .map(|(&n, &v)| (n, v))
     }
 
-    /// Worst voltage of a specific net, if violating.
-    pub fn voltage_of(&self, net: NetId) -> Option<f64> {
-        self.per_net.get(&net).copied()
-    }
-
     /// Violating nets, most severe first — descending voltage, ties broken
     /// by ascending net id. The order is total (voltages are finite and
     /// net ids unique), so it is deterministic regardless of hash-map

@@ -7,7 +7,6 @@
 //! net inside each region (for the LSK sum of paper Eq. (1)), and the
 //! region path from the source to each sink (for budgeting).
 
-use crate::geom::Point;
 use crate::net::NetId;
 use crate::region::{RegionGrid, RegionIdx};
 use crate::{GridError, Result};
@@ -21,16 +20,6 @@ pub enum Dir {
     H,
     /// Vertical (north–south) — consumes vertical tracks.
     V,
-}
-
-impl Dir {
-    /// The other direction.
-    pub fn flip(self) -> Dir {
-        match self {
-            Dir::H => Dir::V,
-            Dir::V => Dir::H,
-        }
-    }
 }
 
 /// An undirected edge between two adjacent regions, stored with `a < b`.
@@ -250,11 +239,6 @@ impl RouteTree {
         path.reverse();
         Some(path)
     }
-
-    /// Rebuilds the adjacency cache; used after deserialization.
-    pub fn rebuild_adjacency(&mut self) {
-        self.adjacency = build_adjacency(&self.edges);
-    }
 }
 
 fn build_adjacency(edges: &[GridEdge]) -> HashMap<RegionIdx, Vec<RegionIdx>> {
@@ -368,12 +352,6 @@ impl FromIterator<RouteTree> for RouteSet {
         });
         RouteSet { routes }
     }
-}
-
-/// Computes the point-to-point Manhattan length `Le` between a source and a
-/// sink (paper §3.1), exposed as a free function for budgeting code.
-pub fn manhattan_le(source: Point, sink: Point) -> f64 {
-    source.manhattan(sink)
 }
 
 #[cfg(test)]

@@ -112,11 +112,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Mutable borrow of the row-major backing storage.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Borrow of row `r` as a slice.
     ///
     /// # Panics
@@ -125,16 +120,6 @@ impl Matrix {
     pub fn row(&self, r: usize) -> &[f64] {
         assert!(r < self.rows, "row index {r} out of bounds ({})", self.rows);
         &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Mutable borrow of row `r` as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= rows`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        assert!(r < self.rows, "row index {r} out of bounds ({})", self.rows);
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Adds `v` to entry `(r, c)` — the natural operation for MNA stamping.
@@ -209,11 +194,6 @@ impl Matrix {
             out[i] = acc;
         }
         Ok(out)
-    }
-
-    /// Maximum absolute entry (∞-norm of the flattened matrix).
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
     }
 
     /// Scales every entry in place.

@@ -2,8 +2,11 @@
 //!
 //! SINO is NP-hard (paper §3 / reference \[4\]), so the production path uses
 //! heuristics — but at region sizes (a handful of segments) the exact
-//! optimum is reachable and provides ground truth: it certifies the greedy
-//! solver's area gap and anchors the Formula (3) accuracy experiment.
+//! optimum is reachable and provides ground truth: this module's tests use
+//! it to certify the greedy solver's area gap. The Formula (3) fit and the
+//! `nss_accuracy` bench count shields with
+//! [`SinoSolver::min_shields`](crate::solver::SinoSolver::min_shields)
+//! instead.
 //!
 //! The search appends tracks left to right: each step either places one of
 //! the unplaced segments or inserts a shield. Pruning:

@@ -46,15 +46,16 @@ proptest! {
         prop_assert_eq!(flat_routes, seed_routes);
     }
 
-    /// Two consecutive `route` calls on one reused scratch are
+    /// Two consecutive `route_prepared` calls on one reused scratch are
     /// deterministic and equal to a fresh-scratch run.
     #[test]
     fn reused_scratch_is_deterministic(seed in 0u64..5000) {
         let (circuit, grid) = routers_setup(seed, 0.02);
         let router = AstarRouter::new(&grid, Weights::default(), ShieldTerm::None);
+        let conns = router.prepare(&circuit);
         let mut scratch = router.make_scratch();
-        let (first, _) = router.route_with_scratch(&circuit, &mut scratch).expect("routes");
-        let (second, _) = router.route_with_scratch(&circuit, &mut scratch).expect("routes");
+        let (first, _) = router.route_prepared(&circuit, &conns, &mut scratch).expect("routes");
+        let (second, _) = router.route_prepared(&circuit, &conns, &mut scratch).expect("routes");
         let (fresh, _) = router.route(&circuit).expect("routes");
         prop_assert_eq!(&first, &second);
         prop_assert_eq!(&first, &fresh);
