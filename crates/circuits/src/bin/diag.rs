@@ -2,39 +2,62 @@
 //! profile for a generated benchmark. Useful when calibrating the suite.
 //!
 //! ```text
-//! cargo run -p gsino-circuits --bin diag --release -- [ibm01] [scale]
+//! cargo run -p gsino-circuits --bin diag --release -- [ibm01] [scale] [alpha,beta,gamma]
 //! ```
+//!
+//! An unknown circuit, a scale outside (0, 1] or a weight list that is not
+//! three finite numbers exits with status 2 and names the bad value.
 
+use gsino_circuits::experiment::{parse_circuits, parse_scale};
 use gsino_circuits::generator::generate;
-use gsino_circuits::spec::CircuitSpec;
 use gsino_core::metrics::wirelength_stats;
 use gsino_core::router::{route_all, ShieldTerm, Weights};
+use gsino_core::CoreError;
 use gsino_grid::region::RegionGrid;
 use gsino_grid::route::Dir;
 use gsino_grid::tech::Technology;
 use gsino_grid::usage::TrackUsage;
 use gsino_steiner::rsmt_estimate;
 
+/// Parses `alpha,beta,gamma`: exactly three finite numbers.
+fn parse_weights(s: &str) -> Result<Weights, CoreError> {
+    let bad = || CoreError::BadConfig {
+        reason: format!("weights {s:?} are not three finite numbers alpha,beta,gamma"),
+    };
+    let v = s
+        .split(',')
+        .map(|x| x.trim().parse::<f64>().ok().filter(|w| w.is_finite()))
+        .collect::<Option<Vec<f64>>>()
+        .ok_or_else(bad)?;
+    match v[..] {
+        [alpha, beta, gamma] => Ok(Weights { alpha, beta, gamma }),
+        _ => Err(bad()),
+    }
+}
+
+/// Prints a configuration error and exits with the usage status.
+fn bad_config(e: CoreError) -> ! {
+    eprintln!("bad configuration: {e}");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let name = args.first().map(String::as_str).unwrap_or("ibm01");
-    let scale: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1.0);
+    let scale = args
+        .get(1)
+        .map_or(Ok(1.0), |s| parse_scale(s))
+        .unwrap_or_else(|e| bad_config(e));
     let weights = args
         .get(2)
-        .map(|s| {
-            let v: Vec<f64> = s.split(',').filter_map(|x| x.parse().ok()).collect();
-            Weights {
-                alpha: v[0],
-                beta: v[1],
-                gamma: v[2],
-            }
-        })
-        .unwrap_or_default();
-    let spec = CircuitSpec::suite()
-        .into_iter()
-        .find(|s| s.name == name)
-        .unwrap_or_else(CircuitSpec::ibm01)
-        .scaled(scale);
+        .map_or(Ok(Weights::default()), |s| parse_weights(s))
+        .unwrap_or_else(|e| bad_config(e));
+    let spec = match parse_circuits(name).unwrap_or_else(|e| bad_config(e))[..] {
+        [ref one] => one.scaled(scale),
+        _ => bad_config(CoreError::BadConfig {
+            reason: format!("diag takes one circuit, not {name:?}"),
+        }),
+    };
     let circuit = generate(&spec, 2002).expect("generation");
     let tech = Technology::itrs_100nm();
     let grid = RegionGrid::new(&circuit, &tech, 64.0).expect("grid");
@@ -138,5 +161,19 @@ fn main() {
             report.violating_nets(),
             100.0 * report.violating_nets() as f64 / circuit.num_nets() as f64
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_weights;
+
+    #[test]
+    fn weights_need_exactly_three_finite_numbers() {
+        let w = parse_weights("1, 0.5,2e-1").unwrap();
+        assert_eq!((w.alpha, w.beta, w.gamma), (1.0, 0.5, 0.2));
+        for bad in ["", "1,2", "1,2,3,4", "1,x,3", "1,,3", "1,NaN,3", "inf,1,1"] {
+            assert!(parse_weights(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 }

@@ -1,16 +1,9 @@
-//! Circuit (de)serialization: JSON snapshots and the ISPD-style workload
-//! text format.
-//!
-//! Generated benchmarks can be saved and reloaded so experiments are
-//! repeatable byte-for-byte without re-running the generator (and so
-//! downstream users can route their own netlists by writing this JSON).
-//!
-//! The second half of this module is the **workload text format** — an
-//! ISPD'98/Labyrinth-style netlist/grid file ([`parse_workload`],
-//! [`write_workload`], [`Workload`]) so real benchmark instances can be
-//! ingested and generated ladders round-trip through plain text. The
-//! grammar is documented on [`parse_workload`] and in this crate's
-//! `README.md`.
+//! The on-disk workload format: an ISPD'98/Labyrinth-style netlist/grid
+//! text file ([`parse_workload`], [`write_workload`], [`Workload`]), so
+//! real benchmark instances can be ingested and generated ladders
+//! round-trip through plain text, byte for byte, without re-running the
+//! generator. The grammar is documented on [`parse_workload`] and in this
+//! crate's `README.md`.
 
 use gsino_grid::geom::{Point, Rect};
 use gsino_grid::net::{Circuit, Net};
@@ -19,87 +12,6 @@ use gsino_grid::tech::Technology;
 use gsino_grid::GridError;
 use std::io::{Read, Write};
 use std::path::Path;
-
-/// Errors from circuit IO.
-#[derive(Debug)]
-pub enum IoError {
-    /// Filesystem failure.
-    Io(std::io::Error),
-    /// Malformed JSON or a circuit violating its own invariants.
-    Format(String),
-}
-
-impl std::fmt::Display for IoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            IoError::Io(e) => write!(f, "io failure: {e}"),
-            IoError::Format(e) => write!(f, "format failure: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for IoError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            IoError::Io(e) => Some(e),
-            IoError::Format(_) => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for IoError {
-    fn from(e: std::io::Error) -> Self {
-        IoError::Io(e)
-    }
-}
-
-/// Serializes a circuit as JSON to any writer.
-///
-/// # Errors
-///
-/// [`IoError`] on write or serialization failure.
-pub fn write_circuit<W: Write>(circuit: &Circuit, mut w: W) -> Result<(), IoError> {
-    let s = serde_json::to_string_pretty(circuit).map_err(|e| IoError::Format(e.to_string()))?;
-    w.write_all(s.as_bytes())?;
-    Ok(())
-}
-
-/// Deserializes a circuit from any reader, re-validating its invariants.
-///
-/// # Errors
-///
-/// [`IoError`] on read, parse, or validation failure.
-pub fn read_circuit<R: Read>(mut r: R) -> Result<Circuit, IoError> {
-    let mut s = String::new();
-    r.read_to_string(&mut s)?;
-    let circuit: Circuit = serde_json::from_str(&s).map_err(|e| IoError::Format(e.to_string()))?;
-    // Serde bypasses the constructor; re-validate.
-    let revalidated = Circuit::new(
-        circuit.name().to_string(),
-        *circuit.die(),
-        circuit.nets().to_vec(),
-    )
-    .map_err(|e| IoError::Format(e.to_string()))?;
-    Ok(revalidated)
-}
-
-/// Saves a circuit to a JSON file.
-///
-/// # Errors
-///
-/// [`IoError`] on write failure.
-pub fn save_circuit(circuit: &Circuit, path: impl AsRef<Path>) -> Result<(), IoError> {
-    write_circuit(circuit, std::fs::File::create(path)?)
-}
-
-/// Loads a circuit from a JSON file.
-///
-/// # Errors
-///
-/// [`IoError`] on read/parse/validation failure.
-pub fn load_circuit(path: impl AsRef<Path>) -> Result<Circuit, IoError> {
-    read_circuit(std::fs::File::open(path)?)
-}
 
 /// Pin-count ceiling per net record — generous next to the generator's
 /// 16-pin cap, tight enough that a corrupt count can't allocate the moon.
@@ -638,8 +550,8 @@ pub fn load_workload(path: impl AsRef<Path>) -> Result<Workload, ParseError> {
 ///
 /// # Errors
 ///
-/// [`IoError::Io`] on write failure.
-pub fn write_workload<W: Write>(wl: &Workload, mut out: W) -> Result<(), IoError> {
+/// The writer's I/O error.
+pub fn write_workload<W: Write>(wl: &Workload, mut out: W) -> std::io::Result<()> {
     let c = wl.circuit();
     writeln!(out, "# gsino workload")?;
     writeln!(out, "name {}", c.name())?;
@@ -661,57 +573,7 @@ pub fn write_workload<W: Write>(wl: &Workload, mut out: W) -> Result<(), IoError
 ///
 /// # Errors
 ///
-/// [`IoError::Io`] on write failure.
-pub fn save_workload(wl: &Workload, path: impl AsRef<Path>) -> Result<(), IoError> {
+/// The file's I/O error.
+pub fn save_workload(wl: &Workload, path: impl AsRef<Path>) -> std::io::Result<()> {
     write_workload(wl, std::fs::File::create(path)?)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::generator::generate;
-    use crate::spec::CircuitSpec;
-
-    #[test]
-    fn roundtrip_preserves_circuit() {
-        let spec = CircuitSpec::ibm01().scaled(0.05);
-        let circuit = generate(&spec, 3).unwrap();
-        let mut buf = Vec::new();
-        write_circuit(&circuit, &mut buf).unwrap();
-        let loaded = read_circuit(buf.as_slice()).unwrap();
-        assert_eq!(circuit, loaded);
-    }
-
-    #[test]
-    fn corrupt_json_is_rejected() {
-        assert!(matches!(
-            read_circuit("not json".as_bytes()),
-            Err(IoError::Format(_))
-        ));
-    }
-
-    #[test]
-    fn invalid_circuit_json_is_rejected() {
-        // A syntactically valid circuit whose pin violates the die.
-        let json = r#"{
-            "name": "bad",
-            "die": {"lo": {"x": 0.0, "y": 0.0}, "hi": {"x": 10.0, "y": 10.0}},
-            "nets": [{"id": 0, "pins": [{"x": 99.0, "y": 0.0}]}]
-        }"#;
-        assert!(matches!(
-            read_circuit(json.as_bytes()),
-            Err(IoError::Format(_))
-        ));
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let spec = CircuitSpec::ibm01().scaled(0.05);
-        let circuit = generate(&spec, 9).unwrap();
-        let path = std::env::temp_dir().join("gsino_io_test.json");
-        save_circuit(&circuit, &path).unwrap();
-        let loaded = load_circuit(&path).unwrap();
-        assert_eq!(circuit, loaded);
-        let _ = std::fs::remove_file(&path);
-    }
 }

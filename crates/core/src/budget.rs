@@ -62,15 +62,9 @@ impl Budgets {
         self.map.insert((net, region, dir), kth);
     }
 
-    /// Removes one segment budget, returning the displaced value — the
-    /// undo-log primitive ECO sessions pair with [`Self::set`].
-    pub fn remove(&mut self, net: NetId, region: RegionIdx, dir: Dir) -> Option<f64> {
-        self.map.remove(&(net, region, dir))
-    }
-
-    /// Every entry of one net, sorted by `(region, dir)` — the diff unit
-    /// for incremental re-budgeting (per-net entries are independent under
-    /// the uniform policy, see [`net_budget_entries`]).
+    /// Every entry of one net, sorted by `(region, dir)`: what the ECO
+    /// session's audit compares against [`net_budget_entries`]. Scans
+    /// every entry.
     pub fn net_entries(&self, net: NetId) -> Vec<BudgetEntry> {
         let mut out: Vec<_> = self
             .map
@@ -78,7 +72,7 @@ impl Budgets {
             .filter(|((n, _, _), _)| *n == net)
             .map(|(k, v)| (*k, *v))
             .collect();
-        out.sort_by_key(|((_, r, d), _)| (*r, matches!(d, Dir::V)));
+        out.sort_unstable_by_key(|(key, _)| *key);
         out
     }
 
@@ -252,8 +246,9 @@ pub fn budgets_with_constraints(
 /// congestion-weighted policy reads global track usage and deliberately
 /// has no such per-net form.)
 ///
-/// Returns the entries sorted by `(region, dir)`; nets without routed
-/// edges contribute nothing.
+/// Returns the entries sorted by `(region, dir)`, one per `(region, dir)`
+/// the route occupies, so the key set depends on the route alone; nets
+/// without routed edges contribute nothing.
 ///
 /// # Errors
 ///
@@ -322,7 +317,7 @@ pub fn net_budget_entries(
         .into_iter()
         .map(|(k, v)| (k, if v.is_finite() { v } else { 1e9 }))
         .collect();
-    out.sort_by_key(|((_, r, d), _)| (*r, matches!(d, Dir::V)));
+    out.sort_unstable_by_key(|(key, _)| *key);
     Ok(out)
 }
 

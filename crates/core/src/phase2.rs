@@ -126,7 +126,7 @@ impl RegionSino {
     /// Every `(region, dir)` key, sorted for deterministic iteration.
     pub fn keys(&self) -> Vec<(RegionIdx, Dir)> {
         let mut keys: Vec<_> = self.solutions.keys().copied().collect();
-        keys.sort_by_key(|(r, d)| (*r, matches!(d, Dir::V)));
+        keys.sort_unstable();
         keys
     }
 
@@ -161,7 +161,7 @@ impl RegionSino {
 
 /// Groups routed nets by `(region, direction)`: every pair whose tracks
 /// host at least one net segment, with its occupant list sorted ascending.
-/// Sorted by key, so iteration is deterministic. The pipeline's Phase II
+/// Sorted by key, so iteration is deterministic. The flow's Phase II
 /// stage and the ECO session's runtime oracle both start from it.
 pub fn assignments(grid: &RegionGrid, routes: &RouteSet) -> Vec<((RegionIdx, Dir), Vec<NetId>)> {
     let mut map: HashMap<(RegionIdx, Dir), Vec<NetId>> = HashMap::new();
@@ -179,7 +179,7 @@ pub fn assignments(grid: &RegionGrid, routes: &RouteSet) -> Vec<((RegionIdx, Dir
         nets.sort_unstable();
         nets.dedup();
     }
-    out.sort_by_key(|((r, d), _)| (*r, matches!(d, Dir::V)));
+    out.sort_unstable_by_key(|(key, _)| *key);
     out
 }
 
@@ -249,8 +249,7 @@ pub fn prepare_instances(
 
 /// Builds one region's [`RegionInstance`] from its occupant list — the
 /// loop body of [`prepare_instances`] and of the flow's Phase II stage,
-/// public so the ECO session's budget-only rung and runtime oracle rebuild
-/// a region with the same code path.
+/// which every ECO replay rung and the session's runtime oracle run.
 ///
 /// # Errors
 ///
@@ -278,9 +277,8 @@ pub fn build_instance(
 }
 
 /// Solves one prepared region instance — the loop body of
-/// [`solve_prepared`] and of the flow's Phase II stage, public so the ECO
-/// session's budget-only rung and runtime oracle re-solve a region with
-/// the same seeds and the same engine dispatch, guaranteeing bit-identical
+/// [`solve_prepared`] and of the flow's Phase II stage. Annealer seeds
+/// derive from the region key, so every caller gets bit-identical
 /// results.
 ///
 /// # Errors

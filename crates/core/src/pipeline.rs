@@ -1,13 +1,13 @@
 //! End-to-end flows: GSINO and the shared plumbing for the baselines.
 //!
-//! The flow's stages live here and nowhere else: Phase I routing,
-//! §3.1 budgeting and Phase II per-region SINO, each a crate-private
-//! function (`route_stage`, `budget_stage`, `sino_stage`); Phase III is
-//! [`crate::refine`]. [`run_gsino`] and the baselines run them from
-//! scratch. The ECO session ([`crate::session`]) runs the same stages to
-//! open a session, for a full rebuild and for a degraded replay, and its
-//! Phase I rung hands `sino_stage` the live Phase II state so regions
-//! whose occupants and budgets did not change are reused by pointer.
+//! The flow's stages live here and nowhere else, each a crate-private
+//! function: Phase I routing (`route_stage`), §3.1 budgeting
+//! (`budget_stage`), Phase II per-region SINO (`sino_stage`) and Phase III
+//! refinement with its violation report (`refine_stage`). [`run_gsino`]
+//! and the baselines run them from scratch; the baselines skip Phase III
+//! and [`check`] instead. The ECO session ([`crate::session`]) runs them
+//! on every rung, and its incremental rungs hand `sino_stage` the live
+//! Phase II state to reuse by pointer, keep warm, or replace.
 
 use crate::budget::{
     budgets_with_constraints, congestion_weighted_budgets, BudgetPolicy, Budgets, LengthModel,
@@ -15,15 +15,16 @@ use crate::budget::{
 use crate::cancel::CancelToken;
 use crate::metrics::{wirelength_stats, WirelengthStats};
 use crate::phase2::{
-    assignments, build_instance, solve_instance, RegionMode, RegionSino, SinoEngine,
+    assignments, build_instance, solve_instance, RegionMode, RegionSino, RegionSolution, SinoEngine,
 };
-use crate::refine::{refine_cancel, RefineConfig, RefineStats};
+use crate::refine::tracker::LskTracker;
+use crate::refine::{refine_tracked, RefineConfig, RefineStats};
 use crate::router::{AstarRouter, IdRouter, RouterStats, ShieldTerm, Weights};
 use crate::violations::{check, ViolationReport};
 use crate::worklist::map_worklist;
 use crate::{CoreError, Result};
 use gsino_grid::area::{AreaModel, RoutingArea};
-use gsino_grid::net::Circuit;
+use gsino_grid::net::{Circuit, NetId};
 use gsino_grid::region::{RegionGrid, RegionIdx};
 use gsino_grid::route::{Dir, RouteSet};
 use gsino_grid::sensitivity::SensitivityModel;
@@ -33,6 +34,7 @@ use gsino_lsk::table::NoiseTable;
 use gsino_sino::delta::DeltaEval;
 use gsino_sino::nss::NssModel;
 use gsino_sino::solver::SolverConfig;
+use gsino_sino::warm::budget_swap_preserves_solution;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
@@ -96,7 +98,8 @@ pub struct GsinoConfig {
     /// Worker threads for Phase II's region solves and Phase III's pass-2
     /// region trials (0 = available parallelism). Phase I always routes on
     /// the calling thread. Every result is identical for every thread
-    /// count.
+    /// count. [`Self::validate`] rejects more than [`MAX_THREADS`], so a
+    /// configuration read off the wire cannot start thousands of threads.
     pub threads: usize,
     /// Pre-fitted Formula (3) model; `None` fits one per GSINO run.
     pub nss_model: Option<NssModel>,
@@ -124,6 +127,10 @@ pub struct GsinoConfig {
     /// [`BudgetPolicy::Uniform`].
     pub vth_overrides: Vec<(u32, u32, f64)>,
 }
+
+/// The most [`GsinoConfig::threads`] [`GsinoConfig::validate`] accepts;
+/// the workspace's own configurations use at most 4.
+pub const MAX_THREADS: usize = 64;
 
 impl Default for GsinoConfig {
     fn default() -> Self {
@@ -197,6 +204,11 @@ impl GsinoConfig {
         {
             return Err(CoreError::BadConfig {
                 reason: "router weights must be finite".into(),
+            });
+        }
+        if self.threads > MAX_THREADS {
+            return Err(CoreError::BadConfig {
+                reason: format!("threads {} above the ceiling {MAX_THREADS}", self.threads),
             });
         }
         for &(net, sink, vth) in &self.vth_overrides {
@@ -282,7 +294,7 @@ impl GsinoConfigBuilder {
     }
 
     /// Worker threads for Phase II and Phase III (0 = available
-    /// parallelism; see [`GsinoConfig::threads`]).
+    /// parallelism, at most [`MAX_THREADS`]; see [`GsinoConfig::threads`]).
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
         self
@@ -386,14 +398,6 @@ pub struct GsinoOutcome {
     pub refine_stats: Option<RefineStats>,
 }
 
-/// Shared flow context retained for follow-up analysis.
-pub(crate) struct FlowArtifacts {
-    pub grid: RegionGrid,
-    pub table: NoiseTable,
-    pub budgets: Budgets,
-    pub sino: RegionSino,
-}
-
 /// Runs the full GSINO flow on a circuit.
 ///
 /// # Errors
@@ -414,16 +418,7 @@ pub fn run_flow_with_artifacts(
     config: &GsinoConfig,
     approach: Approach,
 ) -> Result<(GsinoOutcome, FlowInternals)> {
-    let (o, a) = run_flow(circuit, config, approach)?;
-    Ok((
-        o,
-        FlowInternals {
-            grid: a.grid,
-            table: a.table,
-            budgets: a.budgets,
-            sino: a.sino,
-        },
-    ))
+    run_flow(circuit, config, approach)
 }
 
 /// Public view of the flow artifacts.
@@ -442,7 +437,7 @@ pub(crate) fn run_flow(
     circuit: &Circuit,
     config: &GsinoConfig,
     approach: Approach,
-) -> Result<(GsinoOutcome, FlowArtifacts)> {
+) -> Result<(GsinoOutcome, FlowInternals)> {
     config.validate()?;
     let never = CancelToken::never();
     let t_start = Instant::now();
@@ -458,36 +453,42 @@ pub(crate) fn run_flow(
     let budget_s = t0.elapsed().as_secs_f64();
 
     let t0 = Instant::now();
-    let (mut sino, _) = sino_stage(&grid, &routes, &budgets, config, approach, None, &never)?;
+    let regions = assignments(&grid, &routes);
+    let (mut sino, _) = sino_stage(regions, &budgets, config, approach, None, &never)?;
     let sino_s = t0.elapsed().as_secs_f64();
 
     // Phase III (GSINO only).
     let t0 = Instant::now();
-    let refine_stats = if approach == Approach::Gsino {
-        Some(refine_cancel(
+    let refined = if approach == Approach::Gsino {
+        let mut tracker = LskTracker::new(circuit, &grid, &routes, &sino, &table, config.vth);
+        Some(refine_stage(
             circuit,
             &grid,
             &routes,
             &mut budgets,
             &mut sino,
             &table,
-            config.vth,
-            config.solver,
-            &config.refine,
-            config.threads,
+            config,
+            &mut tracker,
             &never,
         )?)
     } else {
         None
     };
     let refine_s = t0.elapsed().as_secs_f64();
+    let (refine_stats, violations) = match refined {
+        Some((stats, report)) => (Some(stats), report),
+        None => (
+            None,
+            check(circuit, &grid, &routes, &sino, &table, config.vth),
+        ),
+    };
 
     let mut usage = TrackUsage::from_routes(&grid, &routes);
     let area_nets_only = AreaModel.evaluate(&grid, &usage);
     sino.apply_shields(&mut usage);
     let area = AreaModel.evaluate(&grid, &usage);
     let wirelength = wirelength_stats(circuit, &grid, &routes);
-    let violations = check(circuit, &grid, &routes, &sino, &table, config.vth);
     let total_shields = sino.total_shields();
     let outcome = GsinoOutcome {
         approach,
@@ -508,15 +509,13 @@ pub(crate) fn run_flow(
         },
         refine_stats,
     };
-    Ok((
-        outcome,
-        FlowArtifacts {
-            grid,
-            table,
-            budgets,
-            sino,
-        },
-    ))
+    let internals = FlowInternals {
+        grid,
+        table,
+        budgets,
+        sino,
+    };
+    Ok((outcome, internals))
 }
 
 /// Phase I: routes every net with the configured router. GSINO reserves
@@ -599,58 +598,128 @@ pub(crate) fn budget_stage(
     }
 }
 
-/// Phase II: one SINO solve per occupied `(region, dir)` (order-only for
-/// ID+NO), on the `threads` worklist. With `prev`, an earlier Phase II
-/// state and the budgets it was solved under, every region whose
-/// occupants and budgets are unchanged is installed by pointer instead of
-/// re-solved; a solve is a pure function of both, so the result is the
-/// same bits either way. Returns the solutions and the keys solved here,
-/// in key order.
+/// The regions a [`sino_stage`] call solved or kept warm, rather than
+/// sharing them by pointer: what the session's oracle samples after a
+/// replay, so a warm region's certificate is re-checked by a solve too.
+#[derive(Debug, Default)]
+pub(crate) struct Patched {
+    /// Their keys, in the order the caller listed them.
+    pub keys: Vec<(RegionIdx, Dir)>,
+    /// How many kept the previous layout under new budgets (warm skips);
+    /// the rest were solved.
+    pub warm: usize,
+}
+
+/// Phase II: one SINO solve (order-only for ID+NO) per listed region and
+/// its ascending occupants, on the `threads` worklist. With `prev`, an
+/// earlier Phase II state, a region whose occupants are unchanged reuses
+/// `prev`'s solution: by pointer when its budget vector equals the one in
+/// that solution's own instance, and warm (layout and couplings kept
+/// under the new instance) when [`budget_swap_preserves_solution`]
+/// certifies the budget swap in SINO mode. A solve is a pure function of
+/// its instance, so either way the bits equal a fresh solve. Returns the
+/// listed regions' solutions and what was patched.
 pub(crate) fn sino_stage(
-    grid: &RegionGrid,
-    routes: &RouteSet,
+    regions: Vec<((RegionIdx, Dir), Vec<NetId>)>,
     budgets: &Budgets,
     config: &GsinoConfig,
     approach: Approach,
-    prev: Option<(&RegionSino, &Budgets)>,
+    prev: Option<&RegionSino>,
     cancel: &CancelToken,
-) -> Result<(RegionSino, Vec<(RegionIdx, Dir)>)> {
+) -> Result<(RegionSino, Patched)> {
     let mode = match approach {
         Approach::IdNo => RegionMode::OrderOnly,
         _ => RegionMode::Sino,
     };
     let mut sino = RegionSino::default();
     let mut work = Vec::new();
-    for ((r, dir), nets) in assignments(grid, routes) {
-        let reusable = prev.and_then(|(old_sino, old_budgets)| {
-            old_sino.shared(r, dir).filter(|old| {
-                old.nets == nets
-                    && nets
-                        .iter()
-                        .all(|&n| budgets.kth(n, r, dir) == old_budgets.kth(n, r, dir))
-            })
-        });
-        match reusable {
-            Some(old) => sino.insert_shared(r, dir, Arc::clone(old)),
-            None => work.push(((r, dir), nets)),
+    for ((r, dir), nets) in regions {
+        let old = prev
+            .and_then(|p| p.shared(r, dir))
+            .filter(|old| old.nets == nets);
+        let unchanged = |old: &RegionSolution| {
+            let segments = old.instance.segments();
+            segments
+                .iter()
+                .all(|s| budgets.kth(s.net, r, dir) == Some(s.kth))
+        };
+        match old {
+            Some(old) if unchanged(old) => sino.insert_shared(r, dir, Arc::clone(old)),
+            _ => work.push(((r, dir), nets, old.cloned())),
         }
     }
     let solved = map_worklist(
         work,
         config.threads,
         DeltaEval::new,
-        |(key, nets), scratch| {
+        |(key, nets, old), scratch| {
             cancel.check("phase2")?;
             let inst = build_instance(key, nets, budgets, &config.sensitivity)?;
-            solve_instance(inst, config.solver, mode, config.sino_engine, scratch)
+            if let Some(old) = old.filter(|_| mode == RegionMode::Sino) {
+                let new_kth: Vec<f64> = inst.instance.segments().iter().map(|s| s.kth).collect();
+                if budget_swap_preserves_solution(&old.instance, &new_kth) {
+                    // Couplings depend on the layout, never on budgets.
+                    let sol = RegionSolution {
+                        nets: inst.nets,
+                        instance: inst.instance,
+                        layout: old.layout.clone(),
+                        k: old.k.clone(),
+                    };
+                    return Ok((key, sol, true));
+                }
+            }
+            let (key, sol) =
+                solve_instance(inst, config.solver, mode, config.sino_engine, scratch)?;
+            Ok((key, sol, false))
         },
     )?;
-    let mut patched = Vec::with_capacity(solved.len());
-    for ((r, dir), sol) in solved {
+    let mut patched = Patched::default();
+    for ((r, dir), sol, warm) in solved {
         sino.insert_shared(r, dir, Arc::new(sol));
-        patched.push((r, dir));
+        patched.keys.push((r, dir));
+        patched.warm += usize::from(warm);
     }
     Ok((sino, patched))
+}
+
+/// Phase III: refines `budgets` and `sino` in place from `tracker`, the
+/// tracker of the input state at `config.vth` (see [`crate::refine`]).
+/// Returns the refine counters and the refined state's violation report,
+/// read from the refined tracker, which equals [`check`] of that state
+/// bitwise (debug builds assert it).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn refine_stage(
+    circuit: &Circuit,
+    grid: &RegionGrid,
+    routes: &RouteSet,
+    budgets: &mut Budgets,
+    sino: &mut RegionSino,
+    table: &NoiseTable,
+    config: &GsinoConfig,
+    tracker: &mut LskTracker,
+    cancel: &CancelToken,
+) -> Result<(RefineStats, ViolationReport)> {
+    debug_assert_eq!(tracker.vth().to_bits(), config.vth.to_bits());
+    let stats = refine_tracked(
+        circuit,
+        grid,
+        routes,
+        budgets,
+        sino,
+        table,
+        config.solver,
+        &config.refine,
+        config.threads,
+        cancel,
+        tracker,
+    )?;
+    let report = tracker.report();
+    debug_assert_eq!(
+        report,
+        check(circuit, grid, routes, sino, table, config.vth),
+        "the refined tracker's report diverged from check"
+    );
+    Ok((stats, report))
 }
 
 /// Representative segment budget for fitting Formula (3) before any route

@@ -27,13 +27,13 @@
 //!   patches only the crossing nets' sums — O(crossing segments +
 //!   dirty-sink terms) instead of full `check_net` route walks.
 //!
-//! * **The caller supplies the tracker.** [`refine_cancel`] builds the
-//!   tracker of its input state and hands it to the one refine body. The
-//!   ECO session instead fills the index it keeps across budget commits
-//!   and patches it for the regions a commit re-solved. Either way refine
-//!   starts from a tracker bitwise equal to a fresh build, and on success
-//!   the tracker mirrors the refined state, so its report is that state's
-//!   [`check`].
+//! * **The caller supplies the tracker.** [`refine_cancel`] and the
+//!   batch flow build the tracker of their input state. The ECO session
+//!   instead fills the index it keeps across budget commits and patches
+//!   it for the regions a commit patched. Either way refine starts from a
+//!   tracker bitwise equal to a fresh build, and on success the tracker
+//!   mirrors the refined state, so its report is that state's [`check`]:
+//!   the flow's Phase III stage returns it as the violation report.
 //!
 //! * **Pass 1 edits in place.** Its work queue is a
 //!   [`tracker::SeverityQueue`] (lazy max-heap) instead of a full-map scan
@@ -311,8 +311,8 @@ pub fn refine(
 /// once per pass-2 trial and once per pass-2 commit. The result does not
 /// depend on `threads`. Cancellation leaves `budgets`/`sino` in a
 /// consistent but partially-refined state — transactional callers (the
-/// ECO session) refine **clones** and discard them on error, so nothing
-/// needs undoing here.
+/// ECO session, through the flow's Phase III stage) refine **clones**
+/// and discard them on error, so nothing needs undoing here.
 ///
 /// # Errors
 ///

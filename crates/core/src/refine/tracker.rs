@@ -100,11 +100,6 @@ pub struct LskIndex {
     refs: Vec<SegmentRef>,
 }
 
-/// The sort key of `(region, dir)`: region first, `H` before `V`.
-fn key_order((r, dir): (RegionIdx, Dir)) -> (RegionIdx, bool) {
-    (r, matches!(dir, Dir::V))
-}
-
 impl LskIndex {
     /// Walks every routed net's source→sink paths once.
     ///
@@ -151,7 +146,7 @@ impl LskIndex {
             }
         }
         // Terms are unique, so this order is total.
-        keyed.sort_unstable_by_key(|&(key, e)| (key_order(key), e.term));
+        keyed.sort_unstable_by_key(|&(key, e)| (key, e.term));
         let mut keys = Vec::new();
         let mut offsets = Vec::new();
         let mut refs = Vec::with_capacity(keyed.len());
@@ -179,10 +174,7 @@ impl LskIndex {
     /// The references a `(region, dir)` re-solve patches (empty if no
     /// indexed term reads it).
     fn refs_of(&self, key: (RegionIdx, Dir)) -> &[SegmentRef] {
-        match self
-            .keys
-            .binary_search_by_key(&key_order(key), |&k| key_order(k))
-        {
+        match self.keys.binary_search(&key) {
             Ok(i) => &self.refs[self.offsets[i] as usize..self.offsets[i + 1] as usize],
             Err(_) => &[],
         }

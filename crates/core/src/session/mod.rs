@@ -34,27 +34,24 @@
 //! # Replay ladder
 //!
 //! * **Budget-only** ([`EcoEdit::TightenVth`] / [`EcoEdit::RelaxVth`]):
-//!   routes stand; the edited net's budget entries are recomputed through
-//!   the noise table and only regions whose `Kth` changed are re-solved.
+//!   routes stand; the edited nets' budget entries are recomputed through
+//!   the noise table, and the regions their routes occupy are replayed.
 //! * **Topology** ([`EcoEdit::Circuit`]): iterative deletion couples all
-//!   nets through the shared demand field, so Phase I re-runs on the
-//!   edited netlist — but Phase II solutions are reused bitwise for every
-//!   region whose occupants and budgets are unchanged.
+//!   nets through the shared demand field, so Phase I and budgeting re-run
+//!   on the edited netlist, and every occupied region is replayed.
 //! * **Full rebuild** ([`EcoEdit::Retile`] / [`EcoEdit::Reweight`]):
 //!   everything is invalidated; the flow re-runs from scratch.
 //!
-//! The Phase I rung, a full rebuild, a degraded replay and opening a
-//! session all run the pipeline's stages ([`crate::pipeline`]), the code
-//! [`crate::pipeline::run_gsino`] runs. The Phase I rung passes the live
-//! Phase II state to the Phase II stage, which reuses every region whose
-//! occupants and budgets are unchanged. The budget-only rung keeps its
-//! own per-region loop, for its warm-start certificate and tracker
-//! patching, over the same per-net budgeting
-//! ([`crate::budget::net_budget_entries`]) and per-region
-//! [`build_instance`] and [`solve_instance`] calls the stages make.
-//!
-//! Phase III always re-runs on clones of the pre-refine state: refinement
-//! is deterministic, so its output is bit-identical to a from-scratch run
+//! Every rung, a degraded replay and opening a session run the
+//! pipeline's stages ([`crate::pipeline`]), the code
+//! [`crate::pipeline::run_gsino`] runs. Both incremental rungs replay
+//! their regions through the Phase II stage with the live Phase II state,
+//! which shares a region by pointer when its occupants and budgets are
+//! unchanged, keeps its layout warm when only budgets moved and the
+//! warm-start certificate ([`gsino_sino::warm`]) holds, and solves it
+//! afresh otherwise. Phase III always re-runs, through the pipeline's
+//! Phase III stage, on clones of the pre-refine state: refinement is
+//! deterministic, so its output is bit-identical to a from-scratch run
 //! whenever its inputs are — which is exactly the invariant the session
 //! maintains.
 //!
@@ -65,11 +62,11 @@
 //! (see [`RegionSino`]):
 //!
 //! * The **budget-only** rung hands the live routes to the candidate
-//!   state as the same `Arc`. Its `sino0` starts as a clone that shares
-//!   every region, and only the regions whose `Kth` moved get new
-//!   solutions.
-//! * The **Phase I** rung routes afresh, then installs every reusable
-//!   region solution by pointer instead of copying it.
+//!   state as the same `Arc`. Its `sino0` is a clone that shares every
+//!   region, overwritten with what the Phase II stage returned for the
+//!   edited nets' regions.
+//! * The **Phase I** rung routes afresh; the Phase II stage installs
+//!   every region it reuses by pointer instead of copying it.
 //! * **Phase III** refines a clone of `sino0` that shares every region;
 //!   [`RegionSino::solution_mut`] copies a region the first time refine
 //!   writes it.
@@ -87,9 +84,9 @@
 //!   Eq. (1). The route-derived half of its tracker, an
 //!   [`LskIndex`], is kept behind an `Arc`. The pre-flight audit fills
 //!   it with the live `sino0`'s couplings, O(terms) and no route walk.
-//!   The budget-only rung patches that tracker for each region it
-//!   re-solves and hands it to refine, and the candidate state keeps the
-//!   same index. The Phase I rung, a full rebuild and a degraded replay
+//!   The budget-only rung patches that tracker for each region the Phase
+//!   II stage solved or kept warm and hands it to refine, and the
+//!   candidate state keeps the same index. The Phase I rung, a full rebuild and a degraded replay
 //!   build a new one.
 //! * **The violation report.** After refine the refined tracker's report
 //!   is stored, and [`EcoSession::violations`] returns it.
@@ -100,13 +97,13 @@
 //! as well. So every reader sees exactly the bits a deep copy would have
 //! given it. The index is a pure function of four things: the circuit,
 //! the grid, the routes and each region's occupant list. The budget-only
-//! rung changes none of them, because a re-solved region keeps its old
+//! rung changes none of them, because a patched region keeps its old
 //! occupants. So the fill over the kept index is bitwise the tracker a
-//! fresh build gives, and patching it per re-solved region keeps it so
+//! fresh build gives, and patching it per patched region keeps it so
 //! (the tracker contract of [`crate::refine::tracker`]). Refine keeps the
 //! same contract on every edit, so the refined tracker's report is
-//! bitwise the [`check`] of the committed state; debug builds assert it
-//! after every refine. The build-aside commit keeps its meaning: the
+//! bitwise the [`check`](crate::violations::check) of the committed
+//! state; debug builds assert it after every refine. The build-aside commit keeps its meaning: the
 //! candidate shares with the live state but cannot write into it, so a
 //! canceled or failed commit still leaves the live snapshot, its index
 //! and its report untouched. The deadline sweep in
@@ -184,19 +181,19 @@ pub use oracle::OracleConfig;
 
 use crate::budget::{net_budget_entries, BudgetPolicy, Budgets, LengthModel};
 use crate::cancel::CancelToken;
-use crate::phase2::{build_instance, solve_instance, RegionMode, RegionSino, RegionSolution};
-use crate::pipeline::{budget_stage, route_stage, sino_stage, Approach, GsinoConfig};
+use crate::phase2::{assignments, RegionSino};
+use crate::pipeline::{
+    budget_stage, refine_stage, route_stage, sino_stage, Approach, GsinoConfig, Patched,
+};
 use crate::refine::tracker::{LskIndex, LskTracker};
-use crate::refine::{refine_tracked, RefineStats};
+use crate::refine::RefineStats;
 use crate::router::RouterStats;
-use crate::violations::{check, ViolationReport};
+use crate::violations::ViolationReport;
 use crate::{CoreError, Result};
 use gsino_grid::net::Circuit;
-use gsino_grid::region::{RegionGrid, RegionIdx};
-use gsino_grid::route::{Dir, RouteSet};
+use gsino_grid::region::RegionGrid;
+use gsino_grid::route::RouteSet;
 use gsino_lsk::table::NoiseTable;
-use gsino_sino::delta::DeltaEval;
-use gsino_sino::warm::budget_swap_preserves_solution;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -222,9 +219,9 @@ pub struct SessionStats {
     pub regions_resolved: u64,
     /// Phase II region instances reused bitwise by incremental replays.
     pub regions_reused: u64,
-    /// Budget-changed regions where the warm-start check
-    /// ([`gsino_sino::warm`]) proved the old layout still optimal, so the
-    /// Phase II re-solve was skipped.
+    /// Regions either incremental rung kept warm instead of re-solving:
+    /// budgets moved, and the warm-start check ([`gsino_sino::warm`])
+    /// proved the solver would return the old layout.
     pub warm_skips: u64,
     /// Individual oracle checks performed (audit + patched).
     pub oracle_checks: u64,
@@ -455,17 +452,20 @@ impl EcoSession {
             }
             EditClass::Phase1 => {
                 self.stats.phase1_replays += 1;
-                let (next, patched) =
-                    SessionState::build(txn.circuit, txn.config, Some(&self.state), cancel)?;
-                self.stats.regions_resolved += patched.len() as u64;
-                self.stats.regions_reused += (next.sino0.len() - patched.len()) as u64;
-                (next, patched)
+                SessionState::build(txn.circuit, txn.config, Some(&self.state), cancel)?
             }
             EditClass::BudgetOnly => {
                 self.stats.budget_replays += 1;
-                self.replay_budgets(txn.circuit, txn.config, &txn.budget_nets, tracker, cancel)?
+                let nets = &txn.budget_nets;
+                self.state
+                    .replay_budgets(txn.circuit, txn.config, nets, tracker, cancel)?
             }
         };
+        if class != EditClass::FullRebuild {
+            self.stats.regions_resolved += (patched.keys.len() - patched.warm) as u64;
+            self.stats.warm_skips += patched.warm as u64;
+            self.stats.regions_reused += (next.sino0.len() - patched.keys.len()) as u64;
+        }
 
         // Post-replay check: re-solve a sampled fraction of the patched
         // regions with the reference engine. A divergence here means the
@@ -473,7 +473,7 @@ impl EcoSession {
         // edited snapshot from scratch — the commit still succeeds.
         if let Some(reason) = oracle::check_patched(
             &next,
-            &patched,
+            &patched.keys,
             self.oracle.effective_patched(),
             &mut rng,
             &mut self.stats,
@@ -533,112 +533,6 @@ impl EcoSession {
         self.stats.degraded_replays += 1;
         self.state = rebuilt;
         Ok(())
-    }
-
-    /// Budget-only rung: routes stand; recompute the edited nets' budget
-    /// entries and re-solve exactly the regions whose `Kth` changed.
-    /// `tracker` is the live `sino0`'s; each re-solve patches it, so it
-    /// enters refine as the tracker of the candidate `sino0`.
-    fn replay_budgets(
-        &mut self,
-        circuit: Circuit,
-        config: GsinoConfig,
-        budget_nets: &BTreeSet<u32>,
-        mut tracker: LskTracker,
-        cancel: &CancelToken,
-    ) -> Result<(SessionState, Vec<(RegionIdx, Dir)>)> {
-        config.validate()?;
-        let grid = self.state.grid.clone();
-        let table = self.state.table.clone();
-        let routes = Arc::clone(&self.state.routes);
-        let router_stats = self.state.router_stats;
-        let mut budgets0 = self.state.budgets0.clone();
-        let mut changed: Vec<(RegionIdx, Dir)> = Vec::new();
-        for &net in budget_nets {
-            let old_entries = self.state.budgets0.net_entries(net);
-            let new_entries = match (circuit.net(net), routes.get(net)) {
-                (Some(n), Some(route)) => net_budget_entries(
-                    n,
-                    &grid,
-                    route,
-                    &table,
-                    &|nn, ss| config.vth_for(nn, ss),
-                    LengthModel::Manhattan,
-                )?,
-                _ => Vec::new(),
-            };
-            if old_entries == new_entries {
-                continue;
-            }
-            for &((n, r, d), _) in &old_entries {
-                budgets0.remove(n, r, d);
-            }
-            for &((n, r, d), v) in &new_entries {
-                budgets0.set(n, r, d, v);
-            }
-            diff_changed_keys(&old_entries, &new_entries, &mut changed);
-        }
-        changed.sort_by_key(|(r, d)| (*r, matches!(d, Dir::V)));
-        changed.dedup();
-        let mut sino0 = self.state.sino0.clone();
-        let mut patched = Vec::new();
-        let mut scratch = DeltaEval::new();
-        for &(r, dir) in &changed {
-            // invariant: every budget entry's key hosts segments and was
-            // solved in Phase II, so the old solution must exist.
-            let Some(old) = self.state.sino0.solution(r, dir) else {
-                debug_assert!(false, "budget key ({r}, {dir:?}) has no region solution");
-                continue;
-            };
-            cancel.check("phase2")?;
-            let inst = build_instance((r, dir), old.nets.clone(), &budgets0, &config.sensitivity)?;
-            // Warm-start check: same nets and sensitivity, only budgets
-            // moved — if `gsino_sino::warm` certifies the swap, the solver
-            // would retrace its exact steps, so keep the old layout (and
-            // its couplings, which never depend on budgets) under the new
-            // instance. Skipped regions still go through `patched`, so the
-            // runtime oracle re-verifies the certificate on sampled (in
-            // debug builds: all) commits.
-            let new_kth: Vec<f64> = inst.instance.segments().iter().map(|s| s.kth).collect();
-            let sol = if budget_swap_preserves_solution(&old.instance, &new_kth) {
-                self.stats.warm_skips += 1;
-                RegionSolution {
-                    nets: inst.nets,
-                    instance: inst.instance,
-                    layout: old.layout.clone(),
-                    k: old.k.clone(),
-                }
-            } else {
-                self.stats.regions_resolved += 1;
-                solve_instance(
-                    inst,
-                    config.solver,
-                    RegionMode::Sino,
-                    config.sino_engine,
-                    &mut scratch,
-                )?
-                .1
-            };
-            // The re-solve keeps `old.nets`, so the kept index still
-            // addresses this region's segments.
-            tracker.region_updated(r, dir, &sol.k, &table);
-            sino0.insert_shared(r, dir, Arc::new(sol));
-            patched.push((r, dir));
-        }
-        self.stats.regions_reused += (sino0.len() - patched.len()) as u64;
-        let next = finish_with_refine(
-            circuit,
-            config,
-            grid,
-            table,
-            routes,
-            router_stats,
-            budgets0,
-            sino0,
-            tracker,
-            cancel,
-        )?;
-        Ok((next, patched))
     }
 
     /// The routed circuit the session currently tracks.
@@ -710,8 +604,8 @@ impl EcoSession {
 
     /// The violation report of the current snapshot at the configured
     /// constraint: the report stored when the snapshot was committed,
-    /// which equals [`check`] of the snapshot (see "What a commit keeps"
-    /// in the [module docs](self)).
+    /// which equals [`check`](crate::violations::check) of the snapshot
+    /// (see "What a commit keeps" in the [module docs](self)).
     pub fn violations(&self) -> ViolationReport {
         self.state.report.clone()
     }
@@ -721,15 +615,15 @@ impl SessionState {
     /// Runs the pipeline's stages on `(circuit, config)` and keeps the
     /// pre-refine caches: from scratch when `prev` is `None` (a new
     /// session, a full rebuild, a degraded replay), else as the Phase I
-    /// rung over the live state `prev`, whose Phase II regions are reused
-    /// wherever occupants and budgets are unchanged. Returns the state and
-    /// the regions Phase II solved.
+    /// rung over the live state `prev`, whose Phase II regions the stage
+    /// reuses wherever their occupants are unchanged. Returns the state and
+    /// what Phase II patched.
     fn build(
         circuit: Circuit,
         config: GsinoConfig,
         prev: Option<&SessionState>,
         cancel: &CancelToken,
-    ) -> Result<(SessionState, Vec<(RegionIdx, Dir)>)> {
+    ) -> Result<(SessionState, Patched)> {
         config.validate()?;
         let (grid, table) = match prev {
             // invariant: the region grid depends only on the die, technology
@@ -744,17 +638,17 @@ impl SessionState {
         let (routes, router_stats) =
             route_stage(&circuit, &config, Approach::Gsino, &grid, &table, cancel)?;
         let budgets0 = budget_stage(&circuit, &config, Approach::Gsino, &grid, &routes, &table)?;
+        let regions = assignments(&grid, &routes);
         let (sino0, patched) = sino_stage(
-            &grid,
-            &routes,
+            regions,
             &budgets0,
             &config,
             Approach::Gsino,
-            prev.map(|p| (&p.sino0, &p.budgets0)),
+            prev.map(|p| &p.sino0),
             cancel,
         )?;
         let tracker = LskTracker::new(&circuit, &grid, &routes, &sino0, &table, config.vth);
-        let next = finish_with_refine(
+        let next = SessionState::refined(
             circuit,
             config,
             grid,
@@ -769,6 +663,125 @@ impl SessionState {
         Ok((next, patched))
     }
 
+    /// Budget-only rung: routes stand; the edited nets' new budget entries,
+    /// and the Phase II stage's solutions of the regions their routes
+    /// occupy, overwrite this state's (a budget edit cannot change which
+    /// keys a route occupies). `tracker` is this state's `sino0`'s, patched
+    /// per patched region into the tracker of the candidate `sino0`.
+    fn replay_budgets(
+        &self,
+        circuit: Circuit,
+        config: GsinoConfig,
+        budget_nets: &BTreeSet<u32>,
+        mut tracker: LskTracker,
+        cancel: &CancelToken,
+    ) -> Result<(SessionState, Patched)> {
+        config.validate()?;
+        let mut budgets0 = self.budgets0.clone();
+        let mut keys = BTreeSet::new();
+        let routed = |&n: &u32| Some((circuit.net(n)?, self.routes.get(n)?));
+        let vth_of = |n, s| config.vth_for(n, s);
+        for (net, route) in budget_nets.iter().filter_map(routed) {
+            let entries = net_budget_entries(
+                net,
+                &self.grid,
+                route,
+                &self.table,
+                &vth_of,
+                LengthModel::Manhattan,
+            )?;
+            for ((n, r, d), kth) in entries {
+                budgets0.set(n, r, d, kth);
+                keys.insert((r, d));
+            }
+        }
+        // invariant: the audit just checked that every occupied key has a
+        // solution with the occupants the routes give.
+        let regions = keys
+            .into_iter()
+            .filter_map(|(r, d)| Some(((r, d), self.sino0.solution(r, d)?.nets.clone())))
+            .collect();
+        let (solved, patched) = sino_stage(
+            regions,
+            &budgets0,
+            &config,
+            Approach::Gsino,
+            Some(&self.sino0),
+            cancel,
+        )?;
+        // The stage shared every other listed region with `self.sino0`. A
+        // patched region keeps its occupants, so the kept index still
+        // addresses its segments.
+        let mut sino0 = self.sino0.clone();
+        for &(r, d) in &patched.keys {
+            if let Some(sol) = solved.shared(r, d) {
+                tracker.region_updated(r, d, &sol.k, &self.table);
+                sino0.insert_shared(r, d, Arc::clone(sol));
+            }
+        }
+        let next = SessionState::refined(
+            circuit,
+            config,
+            self.grid.clone(),
+            self.table.clone(),
+            Arc::clone(&self.routes),
+            self.router_stats,
+            budgets0,
+            sino0,
+            tracker,
+            cancel,
+        )?;
+        Ok((next, patched))
+    }
+
+    /// The pipeline's Phase III stage on clones of the pre-refine caches,
+    /// assembling the full snapshot. The `sino0` clone shares every
+    /// region; refine copies only the regions it writes. `tracker` is the
+    /// tracker of `sino0` at `config.vth`; the state keeps its index and
+    /// the refined report.
+    #[allow(clippy::too_many_arguments)]
+    fn refined(
+        circuit: Circuit,
+        config: GsinoConfig,
+        grid: RegionGrid,
+        table: NoiseTable,
+        routes: Arc<RouteSet>,
+        router_stats: RouterStats,
+        budgets0: Budgets,
+        sino0: RegionSino,
+        mut tracker: LskTracker,
+        cancel: &CancelToken,
+    ) -> Result<SessionState> {
+        let mut budgets = budgets0.clone();
+        let mut sino = sino0.clone();
+        let (refine_stats, report) = refine_stage(
+            &circuit,
+            &grid,
+            &routes,
+            &mut budgets,
+            &mut sino,
+            &table,
+            &config,
+            &mut tracker,
+            cancel,
+        )?;
+        Ok(SessionState {
+            circuit,
+            config,
+            grid,
+            table,
+            routes,
+            router_stats,
+            budgets0,
+            sino0,
+            budgets,
+            sino,
+            refine_stats,
+            lsk_index: Arc::clone(tracker.index()),
+            report,
+        })
+    }
+
     /// A tracker of `sino0` through the kept index: a fill, no route walk.
     fn lsk_tracker(&self) -> LskTracker {
         LskTracker::fill(
@@ -780,91 +793,12 @@ impl SessionState {
     }
 }
 
-/// Phase III on clones of the pre-refine caches, assembling the full
-/// snapshot. Refinement is deterministic, so the post-refine state is
-/// bit-identical to a from-scratch run whenever the pre-refine inputs
-/// are. The `sino0` clone shares every region; refine copies only the
-/// regions it writes. `tracker` is the tracker of `sino0` at
-/// `config.vth`; the state keeps its index and the refined report.
-#[allow(clippy::too_many_arguments)]
-fn finish_with_refine(
-    circuit: Circuit,
-    config: GsinoConfig,
-    grid: RegionGrid,
-    table: NoiseTable,
-    routes: Arc<RouteSet>,
-    router_stats: RouterStats,
-    budgets0: Budgets,
-    sino0: RegionSino,
-    mut tracker: LskTracker,
-    cancel: &CancelToken,
-) -> Result<SessionState> {
-    debug_assert_eq!(tracker.vth().to_bits(), config.vth.to_bits());
-    let mut budgets = budgets0.clone();
-    let mut sino = sino0.clone();
-    let refine_stats = refine_tracked(
-        &circuit,
-        &grid,
-        &routes,
-        &mut budgets,
-        &mut sino,
-        &table,
-        config.solver,
-        &config.refine,
-        config.threads,
-        cancel,
-        &mut tracker,
-    )?;
-    let report = tracker.report();
-    debug_assert_eq!(
-        report,
-        check(&circuit, &grid, &routes, &sino, &table, config.vth),
-        "the refined tracker's report diverged from check"
-    );
-    Ok(SessionState {
-        circuit,
-        config,
-        grid,
-        table,
-        routes,
-        router_stats,
-        budgets0,
-        sino0,
-        budgets,
-        sino,
-        refine_stats,
-        lsk_index: Arc::clone(tracker.index()),
-        report,
-    })
-}
-
-/// Accumulates the `(region, dir)` keys whose budget value was added,
-/// removed or changed between two sorted per-net entry lists.
-fn diff_changed_keys(
-    old: &[((u32, RegionIdx, Dir), f64)],
-    new: &[((u32, RegionIdx, Dir), f64)],
-    changed: &mut Vec<(RegionIdx, Dir)>,
-) {
-    use std::collections::HashMap;
-    let old_map: HashMap<_, _> = old.iter().copied().collect();
-    let new_map: HashMap<_, _> = new.iter().copied().collect();
-    for (k, v) in &old_map {
-        if new_map.get(k) != Some(v) {
-            changed.push((k.1, k.2));
-        }
-    }
-    for (k, v) in &new_map {
-        if old_map.get(k) != Some(v) {
-            changed.push((k.1, k.2));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phase2::{prepare_instances, solve_prepared};
+    use crate::phase2::{prepare_instances, solve_prepared, RegionMode};
     use crate::pipeline::{run_flow_with_artifacts, RouterKind};
+    use crate::violations::check;
     use gsino_grid::geom::{Point, Rect};
     use gsino_grid::net::{CircuitEdit, Net};
     use gsino_sino::nss::NssModel;

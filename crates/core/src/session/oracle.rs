@@ -7,34 +7,36 @@
 //!
 //! * **Pre-flight audit** (every commit, before replaying): a sampled
 //!   fraction of regions is re-derived from first principles — occupants
-//!   recomputed from the routes, the SINO instance rebuilt from the
-//!   budgets, the region re-solved with the preserved **reference**
-//!   engine — and a sampled fraction of nets has its budget entries
-//!   recomputed through the noise table and its entries in the kept LSK
-//!   index checked against its route: each term length as the route
-//!   gives it, each sink's LSK through the index equal to
+//!   recomputed from the routes, then the SINO instance rebuilt from the
+//!   budgets and re-solved with the preserved **reference** engine — and
+//!   a sampled fraction of nets has its budget entries recomputed through
+//!   the noise table and its entries in the kept LSK index checked
+//!   against its route: each term length as the route gives it, each
+//!   sink's LSK through the index equal to
 //!   [`sink_lsk`](crate::violations::sink_lsk) on `sino0`. Any mismatch is
 //!   a divergence.
 //! * **Patched check** (after replaying): a sampled fraction of the
 //!   regions the replay just patched is re-solved with the reference
 //!   engine and compared bitwise.
 //!
-//! Because every recompute goes through the same public helpers the flow
-//! itself uses ([`build_instance`], [`solve_instance`],
-//! [`net_budget_entries`]) but with the *reference* solver, the oracle
-//! cross-checks the incremental engines against their preserved twins at
-//! runtime — the PR-2/3/4 equivalence discipline, carried into
-//! production. Recompute failures (a corrupted budget can make instance
-//! construction itself error) are reported as divergences, not propagated
-//! as hard errors: the session's job is to recover.
+//! Because every recompute goes through the code the flow itself runs —
+//! the pipeline's Phase II stage from scratch, but with the *reference*
+//! solver, and [`net_budget_entries`] — the oracle cross-checks the
+//! incremental engines and the stage's reuse decisions against their
+//! preserved twins at runtime: the equivalence discipline of the
+//! engines' test suites, carried into production. Recompute failures (a
+//! corrupted budget can make instance construction itself error) are
+//! reported as divergences, not propagated as hard errors: the session's
+//! job is to recover.
 
 use super::{SessionState, SessionStats};
 use crate::budget::{net_budget_entries, LengthModel};
-use crate::phase2::{assignments, build_instance, solve_instance, RegionMode, SinoEngine};
+use crate::cancel::CancelToken;
+use crate::phase2::{assignments, RegionSolution, SinoEngine};
+use crate::pipeline::{sino_stage, Approach, GsinoConfig};
 use crate::refine::tracker::LskTracker;
 use gsino_grid::region::RegionIdx;
 use gsino_grid::route::Dir;
-use gsino_sino::delta::DeltaEval;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -125,6 +127,7 @@ pub(super) fn audit(
     }
 
     // Sampled deep checks: rebuild + reference-solve each sampled region.
+    let reference = reference_config(state);
     for (r, dir) in solved_keys {
         if !rng.gen_bool(sample) {
             continue;
@@ -133,7 +136,7 @@ pub(super) fn audit(
         // invariant: `keys()` returned this key and nothing mutates the
         // solution set while the audit holds `&SessionState`.
         let sol = state.sino0.solution(r, dir).expect("key just enumerated");
-        if let Some(reason) = check_solution(state, r, dir, sol) {
+        if let Some(reason) = check_solution(state, &reference, r, dir, sol) {
             return Some(reason);
         }
     }
@@ -187,6 +190,7 @@ pub(super) fn check_patched(
     rng: &mut StdRng,
     stats: &mut SessionStats,
 ) -> Option<String> {
+    let reference = reference_config(state);
     for &(r, dir) in patched {
         if !rng.gen_bool(sample) {
             continue;
@@ -197,54 +201,59 @@ pub(super) fn check_patched(
             continue;
         };
         stats.oracle_checks += 1;
-        if let Some(reason) = check_solution(state, r, dir, sol) {
+        if let Some(reason) = check_solution(state, &reference, r, dir, sol) {
             return Some(reason);
         }
     }
     None
 }
 
-/// One region's deep check: instance rebuilt from the budgets, then
-/// re-solved with the **reference** engine; instance, layout and
-/// couplings must all match bitwise.
+/// The session's configuration with the preserved reference SINO engine.
+fn reference_config(state: &SessionState) -> GsinoConfig {
+    GsinoConfig {
+        sino_engine: SinoEngine::Reference,
+        ..state.config.clone()
+    }
+}
+
+/// One region's deep check: the Phase II stage re-derives the region from
+/// its occupants and the budgets, from scratch under `config`, the
+/// session's configuration with the **reference** engine; instance,
+/// layout and couplings must all match bitwise.
 fn check_solution(
     state: &SessionState,
+    config: &GsinoConfig,
     r: RegionIdx,
     dir: Dir,
-    sol: &crate::phase2::RegionSolution,
+    sol: &RegionSolution,
 ) -> Option<String> {
-    let rebuilt = match build_instance(
-        (r, dir),
-        sol.nets.clone(),
+    let regions = vec![((r, dir), sol.nets.clone())];
+    let never = CancelToken::never();
+    let reference = match sino_stage(
+        regions,
         &state.budgets0,
-        &state.config.sensitivity,
+        config,
+        Approach::Gsino,
+        None,
+        &never,
     ) {
-        Ok(inst) => inst,
+        Ok((sino, _)) => sino,
         Err(e) => {
             return Some(format!(
-                "instance rebuild failed at region {r} {dir:?}: {e}"
+                "reference re-solve failed at region {r} {dir:?}: {e}"
             ))
         }
     };
-    if rebuilt.instance != sol.instance {
-        return Some(format!("instance diverged at region {r} {dir:?}"));
-    }
-    let mut scratch = DeltaEval::new();
-    let (_, reference) = match solve_instance(
-        rebuilt,
-        state.config.solver,
-        RegionMode::Sino,
-        SinoEngine::Reference,
-        &mut scratch,
-    ) {
-        Ok(solved) => solved,
-        Err(e) => return Some(format!("reference solve failed at region {r} {dir:?}: {e}")),
+    // invariant: the stage returns a solution for every region it is given.
+    let reference = reference.solution(r, dir).expect("the listed region");
+    let part = if reference.instance != sol.instance {
+        "instance"
+    } else if reference.layout != sol.layout {
+        "layout"
+    } else if reference.k != sol.k {
+        "couplings"
+    } else {
+        return None;
     };
-    if reference.layout != sol.layout {
-        return Some(format!("layout diverged at region {r} {dir:?}"));
-    }
-    if reference.k != sol.k {
-        return Some(format!("couplings diverged at region {r} {dir:?}"));
-    }
-    None
+    Some(format!("{part} diverged at region {r} {dir:?}"))
 }

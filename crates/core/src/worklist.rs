@@ -48,8 +48,8 @@ where
     M: Fn() -> S + Sync,
     F: Fn(T, &mut S) -> Result<U> + Sync,
 {
-    let threads = resolve_threads(threads);
-    if threads <= 1 || items.len() < MIN_PARALLEL_ITEMS {
+    // Short lists run inline without asking the OS for its parallelism.
+    if items.len() < MIN_PARALLEL_ITEMS || resolve_threads(threads) <= 1 {
         let mut scratch = make_scratch();
         return items
             .into_iter()
@@ -58,7 +58,7 @@ where
     }
     let total = items.len();
     let mut out: Vec<Option<U>> = (0..total).map(|_| None).collect();
-    for done in drain_worklist(items, threads, make_scratch, f) {
+    for done in drain_worklist(items, resolve_threads(threads), make_scratch, f) {
         for (i, u) in done? {
             out[i] = Some(u);
         }

@@ -13,8 +13,9 @@ use crate::{GridError, Result};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
-/// Routing direction of a track or edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// Routing direction of a track or edge. Ordered `H` before `V`, so a
+/// `(region, dir)` key sorts region first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Dir {
     /// Horizontal (east–west) — consumes horizontal tracks.
     H,

@@ -43,7 +43,6 @@
 //! incremental-engine contracts shared across the workspace — lives in
 //! `ARCHITECTURE.md` at the repository root.
 
-pub mod ac;
 pub mod coupled;
 pub mod delay;
 pub mod mna;

@@ -7,11 +7,14 @@
 //! degraded replay whose result is bit-identical to a from-scratch run —
 //! never a panic, never a silently wrong answer.
 
-use gsino::core::budget::Budgets;
+use gsino::core::budget::{budgets_with_constraints, Budgets, LengthModel};
 use gsino::core::cancel::CancelToken;
-use gsino::core::phase2::RegionSino;
-use gsino::core::pipeline::{run_flow_with_artifacts, run_gsino, Approach, GsinoConfig};
+use gsino::core::phase2::{prepare_instances, solve_prepared, RegionMode, RegionSino};
+use gsino::core::pipeline::{
+    run_flow_with_artifacts, run_gsino, Approach, GsinoConfig, MAX_THREADS,
+};
 use gsino::core::refine::{RefineConfig, RefineStats};
+use gsino::core::service::{RoutingService, ServiceConfig};
 use gsino::core::session::{EcoEdit, EcoSession, FaultKind, FaultPlan, OracleConfig};
 use gsino::core::CoreError;
 use gsino::grid::{
@@ -237,6 +240,91 @@ fn assert_session_matches_scratch(session: &EcoSession) {
         outcome.violations,
         "violations diverged"
     );
+}
+
+#[test]
+fn thread_counts_above_the_ceiling_are_rejected_before_any_stage() {
+    // A wire `open` carries a whole `GsinoConfig`, so `threads` is remote
+    // input. Validation runs before any stage starts a worker, so none of
+    // these calls starts the threads the ceiling guards against.
+    let with_threads = |threads| GsinoConfig {
+        threads,
+        ..session_config()
+    };
+    assert!(with_threads(MAX_THREADS).validate().is_ok());
+    fn bad_config<T>(r: Result<T, CoreError>) -> bool {
+        matches!(r, Err(CoreError::BadConfig { .. }))
+    }
+    assert!(bad_config(with_threads(MAX_THREADS + 1).validate()));
+    assert!(bad_config(GsinoConfig::builder().threads(100_000).build()));
+    let circuit = session_circuit(6);
+    assert!(bad_config(run_gsino(&circuit, &with_threads(100_000))));
+    assert!(bad_config(EcoSession::new(
+        &circuit,
+        &with_threads(100_000)
+    )));
+    let service = RoutingService::new(ServiceConfig::default());
+    service
+        .open("huge", circuit, with_threads(100_000))
+        .unwrap();
+    assert!(bad_config(service.close("huge")));
+}
+
+#[test]
+fn session_phase1_commit_keeps_budget_moved_regions_warm() {
+    // An insensitive design: every coupling bound is zero, so any budget
+    // move in a region whose occupants stay is certified by
+    // `gsino_sino::warm`. The far-away net sends the transaction to the
+    // Phase I rung, and the tightened sink moves budgets there: the Phase
+    // II stage must keep those regions warm, and the oracle, re-solving
+    // every patched region, must agree.
+    let config = GsinoConfig {
+        sensitivity: SensitivityModel::new(0.0, 1),
+        ..session_config()
+    };
+    let oracle = OracleConfig {
+        patched_sample: 1.0,
+        ..OracleConfig::default()
+    };
+    let mut session = EcoSession::with_oracle(&session_circuit(20), &config, oracle).unwrap();
+    session.begin().unwrap();
+    let far = Net::two_pin(99, Point::new(600.0, 20.0), Point::new(630.0, 90.0));
+    session
+        .apply(EcoEdit::Circuit(CircuitEdit::AddNet { net: far }))
+        .unwrap();
+    session
+        .apply(EcoEdit::TightenVth {
+            net: 3,
+            sink: 0,
+            vth: 0.10,
+        })
+        .unwrap();
+    session.commit().unwrap();
+    let stats = session.stats();
+    assert_eq!(stats.phase1_replays, 1);
+    assert!(stats.warm_skips > 0, "the Phase I rung kept no region warm");
+    assert_eq!(stats.divergences, 0, "{:?}", session.last_divergence());
+    assert_session_matches_scratch(&session);
+    // Phase II from scratch on the session's routes: uniform budgets under
+    // the overrides, then a fresh solve of every region.
+    let (circuit, grid, routes) = (session.circuit(), session.grid(), session.routes());
+    let config = session.config();
+    let table = NoiseTable::calibrated(&config.tech);
+    let vth_of = |n, s| config.vth_for(n, s);
+    let budgets0 = budgets_with_constraints(
+        circuit,
+        grid,
+        routes,
+        &table,
+        &vth_of,
+        LengthModel::Manhattan,
+    )
+    .unwrap();
+    let work = prepare_instances(grid, routes, &budgets0, &config.sensitivity, 1).unwrap();
+    let sino0 =
+        solve_prepared(work, config.solver, RegionMode::Sino, 1, config.sino_engine).unwrap();
+    assert_eq!(session.budgets_pre_refine(), &budgets0);
+    assert_eq!(session.sino_pre_refine(), &sino0);
 }
 
 /// Injects one planned corruption, then commits an ordinary edit: the
