@@ -42,9 +42,8 @@
 //!              --pair BENCH_phase2.json=crates/bench/baseline/BENCH_phase2.json \
 //!              [--max-regress 0.15] [--summary-out summary.md]
 //!
-//! The legacy single-phase flags `--current X --baseline Y` are still
-//! accepted and equivalent to one `--pair X=Y`. `--summary-out` appends a
-//! phase-by-phase markdown table (suitable for `$GITHUB_STEP_SUMMARY`).
+//! `--summary-out` appends a phase-by-phase markdown table (suitable for
+//! `$GITHUB_STEP_SUMMARY`).
 
 use gsino_bench::report::{get, num, JsonDoc};
 use serde::Value;
@@ -159,8 +158,6 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut pairs = Vec::new();
-    let mut current = None;
-    let mut baseline = None;
     let mut max_regress = 0.15;
     let mut summary_out = None;
     let mut it = std::env::args().skip(1);
@@ -174,8 +171,6 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or_else(|| format!("--pair expects CURRENT=BASELINE, got `{v}`"))?;
                 pairs.push((cur.to_string(), base.to_string()));
             }
-            "--current" => current = Some(value("--current")?),
-            "--baseline" => baseline = Some(value("--baseline")?),
             "--summary-out" => summary_out = Some(value("--summary-out")?),
             "--max-regress" => {
                 max_regress = value("--max-regress")?
@@ -185,15 +180,8 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    match (current, baseline) {
-        (Some(c), Some(b)) => pairs.push((c, b)),
-        (None, None) => {}
-        _ => return Err("--current and --baseline must be given together".into()),
-    }
     if pairs.is_empty() {
-        return Err(
-            "at least one --pair CURRENT=BASELINE (or --current/--baseline) is required".into(),
-        );
+        return Err("at least one --pair CURRENT=BASELINE is required".into());
     }
     Ok(Args {
         pairs,

@@ -29,7 +29,8 @@ pub struct ExperimentConfig {
     pub circuits: Vec<CircuitSpec>,
     /// Master seed.
     pub seed: u64,
-    /// Phase II worker threads (0 = auto).
+    /// Worker threads for Phase II's region solves and refine pass 2's
+    /// region trials (0 = auto); passed to `GsinoConfig::threads`.
     pub threads: usize,
 }
 

@@ -62,9 +62,8 @@ impl Budgets {
         self.map.insert((net, region, dir), kth);
     }
 
-    /// Every entry of one net, sorted by `(region, dir)`: what the ECO
-    /// session's audit compares against [`net_budget_entries`]. Scans
-    /// every entry.
+    /// Every entry of one net, sorted by `(region, dir)`, in the shape
+    /// [`net_budget_entries`] returns. Scans every entry.
     pub fn net_entries(&self, net: NetId) -> Vec<BudgetEntry> {
         let mut out: Vec<_> = self
             .map

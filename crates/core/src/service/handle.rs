@@ -58,7 +58,7 @@ impl SessionHandle {
     ///   [`RoutingService::open`](super::RoutingService::open));
     /// * whatever the request itself produces.
     pub fn submit(&self, req: ServiceRequest) -> Result<ServiceResponse> {
-        self.submit_inner(req, None)
+        self.call(req, None)
     }
 
     /// [`Self::submit`] with an absolute deadline. The deadline covers the
@@ -73,7 +73,7 @@ impl SessionHandle {
     /// [`CoreError::Canceled`] once the deadline fires; otherwise as
     /// [`Self::submit`].
     pub fn submit_by(&self, req: ServiceRequest, deadline: Instant) -> Result<ServiceResponse> {
-        self.submit_inner(req, Some(deadline))
+        self.call(req, Some(deadline))
     }
 
     /// Commits `edits` as one transaction; convenience over
@@ -161,10 +161,13 @@ impl SessionHandle {
     pub fn quiesce(&self) -> Result<QuiesceGuard> {
         let (ack_tx, ack_rx) = mpsc::channel();
         let (resume_tx, resume_rx) = mpsc::channel();
-        self.enqueue(Envelope::Quiesce {
-            ack: ack_tx,
-            resume: resume_rx,
-        })?;
+        self.cell.push(
+            &self.pool,
+            Envelope::Quiesce {
+                ack: ack_tx,
+                resume: resume_rx,
+            },
+        )?;
         ack_rx.recv().map_err(|_| CoreError::SessionClosed {
             session: self.cell.name.clone(),
         })?;
@@ -173,41 +176,28 @@ impl SessionHandle {
         })
     }
 
-    fn submit_inner(
-        &self,
-        req: ServiceRequest,
-        deadline: Option<Instant>,
-    ) -> Result<ServiceResponse> {
-        if matches!(req, ServiceRequest::Open { .. }) {
-            return Err(CoreError::BadConfig {
-                reason: "ServiceRequest::Open is service-level: a handle is bound to an \
-                         already-open session (use RoutingService::open / submit)"
-                    .into(),
-            });
-        }
+    /// Submits one request and blocks on its one-shot reply channel.
+    fn call(&self, req: ServiceRequest, deadline: Option<Instant>) -> Result<ServiceResponse> {
         let (reply_tx, reply_rx) = mpsc::channel();
-        self.enqueue(Envelope::Request {
-            req,
-            reply: ReplyTo::Local(reply_tx),
-            deadline,
-            submitted: Instant::now(),
-        })?;
+        self.submit_to(req, deadline, ReplyTo::Local(reply_tx))?;
         reply_rx.recv().map_err(|_| CoreError::SessionClosed {
             session: self.cell.name.clone(),
         })?
     }
 
-    /// Submits a request whose outcome resolves on a shared, correlation-
-    /// id-tagged channel instead of a per-call one-shot — the network
-    /// front's entry point, letting one connection writer multiplex many
-    /// in-flight requests. Same admission control as [`Self::submit`];
-    /// the error (if any) is returned here, never sent on `tx`.
-    pub(crate) fn submit_tagged(
+    /// Admission control for one request whose outcome resolves on
+    /// `reply`: a per-call one-shot for [`Self::submit`], or the network
+    /// front's correlation-id-tagged channel, which lets one connection
+    /// writer multiplex many in-flight requests. A bounded push into the
+    /// session's queue ([`CoreError::Overloaded`] when full,
+    /// [`CoreError::SessionClosed`] when retired) that makes an idle
+    /// session runnable; the error, if any, is returned here and never
+    /// sent on `reply`.
+    pub(crate) fn submit_to(
         &self,
         req: ServiceRequest,
         deadline: Option<Instant>,
-        id: u64,
-        tx: Sender<(u64, Result<ServiceResponse>)>,
+        reply: ReplyTo,
     ) -> Result<()> {
         if matches!(req, ServiceRequest::Open { .. }) {
             return Err(CoreError::BadConfig {
@@ -216,22 +206,15 @@ impl SessionHandle {
                     .into(),
             });
         }
-        self.enqueue(Envelope::Request {
-            req,
-            reply: ReplyTo::Tagged { id, tx },
-            deadline,
-            submitted: Instant::now(),
-        })
-    }
-
-    /// Admission control: a bounded push into the session's run queue
-    /// ([`CoreError::Overloaded`] when full, [`CoreError::SessionClosed`]
-    /// when retired), then a scheduler notify so an idle session becomes
-    /// runnable (waking a parked pool worker if all were idle).
-    fn enqueue(&self, env: Envelope) -> Result<()> {
-        self.cell.push(env)?;
-        self.pool.notify(&self.cell);
-        Ok(())
+        self.cell.push(
+            &self.pool,
+            Envelope::Request {
+                req,
+                reply,
+                deadline,
+                submitted: Instant::now(),
+            },
+        )
     }
 }
 

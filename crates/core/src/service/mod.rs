@@ -17,17 +17,17 @@
 //!  ───────                ────────────────────        ───────────
 //!  handle.edit(…) ──push──▶ [req|req|req]──┐    ┌──▶ worker 0
 //!  handle.query() ─┐                       ├─sched─▶ worker 1
-//!                  └─ Full? ─▶ Err(Overloaded)  └──▶ …  (park when idle)
+//!                  └─ Full? ─▶ Err(Overloaded)  └──▶ …  (wait when idle)
 //! ```
 //!
-//! Sessions no longer own threads: a fixed pool of
+//! Sessions own no threads: a fixed pool of
 //! [`ServiceConfig::pool_threads`] workers executes *session slices* —
 //! one worker claims a runnable session, drains a bounded quantum of its
-//! queue, and requeues or parks it. One FIFO run queue of runnable
-//! sessions, with idle workers parked on a condvar, keeps thousands of
-//! mostly-idle sessions cheap: a quiet service burns ~zero CPU. See
-//! [`scheduler`](self) internals for the pinning state machine;
-//! [`StatsReport::pool`] exposes the live gauges.
+//! queue, and re-queues it if work is left. A push to an idle session
+//! queues it on one FIFO run queue of runnable sessions; idle workers
+//! wait on a condvar, so thousands of mostly-idle sessions stay cheap
+//! and a quiet service burns ~zero CPU. [`StatsReport::pool`] exposes
+//! the live gauges.
 //!
 //! * **FIFO per session** — a *session-pinning* rule guarantees at most
 //!   one worker executes a given session's envelopes at a time, and only
@@ -164,7 +164,7 @@ pub struct RoutingService {
 
 impl RoutingService {
     /// An empty service with the given capacity limits. Spawns the worker
-    /// pool immediately (the threads park until sessions arrive).
+    /// pool immediately (the threads wait until sessions arrive).
     ///
     /// # Panics
     ///
@@ -236,7 +236,9 @@ impl RoutingService {
                     capacity: self.config.max_sessions,
                 });
             }
-            let cell = SessionCell::new(
+            // The build is the session's first slice: the new cell goes
+            // straight onto the run queue.
+            let cell = self.pool.shared.open(
                 name.to_string(),
                 self.config.mailbox_capacity,
                 Body::Unbuilt {
@@ -247,9 +249,6 @@ impl RoutingService {
             sessions.insert(name.to_string(), Arc::clone(&cell));
             cell
         };
-        // Kick the build off eagerly rather than waiting for the first
-        // request to schedule the session.
-        self.pool.shared.notify(&cell);
         Ok(SessionHandle::new(cell, Arc::clone(&self.pool.shared)))
     }
 
@@ -336,9 +335,7 @@ impl RoutingService {
     /// (handle-level Close, build failure), the completion slot is
     /// already filled and this returns immediately.
     fn retire_cell(&self, cell: &Arc<SessionCell>) -> Result<EcoSession> {
-        if cell.push_close(scheduler::close_envelope()) {
-            self.pool.shared.notify(cell);
-        }
+        cell.push_close(&self.pool.shared);
         cell.wait_done()
     }
 
@@ -351,13 +348,9 @@ impl RoutingService {
 
 impl Drop for RoutingService {
     fn drop(&mut self) {
-        let cells: Vec<(String, Arc<SessionCell>)> =
-            std::mem::take(&mut *self.lock()).into_iter().collect();
-        for (_name, cell) in cells {
-            if cell.push_close(scheduler::close_envelope()) {
-                self.pool.shared.notify(&cell);
-            }
-            let _ = cell.wait_done();
+        let cells = std::mem::take(&mut *self.lock());
+        for cell in cells.values() {
+            let _ = self.retire_cell(cell);
         }
         // The Pool field drops after this body: it flags shutdown and
         // joins the workers, which exit once no runnable work remains —
@@ -497,14 +490,16 @@ mod tests {
     ) -> mpsc::Receiver<Result<ServiceResponse>> {
         let cell = Arc::clone(service.lock().get(name).unwrap());
         let (reply_tx, reply_rx) = mpsc::channel();
-        cell.push(Envelope::Request {
-            req: ServiceRequest::Edit(edits),
-            reply: ReplyTo::Local(reply_tx),
-            deadline,
-            submitted: Instant::now(),
-        })
+        cell.push(
+            &service.pool.shared,
+            Envelope::Request {
+                req: ServiceRequest::Edit(edits),
+                reply: ReplyTo::Local(reply_tx),
+                deadline,
+                submitted: Instant::now(),
+            },
+        )
         .unwrap();
-        service.pool.shared.notify(&cell);
         reply_rx
     }
 

@@ -34,6 +34,7 @@
 //! connection's read side (clients see the drain described above), joins
 //! every thread, and leaves the [`RoutingService`] itself running.
 
+use super::super::protocol::ReplyTo;
 use super::super::{RoutingService, ServiceRequest, ServiceResponse};
 use super::frame::{read_frame, write_frame, FrameError, MAX_FRAME};
 use super::stream::Stream;
@@ -399,10 +400,13 @@ fn dispatch_frame(
         // channel, so the reader is free immediately and responses may
         // complete out of submission order.
         other => {
-            let submitted = shared
-                .service
-                .handle(&session)
-                .and_then(|h| h.submit_tagged(other, deadline, id, out_tx.clone()));
+            let submitted = shared.service.handle(&session).and_then(|h| {
+                let reply = ReplyTo::Tagged {
+                    id,
+                    tx: out_tx.clone(),
+                };
+                h.submit_to(other, deadline, reply)
+            });
             if let Err(e) = submitted {
                 let _ = out_tx.send((id, Err(e)));
             }

@@ -1,5 +1,5 @@
 //! The typed request/response vocabulary of the routing service, plus the
-//! internal mailbox envelope that carries a request to its session worker.
+//! internal envelope that carries a request through its session's queue.
 
 use crate::pipeline::GsinoConfig;
 use crate::session::{EcoEdit, EditClass, SessionStats};
@@ -13,17 +13,18 @@ use std::time::Instant;
 /// session — the service's entire public verb set.
 ///
 /// [`ServiceRequest::Open`] and [`ServiceRequest::Close`] are
-/// service-level (they create or retire the session worker itself) and
-/// are routed by [`RoutingService::submit`](super::RoutingService::submit);
-/// the rest travel through the session's bounded mailbox and execute on
-/// its worker thread in FIFO order.
+/// service-level (they create or retire the session itself) and are
+/// routed by [`RoutingService::submit`](super::RoutingService::submit);
+/// the rest travel through the session's bounded queue and execute in
+/// FIFO order on whichever pool worker serves the session.
 #[derive(Debug, Clone)]
 pub enum ServiceRequest {
     /// Route `circuit` from scratch under `config` and serve the result as
-    /// a named session. The flow runs **on the new worker thread**, so
-    /// opening returns immediately and concurrent opens build in parallel;
-    /// requests submitted before the build finishes simply wait in the
-    /// mailbox. If the build fails, every queued and subsequent request is
+    /// a named session. The flow runs **as the session's first slice on
+    /// the worker pool**, so opening returns immediately and concurrent
+    /// opens build in parallel (up to the pool size); requests submitted
+    /// before the build finishes simply wait in the session's queue. If
+    /// the build fails, every queued and subsequent request is
     /// answered with the build error (or [`CoreError::SessionClosed`]),
     /// and closing the session surfaces it.
     ///
@@ -51,7 +52,7 @@ pub enum ServiceRequest {
     /// recovering by degraded replay if anything diverged.
     Verify,
     /// Drain nothing further: reply with final stats and retire the
-    /// worker. The underlying [`EcoSession`](crate::session::EcoSession)
+    /// session. The underlying [`EcoSession`](crate::session::EcoSession)
     /// is returned by [`RoutingService::close`](super::RoutingService::close).
     Close,
 }
@@ -77,7 +78,7 @@ pub enum ServiceResponse {
         /// degraded replay).
         clean: bool,
     },
-    /// [`ServiceRequest::Close`] honoured; the worker has retired.
+    /// [`ServiceRequest::Close`] honoured; the session has retired.
     Closed {
         /// The session name.
         session: String,
@@ -174,8 +175,10 @@ pub struct PoolStats {
     /// per-worker deques to steal from; the field stays so existing
     /// clients and reports that read it keep parsing.
     pub steals: u64,
-    /// Lifetime count of idle-worker parks (a quiet pool parks all its
-    /// workers and burns ~zero CPU until the next submission).
+    /// Lifetime count of idle waits: each time a pool worker found the
+    /// run queue empty and waited for a session to become runnable (a
+    /// quiet pool has every worker waiting and burns ~zero CPU until the
+    /// next submission).
     pub parks: u64,
     /// Sessions currently in the pool run queue, excluding the one
     /// serving this request.
@@ -196,7 +199,7 @@ pub struct PoolStats {
 pub struct WorkerGauge {
     /// Session slices this worker has executed.
     pub tasks: u64,
-    /// Milliseconds spent executing slices (vs. parked or scanning).
+    /// Milliseconds spent executing slices (vs. waiting for work).
     pub busy_ms: f64,
 }
 

@@ -1,56 +1,54 @@
 //! The shared worker pool and its FIFO run queue.
 //!
-//! PR 7's execution model gave every session a dedicated OS thread; this
-//! module replaces it with a **fixed pool** of workers that thousands of
-//! mostly-idle sessions share. The unit of scheduling is a *session
-//! slice*: one worker claims a runnable [`SessionCell`], drains up to
-//! [`QUANTUM`] envelopes from its run queue through the unchanged
-//! session-task logic in [`super::worker`], and either parks the session
-//! (queue empty) or requeues it (quantum expired / new work arrived).
+//! Every session is a [`SessionCell`] that a fixed pool of workers
+//! serves in *slices*: one worker claims a runnable cell, drains up to
+//! [`QUANTUM`] envelopes from its queue through the session-task logic in
+//! [`super::worker`], and then either puts it back on the run queue (work
+//! left) or lets it go idle (queue empty).
 //!
 //! # Topology
 //!
 //! ```text
-//!   handles ──push──▶ per-session run queue (bounded, FIFO)
-//!                     │ notify: Idle → Scheduled
+//!   handles ──push──▶ per-session queue (bounded, FIFO)
+//!                     │ first push to an idle cell queues it
 //!                     ▼
-//!   pool run queue (FIFO) ◀──new, yielded and dirtied sessions (back)
+//!   pool run queue (FIFO) ◀──new sessions, and served ones with work left (back)
 //!                     │ pop front
 //!                     ▼
-//!   workers 0..pool_threads   (park on a condvar when idle)
+//!   workers 0..pool_threads   (wait on a condvar when idle)
 //! ```
 //!
 //! # Invariants
 //!
 //! * **Session pinning** — a session's envelopes execute on at most one
-//!   worker at a time. The [`SessionCell`] state machine (`Idle` /
-//!   `Scheduled` / `Running` / `Notified`) guarantees a cell is never in
-//!   two run queues and never claimed twice: work arriving while the
-//!   session runs only flips `Running → Notified`, and the finishing
-//!   worker requeues exactly once. A redundant `running_guard` counter
-//!   cross-checks the property at runtime ([`PoolStats::pinning_violations`]).
+//!   worker at a time. Each cell's queue lock also guards a `scheduled`
+//!   flag, set while the cell is on the run queue or being served. Only
+//!   the push that finds the flag clear queues the cell, so a cell is
+//!   never queued twice and never claimed twice; the worker that ends a
+//!   slice either re-queues it (queue non-empty) or clears the flag. A
+//!   redundant `running_guard` counter cross-checks the property at
+//!   runtime ([`PoolStats::pinning_violations`]).
 //! * **FIFO per session** — only the pinned worker pops the session's
-//!   run queue, so requests execute in submission order exactly as the
-//!   dedicated threads did, and same-[`EditClass`](crate::session::EditClass)
-//!   coalescing drains see the identical envelope sequence. Outputs are
-//!   therefore bit-identical to the thread-per-session baseline at any
-//!   pool size.
-//! * **Quiet pool burns ~zero CPU** — a worker that finds no task parks
-//!   on a condvar keyed by a wake epoch (the epoch is read *before*
-//!   scanning the queue, so a push between scan and park always bumps
-//!   it and the park returns immediately: no lost wakeups).
-//! * **Fairness** — every requeued session, whether its quantum expired
-//!   or work arrived while it ran, goes to the back of the one run queue
-//!   and waits behind every session already queued, so a hot session
-//!   cannot starve the cold ones.
+//!   queue, so requests execute in submission order, and
+//!   same-[`EditClass`](crate::session::EditClass) coalescing drains see
+//!   the same envelope sequence at any pool size. Outputs are therefore
+//!   bit-identical for every pool size.
+//! * **No lost wakeups** — an idle worker checks the run queue and the
+//!   shutdown flag under the run-queue lock and waits on a condvar
+//!   paired with it; each queued cell wakes one waiter and shutdown
+//!   wakes them all. A quiet pool burns ~zero CPU.
+//! * **Fairness** — a session that ends a slice with work left, whether
+//!   its quantum ran out or work arrived while it ran, goes to the back
+//!   of the one run queue, behind every session already queued, so a hot
+//!   session cannot starve the cold ones.
 
 use super::protocol::{Envelope, PoolStats, ReplyTo, WorkerGauge};
-use super::worker::{self, Body, SliceOutcome};
+use super::worker::{self, Body};
 use crate::session::EcoSession;
 use crate::{CoreError, Result};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -60,33 +58,23 @@ use std::time::Instant;
 /// quantum's worth of drained envelopes per claim.
 pub(crate) const QUANTUM: usize = 16;
 
-/// Session scheduling states (the pinning state machine).
-mod state {
-    /// Not queued, not running; the next notify schedules it.
-    pub const IDLE: u8 = 0;
-    /// In the pool run queue, awaiting a claim.
-    pub const SCHEDULED: u8 = 1;
-    /// A worker is executing its slice.
-    pub const RUNNING: u8 = 2;
-    /// Running, and work arrived meanwhile — requeue on completion.
-    pub const NOTIFIED: u8 = 3;
-}
-
-/// The run queue plus the retirement latch, guarded together so an
-/// enqueue can never slip past the retirement drain.
+/// A session's queue plus its scheduling flag and retirement latch,
+/// guarded together so an enqueue can never slip past the retirement
+/// drain or past the check that ends a slice.
 struct QueueState {
     q: VecDeque<Envelope>,
+    /// On the pool run queue or being served by a worker.
+    scheduled: bool,
     retired: bool,
 }
 
-/// One session's scheduling identity: its bounded run queue, the pinning
-/// state machine, the (scheduler-opaque) session body, and the
-/// completion slot its retirement fills.
+/// One session's scheduling identity: its bounded queue, the
+/// (scheduler-opaque) session body, and the completion slot its
+/// retirement fills.
 pub(crate) struct SessionCell {
     pub(crate) name: String,
     pub(crate) capacity: usize,
     queue: Mutex<QueueState>,
-    state: AtomicU8,
     /// Redundant runtime cross-check of the pinning invariant; see
     /// [`PoolStats::pinning_violations`].
     running_guard: AtomicU32,
@@ -99,60 +87,58 @@ pub(crate) struct SessionCell {
 }
 
 impl SessionCell {
-    pub(crate) fn new(name: String, capacity: usize, body: Body) -> Arc<Self> {
-        Arc::new(SessionCell {
-            name,
-            capacity,
-            queue: Mutex::new(QueueState {
-                q: VecDeque::new(),
-                retired: false,
-            }),
-            state: AtomicU8::new(state::IDLE),
-            running_guard: AtomicU32::new(0),
-            body: Mutex::new(body),
-            done: Mutex::new(None),
-            done_cv: Condvar::new(),
-        })
-    }
-
     fn lock_queue(&self) -> MutexGuard<'_, QueueState> {
-        self.queue
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Admission-controlled enqueue: a full run queue answers
+    /// Admission-controlled enqueue: a full queue answers
     /// [`CoreError::Overloaded`], a retired session
-    /// [`CoreError::SessionClosed`]. The caller must follow a successful
-    /// push with [`PoolShared::notify`] to make the work visible.
-    pub(crate) fn push(&self, env: Envelope) -> Result<()> {
+    /// [`CoreError::SessionClosed`]. Queues an idle cell on the pool.
+    pub(crate) fn push(self: &Arc<Self>, pool: &PoolShared, env: Envelope) -> Result<()> {
+        self.admit(pool, env, self.capacity)
+    }
+
+    /// Enqueues a close **behind** everything pending, bypassing the
+    /// capacity bound (close must never be bounced by a momentarily full
+    /// queue). No-op on an already-retired session. Its reply goes to a
+    /// throwaway channel: the completion slot, not the response, carries
+    /// the retired session.
+    pub(crate) fn push_close(self: &Arc<Self>, pool: &PoolShared) {
+        let (reply_tx, _reply_rx) = std::sync::mpsc::channel();
+        let close = Envelope::Request {
+            req: super::protocol::ServiceRequest::Close,
+            reply: ReplyTo::Local(reply_tx),
+            deadline: None,
+            submitted: Instant::now(),
+        };
+        // A retired cell answers SessionClosed: there is nothing to close.
+        let _ = self.admit(pool, close, usize::MAX);
+    }
+
+    /// Appends `env` if the session is live and fewer than `bound`
+    /// envelopes wait, then puts the cell on the run queue if it was
+    /// idle — the only way, apart from [`PoolShared::open`], that a cell
+    /// becomes runnable.
+    fn admit(self: &Arc<Self>, pool: &PoolShared, env: Envelope, bound: usize) -> Result<()> {
         let mut qs = self.lock_queue();
         if qs.retired {
             return Err(CoreError::SessionClosed {
                 session: self.name.clone(),
             });
         }
-        if qs.q.len() >= self.capacity {
+        if qs.q.len() >= bound {
             return Err(CoreError::Overloaded {
                 session: self.name.clone(),
                 capacity: self.capacity,
             });
         }
         qs.q.push_back(env);
-        Ok(())
-    }
-
-    /// Enqueues a close **behind** everything pending, bypassing the
-    /// capacity bound (close must never be bounced by a momentarily full
-    /// queue). No-op on an already-retired session. Returns whether the
-    /// envelope was enqueued.
-    pub(crate) fn push_close(&self, env: Envelope) -> bool {
-        let mut qs = self.lock_queue();
-        if qs.retired {
-            return false;
+        let idle = !std::mem::replace(&mut qs.scheduled, true);
+        drop(qs);
+        if idle {
+            pool.enqueue(Arc::clone(self));
         }
-        qs.q.push_back(env);
-        true
+        Ok(())
     }
 
     /// Pops the next envelope in FIFO order (pinned worker only).
@@ -177,7 +163,8 @@ impl SessionCell {
     /// admitted, answers everything still queued with `answer` (the
     /// build error for a failed open, [`CoreError::SessionClosed`]
     /// otherwise), and fills the completion slot (waking
-    /// [`Self::wait_done`]). Called by the pinned worker.
+    /// [`Self::wait_done`]). Called by the pinned worker. The queue is
+    /// left empty, so the slice's end never re-queues a retired cell.
     pub(crate) fn retire(&self, outcome: Result<EcoSession>, answer: &CoreError) {
         let drained: Vec<Envelope> = {
             let mut qs = self.lock_queue();
@@ -191,10 +178,7 @@ impl SessionCell {
             // A queued Quiesce's ack sender drops, unblocking its caller
             // with the documented SessionClosed.
         }
-        let mut slot = self
-            .done
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut slot = self.done.lock().unwrap_or_else(PoisonError::into_inner);
         *slot = Some(outcome);
         self.done_cv.notify_all();
     }
@@ -204,10 +188,7 @@ impl SessionCell {
     /// removes the cell from its table before retiring, so exactly one
     /// caller can reach this.
     pub(crate) fn wait_done(&self) -> Result<EcoSession> {
-        let mut slot = self
-            .done
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut slot = self.done.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(outcome) = slot.take() {
                 return outcome;
@@ -215,20 +196,24 @@ impl SessionCell {
             slot = self
                 .done_cv
                 .wait(slot)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
+}
+
+/// The runnable sessions, claimed from the front, plus the shutdown
+/// flag idle workers check before waiting.
+struct RunQueue {
+    cells: VecDeque<Arc<SessionCell>>,
+    shutdown: bool,
 }
 
 /// State shared by every pool worker, the handles, and the service.
 pub(crate) struct PoolShared {
     pub(crate) pool_threads: usize,
-    /// Runnable sessions, claimed from the front.
-    run_queue: Mutex<VecDeque<Arc<SessionCell>>>,
-    /// Wake epoch: bumped on every push, waited on by idle workers.
-    park_lot: Mutex<u64>,
-    park_cv: Condvar,
-    shutdown: AtomicBool,
+    run_queue: Mutex<RunQueue>,
+    /// Signalled once per queued cell, and for every worker at shutdown.
+    runnable: Condvar,
     started: Instant,
     // Monotone gauges.
     parks: AtomicU64,
@@ -238,94 +223,87 @@ pub(crate) struct PoolShared {
 }
 
 impl PoolShared {
-    /// Makes freshly pushed envelopes visible to the pool: schedules the
-    /// cell if it is idle, or marks a running slice dirty so its worker
-    /// requeues it. Safe to call redundantly.
-    pub(crate) fn notify(&self, cell: &Arc<SessionCell>) {
-        loop {
-            match cell.state.load(Ordering::Acquire) {
-                state::IDLE => {
-                    if cell
-                        .state
-                        .compare_exchange(
-                            state::IDLE,
-                            state::SCHEDULED,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                    {
-                        self.enqueue(Arc::clone(cell));
-                        return;
-                    }
-                }
-                state::RUNNING => {
-                    if cell
-                        .state
-                        .compare_exchange(
-                            state::RUNNING,
-                            state::NOTIFIED,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                    {
-                        return;
-                    }
-                }
-                // Already queued (SCHEDULED) or already marked dirty
-                // (NOTIFIED): the work will be seen.
-                _ => return,
-            }
+    fn new(pool_threads: usize) -> Self {
+        PoolShared {
+            pool_threads,
+            run_queue: Mutex::new(RunQueue {
+                cells: VecDeque::new(),
+                shutdown: false,
+            }),
+            runnable: Condvar::new(),
+            started: Instant::now(),
+            parks: AtomicU64::new(0),
+            pinning_violations: AtomicU64::new(0),
+            worker_tasks: (0..pool_threads).map(|_| AtomicU64::new(0)).collect(),
+            worker_busy_ns: (0..pool_threads).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
-    fn lock_run_queue(&self) -> MutexGuard<'_, VecDeque<Arc<SessionCell>>> {
+    /// A new session cell, already on the run queue: its from-scratch
+    /// build is the session's first slice, so it starts scheduled.
+    pub(crate) fn open(&self, name: String, capacity: usize, body: Body) -> Arc<SessionCell> {
+        let cell = Arc::new(SessionCell {
+            name,
+            capacity,
+            queue: Mutex::new(QueueState {
+                q: VecDeque::new(),
+                scheduled: true,
+                retired: false,
+            }),
+            running_guard: AtomicU32::new(0),
+            body: Mutex::new(body),
+            done: Mutex::new(None),
+            done_cv: Condvar::new(),
+        });
+        self.enqueue(Arc::clone(&cell));
+        cell
+    }
+
+    fn lock_run_queue(&self) -> MutexGuard<'_, RunQueue> {
         self.run_queue
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Pushes a session to the back of the run queue and wakes the
-    /// parked workers.
+    /// Pushes a scheduled cell to the back of the run queue and wakes
+    /// one idle worker.
     fn enqueue(&self, cell: Arc<SessionCell>) {
-        self.lock_run_queue().push_back(cell);
-        self.wake();
+        self.lock_run_queue().cells.push_back(cell);
+        self.runnable.notify_one();
     }
 
-    fn wake(&self) {
-        let mut epoch = self
-            .park_lot
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *epoch = epoch.wrapping_add(1);
-        self.park_cv.notify_all();
-    }
-
-    fn epoch(&self) -> u64 {
-        *self
-            .park_lot
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Parks until the wake epoch moves past `seen` (or shutdown). A
-    /// push between the caller's queue scan and this wait bumped the
-    /// epoch already, so the wait returns immediately — no lost wakeup.
-    fn park(&self, seen: u64) {
-        let mut epoch = self
-            .park_lot
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if *epoch != seen || self.shutdown.load(Ordering::Acquire) {
-            return;
+    /// Claims the session at the front of the run queue, waiting while
+    /// it is empty; `None` once shutdown is flagged and nothing is
+    /// runnable (shutdown drains the run queue rather than abandoning
+    /// scheduled sessions).
+    fn claim(&self) -> Option<Arc<SessionCell>> {
+        let mut rq = self.lock_run_queue();
+        loop {
+            if let Some(cell) = rq.cells.pop_front() {
+                return Some(cell);
+            }
+            if rq.shutdown {
+                return None;
+            }
+            self.parks.fetch_add(1, Ordering::Relaxed);
+            rq = self
+                .runnable
+                .wait(rq)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-        self.parks.fetch_add(1, Ordering::Relaxed);
-        while *epoch == seen && !self.shutdown.load(Ordering::Acquire) {
-            epoch = self
-                .park_cv
-                .wait(epoch)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+    }
+
+    /// Ends a served slice: the cell goes to the back of the run queue
+    /// if envelopes are left, and goes idle otherwise (a retired cell's
+    /// queue is always empty).
+    fn end_slice(&self, cell: Arc<SessionCell>) {
+        let requeue = {
+            let mut qs = cell.lock_queue();
+            qs.scheduled = !qs.q.is_empty();
+            qs.scheduled
+        };
+        if requeue {
+            self.enqueue(cell);
         }
     }
 
@@ -335,7 +313,7 @@ impl PoolShared {
             pool_threads: self.pool_threads,
             steals: 0,
             parks: self.parks.load(Ordering::Relaxed),
-            runnable_sessions: self.lock_run_queue().len(),
+            runnable_sessions: self.lock_run_queue().cells.len(),
             pinning_violations: self.pinning_violations.load(Ordering::Relaxed),
             uptime_ms: self.started.elapsed().as_secs_f64() * 1e3,
             workers: (0..self.pool_threads)
@@ -363,25 +341,17 @@ impl Pool {
     /// the service's entire execution substrate, so a service that
     /// cannot spawn it cannot serve anything.
     pub(crate) fn new(pool_threads: usize) -> Pool {
-        let n = pool_threads.max(1);
-        let shared = Arc::new(PoolShared {
-            pool_threads: n,
-            run_queue: Mutex::new(VecDeque::new()),
-            park_lot: Mutex::new(0),
-            park_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            started: Instant::now(),
-            parks: AtomicU64::new(0),
-            pinning_violations: AtomicU64::new(0),
-            worker_tasks: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            worker_busy_ns: (0..n).map(|_| AtomicU64::new(0)).collect(),
-        });
-        let threads = (0..n)
+        let shared = Arc::new(PoolShared::new(pool_threads.max(1)));
+        let threads = (0..shared.pool_threads)
             .map(|w| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("gsino-pool-{w}"))
-                    .spawn(move || worker_main(&shared, w))
+                    .spawn(move || {
+                        while let Some(cell) = shared.claim() {
+                            run_cell(&shared, w, cell);
+                        }
+                    })
                     .expect("failed to spawn pool worker thread")
             })
             .collect();
@@ -391,94 +361,83 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.wake();
+        self.shared.lock_run_queue().shutdown = true;
+        self.shared.runnable.notify_all();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
     }
 }
 
-/// One pool worker's main loop: claim → run slice → requeue/park, until
-/// shutdown *and* no runnable work remains (shutdown drains the run
-/// queue clean rather than abandoning scheduled sessions).
-fn worker_main(shared: &Arc<PoolShared>, worker: usize) {
-    loop {
-        // Epoch before the scan: any push after this point bumps it,
-        // so the park below cannot sleep through it.
-        let seen = shared.epoch();
-        // Bound before the match so the queue lock is released before
-        // the slice runs (the slice may requeue into this same queue).
-        let claimed = shared.lock_run_queue().pop_front();
-        match claimed {
-            Some(cell) => run_cell(shared, worker, cell),
-            None => {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                shared.park(seen);
-            }
-        }
-    }
-}
-
-/// Executes one claimed session slice and settles the cell's state:
-/// requeue on yield/dirty, idle on drained, nothing further on retired.
-fn run_cell(shared: &Arc<PoolShared>, worker: usize, cell: Arc<SessionCell>) {
-    cell.state.store(state::RUNNING, Ordering::Release);
+/// Executes one claimed session slice on `worker`, then ends it.
+fn run_cell(shared: &PoolShared, worker: usize, cell: Arc<SessionCell>) {
     if cell.running_guard.fetch_add(1, Ordering::SeqCst) != 0 {
         shared.pinning_violations.fetch_add(1, Ordering::Relaxed);
     }
     let t0 = Instant::now();
-    let outcome = worker::run_slice(&cell, shared);
+    worker::run_slice(&cell, shared);
     shared.worker_busy_ns[worker].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     shared.worker_tasks[worker].fetch_add(1, Ordering::Relaxed);
     cell.running_guard.fetch_sub(1, Ordering::SeqCst);
-    match outcome {
-        SliceOutcome::Yield => {
-            // Quantum expired with work left: back of the run queue,
-            // behind every other waiting session.
-            cell.state.store(state::SCHEDULED, Ordering::Release);
-            shared.enqueue(cell);
-        }
-        SliceOutcome::Retired => {
-            // No requeue ever: push() rejects on the retired latch, so
-            // notify() can no longer schedule this cell.
-            cell.state.store(state::IDLE, Ordering::Release);
-        }
-        SliceOutcome::Drained => loop {
-            match cell.state.compare_exchange(
-                state::RUNNING,
-                state::IDLE,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break,
-                Err(_) => {
-                    // NOTIFIED: work arrived during the slice. The drain
-                    // may already have consumed it — requeue only if the
-                    // queue is really non-empty.
-                    cell.state.store(state::RUNNING, Ordering::Release);
-                    if cell.depth() > 0 {
-                        cell.state.store(state::SCHEDULED, Ordering::Release);
-                        shared.enqueue(cell);
-                        break;
-                    }
-                }
-            }
-        },
-    }
+    shared.end_slice(cell);
 }
 
-/// Builds the close envelope the service-level retire path enqueues
-/// (its reply goes to a throwaway channel — the completion slot, not the
-/// response, carries the retired session).
-pub(crate) fn close_envelope() -> Envelope {
-    let (reply_tx, _reply_rx) = std::sync::mpsc::channel();
-    Envelope::Request {
-        req: super::protocol::ServiceRequest::Close,
-        reply: ReplyTo::Local(reply_tx),
-        deadline: None,
-        submitted: Instant::now(),
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::ServiceRequest;
+
+    fn query() -> Envelope {
+        let (reply_tx, _reply_rx) = std::sync::mpsc::channel();
+        Envelope::Request {
+            req: ServiceRequest::Query,
+            reply: ReplyTo::Local(reply_tx),
+            deadline: None,
+            submitted: Instant::now(),
+        }
+    }
+
+    /// The scheduling invariant, step by step on a pool with no workers:
+    /// the test claims and ends slices by hand, so every run-queue length
+    /// below is exact rather than a race outcome.
+    #[test]
+    fn a_cell_is_queued_once_and_only_by_a_push_or_its_open() {
+        let pool = PoolShared::new(1);
+        let runnable = |pool: &PoolShared| pool.stats().runnable_sessions;
+        let cell = pool.open("s".into(), 8, Body::Retired);
+        assert_eq!(runnable(&pool), 1, "open queues the new cell");
+        cell.push(&pool, query()).unwrap();
+        assert_eq!(runnable(&pool), 1, "a push to a queued cell adds nothing");
+
+        let claimed = pool.claim().expect("the opened cell");
+        assert!(Arc::ptr_eq(&claimed, &cell));
+        cell.push(&pool, query()).unwrap();
+        assert_eq!(runnable(&pool), 0, "a push while claimed queues nothing");
+
+        pool.end_slice(Arc::clone(&claimed));
+        assert_eq!(runnable(&pool), 1, "work left: re-queued once");
+        let claimed = pool.claim().unwrap();
+        while cell.pop().is_some() {}
+        pool.end_slice(claimed);
+        assert_eq!(runnable(&pool), 0, "drained: idle");
+        assert!(!cell.lock_queue().scheduled);
+
+        cell.push(&pool, query()).unwrap();
+        assert_eq!(runnable(&pool), 1, "the next push queues it again");
+        let claimed = pool.claim().unwrap();
+        cell.retire(
+            Err(CoreError::Canceled { phase: "test" }),
+            &CoreError::SessionClosed {
+                session: "s".into(),
+            },
+        );
+        pool.end_slice(claimed);
+        assert!(matches!(
+            cell.push(&pool, query()),
+            Err(CoreError::SessionClosed { .. })
+        ));
+        cell.push_close(&pool);
+        assert_eq!(runnable(&pool), 0, "a retired cell is never re-queued");
+        assert_eq!(cell.depth(), 0);
     }
 }

@@ -1,8 +1,7 @@
 //! The session task: the slice of session-serving logic a pool worker
 //! executes when it claims a runnable [`SessionCell`]. Drains the
-//! session's run queue in FIFO order, coalescing compatible edit
-//! requests into shared transactional replays — exactly the semantics
-//! the PR 7 dedicated threads had, now schedulable on the shared pool.
+//! session's queue in FIFO order, coalescing compatible edit requests
+//! into shared transactional replays.
 
 use super::protocol::{
     Envelope, LatencySummary, ReplyTo, ServiceRequest, ServiceResponse, StatsReport,
@@ -48,16 +47,6 @@ pub(crate) struct LiveBody {
     canceled_in_queue: u64,
 }
 
-/// What a finished slice tells the scheduler.
-pub(crate) enum SliceOutcome {
-    /// The run queue is empty (modulo races the scheduler re-checks).
-    Drained,
-    /// The quantum expired with envelopes still queued — requeue.
-    Yield,
-    /// The session retired; never reschedule this cell.
-    Retired,
-}
-
 /// A bounded window of latency samples with a cumulative count — the
 /// source of one [`LatencySummary`].
 struct SampleRing {
@@ -95,14 +84,16 @@ impl SampleRing {
 }
 
 /// Executes one slice: builds the session if this is the cell's first
-/// claim, then serves up to [`QUANTUM`] envelopes from the run queue.
+/// claim, then serves up to [`QUANTUM`] envelopes from its queue, until
+/// the queue is empty or the session retires. Whether the cell runs
+/// again is the scheduler's call, made from the queue length alone.
 ///
 /// Invariant: the slice never leaves an open transaction behind — every
 /// edit batch ends in `commit_with` (which consumes the transaction on
 /// success *and* failure) or an explicit rollback — so
 /// `in_transaction()` is `false` at every envelope boundary and a
 /// session can migrate between workers at any slice boundary.
-pub(crate) fn run_slice(cell: &SessionCell, pool: &PoolShared) -> SliceOutcome {
+pub(crate) fn run_slice(cell: &SessionCell, pool: &PoolShared) {
     let mut body = cell
         .body
         .lock()
@@ -125,7 +116,7 @@ pub(crate) fn run_slice(cell: &SessionCell, pool: &PoolShared) -> SliceOutcome {
                 // error; later submitters observe SessionClosed (the
                 // retired latch), and close() surfaces the error.
                 cell.retire(Err(e.clone()), &e);
-                return SliceOutcome::Retired;
+                return;
             }
         }
     }
@@ -138,24 +129,20 @@ pub(crate) fn run_slice(cell: &SessionCell, pool: &PoolShared) -> SliceOutcome {
         // whole body out of the cell.
         let live = match &mut *body {
             Body::Live(live) => live,
-            // Defensive: a stale wakeup on a retired cell (its queue is
-            // empty — retirement latches before draining).
-            Body::Retired => return SliceOutcome::Drained,
+            // Defensive: a retired cell's queue is empty and no push
+            // can queue it again, so no slice should reach this.
+            Body::Retired => return,
             Body::Unbuilt { .. } => unreachable!("built above"),
         };
         let env = match carry.take() {
             Some(env) => env,
             None => {
                 if processed >= QUANTUM {
-                    return if cell.depth() > 0 {
-                        SliceOutcome::Yield
-                    } else {
-                        SliceOutcome::Drained
-                    };
+                    return;
                 }
                 match cell.pop() {
                     Some(env) => env,
-                    None => return SliceOutcome::Drained,
+                    None => return,
                 }
             }
         };
@@ -230,7 +217,7 @@ pub(crate) fn run_slice(cell: &SessionCell, pool: &PoolShared) -> SliceOutcome {
                                 session: cell.name.clone(),
                             },
                         );
-                        return SliceOutcome::Retired;
+                        return;
                     }
                     ServiceRequest::Open { .. } => {
                         // Handles reject Open before sending; answer typed

@@ -30,15 +30,17 @@
 //! job is to recover.
 
 use super::{SessionState, SessionStats};
-use crate::budget::{net_budget_entries, LengthModel};
+use crate::budget::{net_budget_entries, BudgetEntry, LengthModel};
 use crate::cancel::CancelToken;
 use crate::phase2::{assignments, RegionSolution, SinoEngine};
 use crate::pipeline::{sino_stage, Approach, GsinoConfig};
 use crate::refine::tracker::LskTracker;
+use gsino_grid::net::NetId;
 use gsino_grid::region::RegionIdx;
 use gsino_grid::route::Dir;
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::collections::HashMap;
 
 /// How aggressively the runtime oracle samples.
 ///
@@ -143,6 +145,13 @@ pub(super) fn audit(
 
     // Sampled budget recompute and LSK check per net. `tracker` fills the
     // kept index from `sino0`, and its sinks follow circuit net order.
+    // The stored entries are grouped by net in one pass; only a sampled
+    // net's list is sorted.
+    let mut stored_by_net: HashMap<NetId, Vec<BudgetEntry>> =
+        HashMap::with_capacity(state.circuit.nets().len());
+    for (key, kth) in state.budgets0.iter() {
+        stored_by_net.entry(key.0).or_default().push((*key, *kth));
+    }
     let mut cursor = 0;
     for net in state.circuit.nets() {
         let start = cursor;
@@ -151,7 +160,13 @@ pub(super) fn audit(
             continue;
         }
         stats.oracle_checks += 1;
-        let stored = state.budgets0.net_entries(net.id());
+        let stored: &[BudgetEntry] = match stored_by_net.get_mut(&net.id()) {
+            Some(entries) => {
+                entries.sort_unstable_by_key(|(key, _)| *key);
+                entries
+            }
+            None => &[],
+        };
         let recomputed = match state.routes.get(net.id()) {
             None => Vec::new(),
             Some(route) => {
@@ -170,7 +185,7 @@ pub(super) fn audit(
                 }
             }
         };
-        if stored != recomputed {
+        if stored != recomputed.as_slice() {
             return Some(format!("budget entries diverged for net {}", net.id()));
         }
         let route = state.routes.get(net.id());

@@ -12,7 +12,7 @@
 //! 2. **Pinning** — no session is ever observed on two workers at once
 //!    ([`pinning_violations`](gsino::core::service::PoolStats) stays 0).
 //! 3. **Clean drain** — after every session closes, no runnable work
-//!    remains anywhere in the scheduler (injector and deques empty).
+//!    remains anywhere in the scheduler (the pool run queue is empty).
 
 use gsino::core::pipeline::{run_flow_with_artifacts, Approach};
 use gsino::grid::{Circuit, Net, Point, Rect};
@@ -146,8 +146,8 @@ fn sixty_four_sessions_on_a_tiny_pool_hold_every_invariant() {
     }
 
     // Clean drain: with every session retired, nothing is runnable —
-    // the injector and every worker deque are empty. (Retirement is
-    // synchronous in close(), so no settling wait is needed.)
+    // the pool run queue is empty. (Retirement is synchronous in
+    // close(), so no settling wait is needed.)
     let stats = service.pool_stats();
     assert_eq!(stats.runnable_sessions, 0, "scheduler left runnable work");
     assert_eq!(stats.pinning_violations, 0);
