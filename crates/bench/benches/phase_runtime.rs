@@ -14,15 +14,22 @@
 //! `GSINO_BENCH_OUT` / `GSINO_BENCH_PHASE2_OUT` /
 //! `GSINO_BENCH_PHASE3_OUT`) for the CI regression gate (`bench_gate`
 //! binary vs the committed `baseline/BENCH_phase{1,2,3}.json`).
+//!
+//! Each kernel and its reference run interleaved in [`ROUNDS`] rounds,
+//! alternating which of the two runs first, and each section's
+//! `normalized` value is the median of the per-round ratios kernel /
+//! reference. The two runs of a round are back to back, so a swing in the
+//! machine's speed moves both sides of a ratio alike; that median is what
+//! `bench_gate` gates.
 
 use gsino_bench::report::{phase1_out_path, phase2_out_path, phase3_out_path, JsonDoc};
 use gsino_bench::{banner, bench_experiment_config};
 use gsino_circuits::experiment::run_suite;
 use gsino_circuits::generator::generate;
 use gsino_circuits::spec::CircuitSpec;
-use gsino_core::budget::{uniform_budgets, Budgets, LengthModel};
+use gsino_core::budget::{uniform_budgets, LengthModel};
 use gsino_core::phase2::{
-    prepare_instances, solve_prepared, RegionInstance, RegionMode, RegionSino, SinoEngine,
+    prepare_instances, solve_prepared, RegionInstance, RegionMode, SinoEngine,
 };
 use gsino_core::pipeline::{run_gsino, GsinoConfig, RouterKind};
 use gsino_core::refine::{self, RefineConfig, RefineStats};
@@ -37,28 +44,74 @@ use gsino_sino::solver::SolverConfig;
 use serde::{Map, Value};
 use std::time::Instant;
 
-/// Median wall-clock seconds of `f` over `reps` runs.
-fn time_median<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
+/// Rounds of each paired kernel/reference timing.
+const ROUNDS: usize = 11;
+
+/// Median of a non-empty sample.
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     samples[samples.len() / 2]
 }
 
-/// Timings one kernel comparison leaves behind (milliseconds, medians).
+/// Median wall-clock seconds of `f` over `reps` runs.
+fn time_median<F: FnMut()>(reps: usize, mut f: F) -> f64 {
+    median((0..reps).map(|_| secs(&mut f)).collect())
+}
+
+/// Wall-clock seconds of one call.
+fn secs(f: impl FnOnce()) -> f64 {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed().as_secs_f64()
+}
+
+/// Timings one kernel comparison leaves behind.
 struct KernelTimings {
+    /// Median reference time, ms.
     reference_ms: f64,
+    /// Median kernel time, ms.
     new_ms: f64,
+    /// Median of the per-round ratios kernel / reference.
+    normalized: f64,
 }
 
 impl KernelTimings {
+    /// Times `reference` and `kernel` over [`ROUNDS`] rounds, one run of
+    /// each per round, alternating which runs first. Each closure returns
+    /// the seconds of its timed section, so set-up such as cloning inputs
+    /// stays outside the clock.
+    fn paired(mut reference: impl FnMut() -> f64, mut kernel: impl FnMut() -> f64) -> Self {
+        let (mut refs, mut news, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+        for round in 0..ROUNDS {
+            let (r, k) = if round % 2 == 0 {
+                let r = reference();
+                (r, kernel())
+            } else {
+                let k = kernel();
+                (reference(), k)
+            };
+            refs.push(r);
+            news.push(k);
+            ratios.push(k / r);
+        }
+        KernelTimings {
+            reference_ms: median(refs) * 1e3,
+            new_ms: median(news) * 1e3,
+            normalized: median(ratios),
+        }
+    }
+
     fn speedup(&self) -> f64 {
-        self.reference_ms / self.new_ms
+        1.0 / self.normalized
+    }
+
+    /// The section fields `bench_gate` reads: both medians, the gated
+    /// ratio and its inverse.
+    fn insert_into(&self, m: &mut Map, new_key: &str, ref_key: &str, speedup_key: &str) {
+        m.insert(ref_key, Value::F64(self.reference_ms));
+        m.insert(new_key, Value::F64(self.new_ms));
+        m.insert("normalized", Value::F64(self.normalized));
+        m.insert(speedup_key, Value::F64(self.speedup()));
     }
 }
 
@@ -93,36 +146,41 @@ fn phase1_speedup_report() -> KernelTimings {
         "flat Phase I must match the seed bit for bit"
     );
 
-    let reps = 7;
-    let t_seed = time_median(reps, || {
-        seed_router
-            .route_prepared(&circuit, &conns)
-            .expect("routes");
-    });
-    let t_flat = time_median(reps, || {
-        flat_router
-            .route_prepared(&circuit, &conns, &mut scratch)
-            .expect("routes");
-    });
-    let t_prepare = time_median(reps, || {
+    let timings = KernelTimings::paired(
+        || {
+            secs(|| {
+                seed_router
+                    .route_prepared(&circuit, &conns)
+                    .expect("routes");
+            })
+        },
+        || {
+            secs(|| {
+                flat_router
+                    .route_prepared(&circuit, &conns, &mut scratch)
+                    .expect("routes");
+            })
+        },
+    );
+    let t_prepare = time_median(ROUNDS, || {
         flat_router.prepare(&circuit);
     });
-    println!("== phase I core, 500-net generator circuit (medians of {reps}) ==");
+    println!("== phase I core, 500-net generator circuit ({ROUNDS} paired rounds) ==");
     println!("  steiner prepare (shared)  {:>9.2} ms", t_prepare * 1e3);
-    println!("  seed HashMap A*           {:>9.2} ms", t_seed * 1e3);
+    println!(
+        "  seed HashMap A*           {:>9.2} ms",
+        timings.reference_ms
+    );
     println!(
         "  flat scratch A*           {:>9.2} ms   ({:.2}x vs seed)",
-        t_flat * 1e3,
-        t_seed / t_flat
+        timings.new_ms,
+        timings.speedup()
     );
     println!(
         "  total wirelength identical: {} um",
         seed_routes.total_wirelength(&grid)
     );
-    KernelTimings {
-        reference_ms: t_seed * 1e3,
-        new_ms: t_flat * 1e3,
-    }
+    timings
 }
 
 /// Connectivity behaviour counters of the incremental ID run, reported
@@ -159,21 +217,29 @@ fn id_phase1_speedup_report() -> (KernelTimings, ConnectivityCounts) {
         "deletion sequences must agree"
     );
 
-    let reps = 5;
-    let t_ref = time_median(reps, || {
-        reference.route_prepared(&circuit, &conns).expect("routes");
-    });
-    let t_inc = time_median(reps, || {
-        incremental
-            .route_prepared(&circuit, &conns)
-            .expect("routes");
-    });
-    println!("== ID-path phase I, 500-net generator circuit (medians of {reps}) ==");
-    println!("  PR-1 BFS kernel           {:>9.2} ms", t_ref * 1e3);
+    let timings = KernelTimings::paired(
+        || {
+            secs(|| {
+                reference.route_prepared(&circuit, &conns).expect("routes");
+            })
+        },
+        || {
+            secs(|| {
+                incremental
+                    .route_prepared(&circuit, &conns)
+                    .expect("routes");
+            })
+        },
+    );
+    println!("== ID-path phase I, 500-net generator circuit ({ROUNDS} paired rounds) ==");
+    println!(
+        "  PR-1 BFS kernel           {:>9.2} ms",
+        timings.reference_ms
+    );
     println!(
         "  incremental connectivity  {:>9.2} ms   ({:.2}x vs PR-1)",
-        t_inc * 1e3,
-        t_ref / t_inc
+        timings.new_ms,
+        timings.speedup()
     );
     println!(
         "  connectivity: {} O(1) hits, {} path repairs, {} recomputes ({} deletions, {} kept)",
@@ -188,10 +254,7 @@ fn id_phase1_speedup_report() -> (KernelTimings, ConnectivityCounts) {
         ref_routes.total_wirelength(&grid)
     );
     (
-        KernelTimings {
-            reference_ms: t_ref * 1e3,
-            new_ms: t_inc * 1e3,
-        },
+        timings,
         ConnectivityCounts {
             o1_hits: inc_stats.connectivity_o1_hits,
             repairs: inc_stats.connectivity_repairs,
@@ -221,13 +284,14 @@ fn write_phase1_summary(astar: &KernelTimings, id: &KernelTimings, conn: &Connec
     workload.insert("circuit", Value::Str("ibm01".into()));
     workload.insert("nets", Value::U64(500));
     let mut astar_m = Map::new();
-    astar_m.insert("seed_ms", Value::F64(astar.reference_ms));
-    astar_m.insert("flat_ms", Value::F64(astar.new_ms));
-    astar_m.insert("speedup_vs_seed", Value::F64(astar.speedup()));
+    astar.insert_into(&mut astar_m, "flat_ms", "seed_ms", "speedup_vs_seed");
     let mut id_m = Map::new();
-    id_m.insert("reference_ms", Value::F64(id.reference_ms));
-    id_m.insert("incremental_ms", Value::F64(id.new_ms));
-    id_m.insert("speedup_vs_pr1", Value::F64(id.speedup()));
+    id.insert_into(
+        &mut id_m,
+        "incremental_ms",
+        "reference_ms",
+        "speedup_vs_pr1",
+    );
     // Deterministic connectivity behaviour counts, gated as hard ceilings
     // by bench_gate (see COUNT_METRICS there): a change that quietly
     // reintroduces per-kill recomputes fails CI even if wall time hides it.
@@ -283,42 +347,39 @@ fn phase2_speedup_report() -> (KernelTimings, usize) {
         "incremental Phase II must match the reference solver bit for bit"
     );
 
-    let reps = 5;
-    let t_prepare = time_median(reps, || {
+    let t_prepare = time_median(ROUNDS, || {
         prepare_instances(&grid, &routes, &budgets, &sens, 1).expect("prepared");
     });
-    // `solve_prepared` consumes its work list; pre-clone one copy per rep
+    // `solve_prepared` consumes its work list; each run clones its copy
     // outside the timed section so the numbers keep isolating the solving
     // engines.
     let time_engine = |engine: SinoEngine| {
-        let mut pool: Vec<Vec<RegionInstance>> = (0..reps).map(|_| work.clone()).collect();
-        time_median(reps, move || {
-            let work = pool.pop().expect("one prepared list per rep");
+        let work: Vec<RegionInstance> = work.clone();
+        secs(|| {
             solve_prepared(work, config, RegionMode::Sino, 1, engine).expect("region solve");
         })
     };
-    let t_ref = time_engine(SinoEngine::Reference);
-    let t_inc = time_engine(SinoEngine::Incremental);
-    println!("== phase II SINO engine, 500-net generator circuit (medians of {reps}) ==");
+    let timings = KernelTimings::paired(
+        || time_engine(SinoEngine::Reference),
+        || time_engine(SinoEngine::Incremental),
+    );
+    println!("== phase II SINO engine, 500-net generator circuit ({ROUNDS} paired rounds) ==");
     println!("  instance prepare (shared) {:>9.2} ms", t_prepare * 1e3);
-    println!("  reference clone+rescan    {:>9.2} ms", t_ref * 1e3);
+    println!(
+        "  reference clone+rescan    {:>9.2} ms",
+        timings.reference_ms
+    );
     println!(
         "  incremental DeltaEval     {:>9.2} ms   ({:.2}x vs reference)",
-        t_inc * 1e3,
-        t_ref / t_inc
+        timings.new_ms,
+        timings.speedup()
     );
     println!(
         "  identical region solutions: {} instances, {} shields",
         incremental.len(),
         incremental.total_shields()
     );
-    (
-        KernelTimings {
-            reference_ms: t_ref * 1e3,
-            new_ms: t_inc * 1e3,
-        },
-        incremental.len(),
-    )
+    (timings, incremental.len())
 }
 
 /// Writes the machine-readable Phase II summary the CI gate consumes.
@@ -328,9 +389,12 @@ fn write_phase2_summary(sino: &KernelTimings, regions: usize) {
     workload.insert("nets", Value::U64(500));
     workload.insert("regions", Value::U64(regions as u64));
     let mut sino_m = Map::new();
-    sino_m.insert("reference_ms", Value::F64(sino.reference_ms));
-    sino_m.insert("incremental_ms", Value::F64(sino.new_ms));
-    sino_m.insert("speedup_vs_reference", Value::F64(sino.speedup()));
+    sino.insert_into(
+        &mut sino_m,
+        "incremental_ms",
+        "reference_ms",
+        "speedup_vs_reference",
+    );
     let mut root = Map::new();
     root.insert("schema", Value::U64(1));
     root.insert("workload", Value::Object(workload));
@@ -424,52 +488,54 @@ fn phase3_speedup_report() -> (KernelTimings, usize, RefineStats) {
         "incremental Phase III region solutions must match the reference pass bit for bit"
     );
 
-    let reps = 5;
-    // Refinement mutates its inputs: pre-clone one (budgets, sino) pair
-    // per rep outside the timed section.
-    let mut pool_ref: Vec<(Budgets, RegionSino)> = (0..reps)
-        .map(|_| (budgets0.clone(), sino0.clone()))
-        .collect();
-    let t_ref = time_median(reps, || {
-        let (mut b, mut s) = pool_ref.pop().expect("one input pair per rep");
-        refine::reference::refine(
-            &circuit,
-            &grid,
-            &routes,
-            &mut b,
-            &mut s,
-            &table,
-            vth,
-            solver_cfg,
-            &refine_cfg,
-        )
-        .expect("reference refine");
-    });
-    let mut pool_inc: Vec<(Budgets, RegionSino)> = (0..reps)
-        .map(|_| (budgets0.clone(), sino0.clone()))
-        .collect();
-    let t_inc = time_median(reps, || {
-        let (mut b, mut s) = pool_inc.pop().expect("one input pair per rep");
-        refine::refine(
-            &circuit,
-            &grid,
-            &routes,
-            &mut b,
-            &mut s,
-            &table,
-            vth,
-            solver_cfg,
-            &refine_cfg,
-        )
-        .expect("incremental refine");
-    });
-    println!("== phase III refinement, 500-net generator circuit (medians of {reps}) ==");
+    // Refinement mutates its inputs: each run clones its (budgets, sino)
+    // pair outside the timed section.
+    let timings = KernelTimings::paired(
+        || {
+            let (mut b, mut s) = (budgets0.clone(), sino0.clone());
+            secs(|| {
+                refine::reference::refine(
+                    &circuit,
+                    &grid,
+                    &routes,
+                    &mut b,
+                    &mut s,
+                    &table,
+                    vth,
+                    solver_cfg,
+                    &refine_cfg,
+                )
+                .expect("reference refine");
+            })
+        },
+        || {
+            let (mut b, mut s) = (budgets0.clone(), sino0.clone());
+            secs(|| {
+                refine::refine(
+                    &circuit,
+                    &grid,
+                    &routes,
+                    &mut b,
+                    &mut s,
+                    &table,
+                    vth,
+                    solver_cfg,
+                    &refine_cfg,
+                )
+                .expect("incremental refine");
+            })
+        },
+    );
+    println!("== phase III refinement, 500-net generator circuit ({ROUNDS} paired rounds) ==");
     println!("  initial violating nets    {initial_violations:>9}");
-    println!("  reference seed pass       {:>9.2} ms", t_ref * 1e3);
+    println!(
+        "  reference seed pass       {:>9.2} ms",
+        timings.reference_ms
+    );
     println!(
         "  incremental tracker pass  {:>9.2} ms   ({:.2}x vs reference)",
-        t_inc * 1e3,
-        t_ref / t_inc
+        timings.new_ms,
+        timings.speedup()
     );
     println!(
         "  identical outcomes: {} nets fixed, +{} / -{} shields, clean: {}",
@@ -478,14 +544,7 @@ fn phase3_speedup_report() -> (KernelTimings, usize, RefineStats) {
         stats_inc.pass2_shields_removed,
         stats_inc.clean
     );
-    (
-        KernelTimings {
-            reference_ms: t_ref * 1e3,
-            new_ms: t_inc * 1e3,
-        },
-        initial_violations,
-        stats_inc,
-    )
+    (timings, initial_violations, stats_inc)
 }
 
 /// Writes the machine-readable Phase III summary the CI gate consumes.
@@ -497,9 +556,12 @@ fn write_phase3_summary(timings: &KernelTimings, initial_violations: usize, stat
     workload.insert("pass1_nets", Value::U64(stats.pass1_nets as u64));
     workload.insert("pass2_regions", Value::U64(stats.pass2_regions as u64));
     let mut refine_m = Map::new();
-    refine_m.insert("reference_ms", Value::F64(timings.reference_ms));
-    refine_m.insert("incremental_ms", Value::F64(timings.new_ms));
-    refine_m.insert("speedup_vs_reference", Value::F64(timings.speedup()));
+    timings.insert_into(
+        &mut refine_m,
+        "incremental_ms",
+        "reference_ms",
+        "speedup_vs_reference",
+    );
     let mut root = Map::new();
     root.insert("schema", Value::U64(1));
     root.insert("workload", Value::Object(workload));

@@ -211,8 +211,8 @@ fn rung_row(r: &RungResult) -> Map {
             Value::U64(out.router_stats.connectivity_recomputes as u64),
         );
         // Refine pass 2: the visit outcomes (engine-independent) and the
-        // engine's work (trial solves and their block recomputes are gated
-        // as ceilings).
+        // engine's work (trial solves, their block recomputes and their
+        // probed placements are gated as ceilings).
         let r = out.refine_stats.unwrap_or_default();
         for (key, count) in [
             ("refine_pass2_regions", r.pass2_regions as u64),
@@ -223,6 +223,7 @@ fn rung_row(r: &RungResult) -> Map {
             ("refine_warm_skips", r.work.warm_skips),
             ("refine_cached_visits", r.work.cached_visits as u64),
             ("refine_block_recomputes", r.work.block_recomputes),
+            ("refine_trial_placements", r.work.trial_placements),
         ] {
             m.insert(key, Value::U64(count));
         }
@@ -270,14 +271,15 @@ fn main() {
             );
             let refine = out.refine_stats.unwrap_or_default();
             println!(
-                "  {:<10} {:>10}  pass-2 visits {}  trial solves {}  warm skips {}  cached visits {}  block recomputes {}",
+                "  {:<10} {:>10}  pass-2 visits {}  trial solves {}  warm skips {}  cached visits {}  block recomputes {}  probed placements {}",
                 "",
                 "",
                 refine.pass2_regions,
                 refine.work.trial_solves,
                 refine.work.warm_skips,
                 refine.work.cached_visits,
-                refine.work.block_recomputes
+                refine.work.block_recomputes,
+                refine.work.trial_placements
             );
         }
         workloads.insert(id.as_str(), Value::Object(rung_row(&r)));

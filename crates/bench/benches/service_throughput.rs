@@ -15,6 +15,10 @@
 //! pools of 2 and 4 workers — the regime the shared pool exists for —
 //! reporting wall time, throughput, and the park counter.
 //!
+//! Both legs spawn their client threads before the clock starts and
+//! release them through a [`Barrier`], so the timed window holds the
+//! edits and not the thread start-up.
+//!
 //! Every retired session is asserted bit-identical to a from-scratch
 //! GSINO run on its final circuit+config, so the numbers only count for
 //! correct replays. The summary goes to `BENCH_service.json` (override
@@ -32,6 +36,7 @@ use gsino_core::ErrorKind;
 use gsino_grid::geom::Point;
 use gsino_grid::net::{CircuitEdit, Net};
 use serde::{Map, Value};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 const SESSIONS: usize = 3;
@@ -44,7 +49,9 @@ const NETS_PER_SESSION: usize = 200;
 /// exercising the pool's run queue and parking under real load.
 const MANY_SESSIONS: usize = 64;
 const MANY_NETS: usize = 40;
-const MANY_REQUESTS: usize = 4;
+/// Edits per many-sessions client: long enough a window that the leg's
+/// edits/sec repeats run to run.
+const MANY_REQUESTS: usize = 32;
 const MANY_POOLS: [usize; 2] = [2, 4];
 
 /// One client's measurements: end-to-end latency and the receipt for
@@ -184,13 +191,15 @@ fn run_many_sessions(pool_threads: usize) -> Map {
     }
     let open_s = t_total.elapsed().as_secs_f64();
 
-    let t_load = Instant::now();
+    let start = Arc::new(Barrier::new(MANY_SESSIONS + 1));
     let clients: Vec<_> = handles
         .iter()
         .enumerate()
         .map(|(i, h)| {
             let handle = h.clone();
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
+                start.wait();
                 for r in 0..MANY_REQUESTS {
                     let net = ((i % 4) * MANY_REQUESTS + r) as u32 % MANY_NETS as u32;
                     loop {
@@ -210,6 +219,8 @@ fn run_many_sessions(pool_threads: usize) -> Map {
             })
         })
         .collect();
+    start.wait();
+    let t_load = Instant::now();
     for c in clients {
         c.join().unwrap();
     }
@@ -308,14 +319,20 @@ fn main() {
     let open_s = t_open.elapsed().as_secs_f64();
 
     // Mixed concurrent workload: CLIENTS_PER_SESSION threads per session.
-    let t_load = Instant::now();
+    let start = Arc::new(Barrier::new(SESSIONS * CLIENTS_PER_SESSION + 1));
     let mut clients = Vec::new();
     for (si, h) in handles.iter().enumerate() {
         for ci in 0..CLIENTS_PER_SESSION {
             let handle = h.clone();
-            clients.push(std::thread::spawn(move || run_client(handle, si, ci)));
+            let start = Arc::clone(&start);
+            clients.push(std::thread::spawn(move || {
+                start.wait();
+                run_client(handle, si, ci)
+            }));
         }
     }
+    start.wait();
+    let t_load = Instant::now();
     let logs: Vec<ClientLog> = clients.into_iter().map(|c| c.join().unwrap()).collect();
     let load_s = t_load.elapsed().as_secs_f64();
 

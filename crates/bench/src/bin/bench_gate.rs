@@ -16,23 +16,29 @@
 //!
 //! Wall-clock milliseconds are not comparable across machines, so the
 //! gated metric is the **normalized wall time**: the new kernel's time
-//! divided by the preserved reference kernel's time from the same run
-//! (the inverse of the reported speedup). A >15% rise of that ratio means
+//! divided by the preserved reference kernel's time. The benches run the
+//! two interleaved in rounds, alternating which runs first, and write
+//! the median of the per-round ratios as the section's `normalized`
+//! value (`patch_normalized` and `phase1_normalized` for the two ECO
+//! commit rungs). The two runs of a round are back to back, so a swing in
+//! the machine's speed between rounds moves both sides of a ratio alike
+//! and the median decides on the code. A >15% rise of that ratio means
 //! the production kernel got slower relative to a fixed workload on
 //! whatever hardware CI happens to run — exactly the regression the gate
-//! exists to catch. The absolute times are reported alongside for humans.
+//! exists to catch. The median absolute times are reported alongside for
+//! humans.
 //!
 //! Deterministic **behaviour counts** (the ID router's connectivity
 //! recompute/repair counters and, per scale workload, violations, shields,
-//! and refine pass 2's trial solves and their block recomputes) are gated
+//! and refine pass 2's trial solves, their block recomputes and the
+//! placements they probed) are gated
 //! alongside the timings with the same tolerance; being exact integers on
 //! a fixed workload, they catch algorithmic regressions that wall-time
 //! noise would mask.
 //!
 //! The normalization removes most but not all hardware sensitivity: the
 //! clone-heavy reference kernels and the flat/incremental kernels respond
-//! differently to cache sizes and vCPU contention, and the medians come
-//! from 5–7 reps. If the gate flakes on a runner-hardware change with no
+//! differently to cache sizes and vCPU contention. If the gate flakes on a runner-hardware change with no
 //! code change, regenerate `crates/bench/baseline/BENCH_phase*.json` from
 //! a CI run on the new hardware (download the `bench-summaries` artifact
 //! the bench job uploads) rather than widening `--max-regress`.
@@ -50,36 +56,53 @@ use serde::Value;
 use std::process::ExitCode;
 
 /// Every kernel the gate knows how to check: display label, JSON section,
-/// new-kernel key, reference-kernel key. A summary file is gated on every
-/// metric whose section it contains.
-const METRICS: &[(&str, &str, &str, &str)] = &[
-    ("astar flat kernel", "astar", "flat_ms", "seed_ms"),
+/// gated ratio key (the median per-round kernel / reference ratio), and
+/// the new-kernel and reference-kernel time keys it reports. A summary
+/// file is gated on every metric whose section it contains.
+const METRICS: &[(&str, &str, &str, &str, &str)] = &[
+    (
+        "astar flat kernel",
+        "astar",
+        "normalized",
+        "flat_ms",
+        "seed_ms",
+    ),
     (
         "id incremental kernel",
         "id",
+        "normalized",
         "incremental_ms",
         "reference_ms",
     ),
     (
         "sino incremental engine",
         "sino",
+        "normalized",
         "incremental_ms",
         "reference_ms",
     ),
     (
         "refine incremental pass",
         "refine",
+        "normalized",
         "incremental_ms",
         "reference_ms",
     ),
     // ECO session commit latencies (`BENCH_eco.json`), normalized by the
-    // same run's from-scratch flow time: a budget-class or Phase1-class
-    // patch that stops being much cheaper than rebuilding is exactly the
-    // regression the incremental session exists to prevent.
-    ("eco budget commit", "session", "p50_patch_ms", "scratch_ms"),
+    // same round's from-scratch session seed: a budget-class or
+    // Phase1-class patch that stops being much cheaper than rebuilding is
+    // exactly the regression the incremental session exists to prevent.
+    (
+        "eco budget commit",
+        "session",
+        "patch_normalized",
+        "p50_patch_ms",
+        "scratch_ms",
+    ),
     (
         "eco phase1 commit",
         "session",
+        "phase1_normalized",
         "p50_phase1_ms",
         "scratch_ms",
     ),
@@ -110,6 +133,7 @@ const MATRIX_COUNT_METRICS: &[(&str, &str)] = &[
     ("shields", "total_shields"),
     ("refine trial solves", "refine_trial_solves"),
     ("refine block recomputes", "refine_block_recomputes"),
+    ("refine trial placements", "refine_trial_placements"),
 ];
 
 /// Per-workload report-only metrics: wall times and memory ceilings vary
@@ -204,13 +228,15 @@ struct Row {
     pass: bool,
 }
 
-/// One gated kernel: compares normalized wall time (new/reference).
+/// One gated kernel: compares the normalized wall time, the median
+/// per-round new/reference ratio under `norm_key`.
 #[allow(clippy::too_many_arguments)]
 fn check(
     label: &str,
     current: &JsonDoc,
     baseline: &JsonDoc,
     section: &str,
+    norm_key: &str,
     new_key: &str,
     ref_key: &str,
     max_regress: f64,
@@ -221,8 +247,8 @@ fn check(
             .filter(|v| v.is_finite() && *v > 0.0)
             .ok_or_else(|| format!("{label}: missing/invalid `{section}.{key}`"))
     };
-    let cur_norm = read(current, new_key)? / read(current, ref_key)?;
-    let base_norm = read(baseline, new_key)? / read(baseline, ref_key)?;
+    let cur_norm = read(current, norm_key)?;
+    let base_norm = read(baseline, norm_key)?;
     let ratio = cur_norm / base_norm;
     let pass = ratio <= 1.0 + max_regress;
     let verdict = if pass { "ok" } else { "FAIL" };
@@ -240,7 +266,7 @@ fn check(
         max_regress * 100.0,
     );
     println!(
-        "{:<24} absolute: {:.2} ms now vs {:.2} ms at baseline (reference kernel {:.2} ms vs {:.2} ms)",
+        "{:<24} absolute medians: {:.2} ms now vs {:.2} ms at baseline (reference kernel {:.2} ms vs {:.2} ms)",
         "",
         read(current, new_key)?,
         read(baseline, new_key)?,
@@ -456,7 +482,7 @@ fn main() -> ExitCode {
             }
         };
         println!("== {cur_path} vs {base_path} ==");
-        for (label, section, new_key, ref_key) in METRICS {
+        for (label, section, norm_key, new_key, ref_key) in METRICS {
             // The committed baseline is the source of truth for what must
             // be gated: a section present in either file is checked, so a
             // kernel that silently vanishes from the fresh summary fails
@@ -470,6 +496,7 @@ fn main() -> ExitCode {
                 &current,
                 &baseline,
                 section,
+                norm_key,
                 new_key,
                 ref_key,
                 args.max_regress,

@@ -50,7 +50,7 @@
 //!   tracker: a dropped shield is installed when every crossing net stays
 //!   clean (`Recovered`), and otherwise the region is left as it was
 //!   (`Rejected`). In pass 2 only a region's own recovery changes that
-//!   region, which makes four savings exact:
+//!   region, which makes five savings exact:
 //!
 //!   1. **Sort once.** A visit edits only its own region, so the shield
 //!      counts and densities of unvisited regions are fixed within a
@@ -79,6 +79,18 @@
 //!      key and refine's solver does not, so with annealing the chain of
 //!      certificates starts at the first solved step instead. Debug builds
 //!      solve anyway and assert that the layouts are equal.
+//!   5. **Resume.** Consecutive solved steps of a trial differ in one
+//!      raised budget. A trial's first solved step records the greedy
+//!      placement's trace ([`SinoSolver::solve_traced`]); every later one
+//!      calls [`SinoSolver::resolve_after_raise`], which replays by plain
+//!      inserts the placements the raise cannot reach — all those before
+//!      the raised segment's old position and, if it keeps that position,
+//!      every later one up to the first that saw it overflow — and probes
+//!      only the rest ([`gsino_sino::greedy`] gives the argument). A warm
+//!      skip keeps the trace: its certificate proves that no read of the
+//!      traced solve sees the raised budget. Debug builds solve cold and
+//!      assert equality at every resumed step. [`RefineWork`] counts the
+//!      placements the trial solves probed.
 //!
 //!   The trials a sweep still needs are computed from the sweep-start
 //!   state, which by (1) is each region's state at its visit, on the
@@ -119,6 +131,7 @@ use gsino_grid::region::{RegionGrid, RegionIdx};
 use gsino_grid::route::{Dir, RouteSet};
 use gsino_lsk::table::NoiseTable;
 use gsino_sino::delta::DeltaEval;
+use gsino_sino::greedy::PlacementTrace;
 use gsino_sino::instance::SinoInstance;
 use gsino_sino::layout::Layout;
 use gsino_sino::solver::{SinoSolver, SolverConfig};
@@ -207,6 +220,9 @@ pub struct RefineWork {
     /// Coupling blocks the trial solves recomputed
     /// ([`DeltaEval::block_recomputes`]).
     pub block_recomputes: u64,
+    /// Greedy placements the trial solves probed gap by gap rather than
+    /// replayed ([`PlacementTrace::placements_probed`]).
+    pub trial_placements: u64,
 }
 
 /// The persistent per-`(region, dir)` evaluators of pass 1: each mirrors
@@ -266,6 +282,8 @@ struct TrialScratch {
     kth: Vec<f64>,
     /// Solver scratch.
     eval: DeltaEval,
+    /// The placement trace of the trial's last solved step.
+    trace: PlacementTrace,
 }
 
 /// Runs both passes, mutating budgets and region solutions in place, with
@@ -562,6 +580,7 @@ fn pass2(
             stats.work.trial_solves += work.trial_solves;
             stats.work.warm_skips += work.warm_skips;
             stats.work.block_recomputes += work.block_recomputes;
+            stats.work.trial_placements += work.trial_placements;
             cache.insert(key, trial);
         }
         let mut improved = false;
@@ -644,6 +663,11 @@ fn run_trial(
     // Whether the previous step's layout is known to be the solver's
     // output for the previous step's instance.
     let mut anchored = anchored;
+    // Whether `s.trace` is the trace of the previous step's instance: set
+    // by the first solved step, and kept by a warm skip, whose certificate
+    // also proves that every read of that solve, and so its trace, is
+    // unchanged by the raise.
+    let mut traced = false;
     #[cfg(debug_assertions)]
     let mut prev = sol.layout.clone();
     for (t, &(slack, i)) in s.order.iter().enumerate() {
@@ -662,11 +686,18 @@ fn run_trial(
         }
         work.trial_solves += 1;
         let recomputes = s.eval.block_recomputes();
-        let layout = solver.resolve_after_kth(inst, &mut s.eval)?;
+        let placements = s.trace.placements_probed();
+        let layout = if traced {
+            solver.resolve_after_raise(inst, i, &mut s.trace, &mut s.eval)?
+        } else {
+            traced = true;
+            solver.solve_traced(inst, &mut s.trace, &mut s.eval)?
+        };
         // The scratch mirrors the returned layout, so its couplings are
         // the layout's.
         let dropped = (layout.num_shields() < base).then(|| s.eval.k_values(inst).to_vec());
         work.block_recomputes += s.eval.block_recomputes() - recomputes;
+        work.trial_placements += s.trace.placements_probed() - placements;
         if let Some(k) = dropped {
             let raised = s.order[..=t].iter().map(|&(_, j)| (j, s.kth[j])).collect();
             return Ok(Trial::Drop { raised, layout, k });

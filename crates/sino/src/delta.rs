@@ -34,14 +34,37 @@
 //! placement, see [`crate::greedy`]) never pays for couplings it does not
 //! read.
 //!
+//! # The block kernel
+//!
+//! [`SinoInstance`] keeps its sensitivity as bit rows. A recompute lists
+//! the block's segments in track order, as a segment bitset and with each
+//! member's block position. ANDing a member's row with that bitset gives
+//! its partners inside the block; visiting each pair once, from the member
+//! with the smaller segment index, fills every member's **partner mask by
+//! block position**: bit `j` is set iff the member at position `j` is
+//! sensitive to it. Each member then visits its mask's set bits in
+//! ascending position and adds `1.0 / d` from a table for each partner's
+//! distance `d`. Masks have `len.div_ceil(64)` words, so one code path
+//! serves every block width. The work is one step per sensitive pair in
+//! the block, not one per pair of members.
+//!
+//! That sum is [`crate::keff::coupling`]'s, term for term. The pair loop
+//! there runs `i < j` in block order, so member `i` first receives one
+//! term from each left partner, as the outer loop passes it, in ascending
+//! position, and then, in its own outer iteration, one from each right
+//! partner in ascending position. Ascending mask bits visit exactly those
+//! partners in exactly that order; the table holds the quotient `1.0 / d`
+//! the pair loop computes; and both sums start from `0.0`. So each `Kᵢ` is
+//! the same sequence of f64 additions.
+//!
 //! # Bitwise-equality contract
 //!
 //! Every value a reader returns is **bit-identical** to a from-scratch
 //! [`crate::keff::evaluate`] of the current slots, not merely close:
-//! stale blocks are recomputed with the exact pair order of
-//! [`crate::keff::coupling`] (each segment's `Kᵢ` accumulates only within
-//! its own block, and a block's couplings are a pure function of its
-//! slots, so when a recompute runs cannot change its bits), and
+//! stale blocks are recomputed with the addends and order of
+//! [`crate::keff::coupling`] (see above; each segment's `Kᵢ` accumulates
+//! only within its own block, and a block's couplings are a pure function
+//! of its slots, so when a recompute runs cannot change its bits), and
 //! [`DeltaEval::total_overflow`] adds the overflowing entries in index
 //! order — the entries it skips are `+0.0`, and adding `+0.0` to a
 //! non-negative partial sum leaves its bits unchanged, so it equals
@@ -120,6 +143,19 @@ pub struct DeltaEval {
     stale_end: usize,
     /// Blocks recomputed over this evaluator's lifetime.
     recomputes: u64,
+    /// The segments of the block being recomputed, in track order.
+    block: Vec<usize>,
+    /// That block as a segment bitset.
+    members: Vec<u64>,
+    /// `position[s]`: the block position of segment `s` (read only for
+    /// the block's members).
+    position: Vec<usize>,
+    /// Each member's partner mask by block position, `len.div_ceil(64)`
+    /// words per member.
+    partners: Vec<u64>,
+    /// `inv_dist[d] == 1.0 / d as f64`, the pair coupling at distance `d`
+    /// (index 0 unused), grown to the widest block seen.
+    inv_dist: Vec<f64>,
 }
 
 impl DeltaEval {
@@ -142,6 +178,9 @@ impl DeltaEval {
         self.overflowing.resize(n.div_ceil(64), 0);
         self.stale.clear();
         self.stale.resize(n, false);
+        if self.position.len() < n {
+            self.position.resize(n, 0);
+        }
         self.stale_lo = 0;
         self.stale_end = 0;
         self.cap = 0;
@@ -235,6 +274,20 @@ impl DeltaEval {
         }
         self.flush(instance);
         self.overflowing.iter().all(|&w| w == 0)
+    }
+
+    /// ORs the overflowing set into `into` (bit `i % 64` of word `i / 64`
+    /// for segment `i`; extra words are left alone). The set is exact
+    /// right after a read that recomputed the stale blocks, such as
+    /// [`DeltaEval::total_overflow`].
+    pub(crate) fn or_overflowing(&self, into: &mut [u64]) {
+        debug_assert!(
+            into.is_empty() || self.stale_lo >= self.stale_end,
+            "the overflowing set is read while a block is stale"
+        );
+        for (dst, &word) in into.iter_mut().zip(&self.overflowing) {
+            *dst |= word;
+        }
     }
 
     /// Track position of a segment, if present.
@@ -493,47 +546,77 @@ impl DeltaEval {
     }
 
     /// Recomputes the couplings of the block starting at `start` with the
-    /// exact pair order of [`crate::keff::coupling`], refreshes the
+    /// addends and order of [`crate::keff::coupling`], refreshes the
     /// members' overflow and clears their stale marks. Returns the block's
     /// last track.
+    ///
+    /// Every member gets a partner mask by block position (bit `j` set iff
+    /// the member at position `j` is sensitive to it), filled one pair at
+    /// a time from the members' sensitivity rows restricted to the block.
+    /// Each member then sums its mask's set bits in ascending position,
+    /// adding `1.0 / d` from a table — the terms and the order of
+    /// `coupling`'s pair loop (see the [module docs](self)).
     fn recompute_block(&mut self, instance: &SinoInstance, start: usize) -> usize {
         debug_assert!(matches!(self.slots[start], Slot::Signal(_)));
         self.recomputes += 1;
-        let mut end = start;
-        while end + 1 < self.slots.len() && matches!(self.slots[end + 1], Slot::Signal(_)) {
-            end += 1;
-        }
-        for p in start..=end {
-            if let Slot::Signal(s) = self.slots[p] {
-                self.k[s] = 0.0;
-                self.stale[s] = false;
+        let mut block = std::mem::take(&mut self.block);
+        block.clear();
+        for slot in &self.slots[start..] {
+            match *slot {
+                Slot::Signal(s) => block.push(s),
+                Slot::Shield => break,
             }
         }
-        // Contiguous signal run: pair distance is the position difference,
-        // and the i<j accumulation order matches `coupling` bit for bit.
-        for i in start..=end {
-            let Slot::Signal(a) = self.slots[i] else {
-                unreachable!("block members are signals")
-            };
-            for j in (i + 1)..=end {
-                let Slot::Signal(b) = self.slots[j] else {
-                    unreachable!("block members are signals")
-                };
-                if instance.is_sensitive(a, b) {
-                    let d = (j - i) as f64;
-                    let kij = 1.0 / d;
-                    self.k[a] += kij;
-                    self.k[b] += kij;
+        let len = block.len();
+        while self.inv_dist.len() < len {
+            let d = self.inv_dist.len();
+            self.inv_dist.push(1.0 / d as f64);
+        }
+        // The block as a segment bitset, and each member's position.
+        let seg_words = instance.n().div_ceil(64);
+        self.members.clear();
+        self.members.resize(seg_words, 0);
+        for (j, &b) in block.iter().enumerate() {
+            self.position[b] = j;
+            self.members[b / 64] |= 1 << (b % 64);
+        }
+        // Partner masks by position, each pair visited once: from the
+        // member with the smaller segment index.
+        let words = len.div_ceil(64);
+        self.partners.clear();
+        self.partners.resize(len * words, 0);
+        for (i, &a) in block.iter().enumerate() {
+            let row = instance.sensitivity_row(a);
+            let pairs = row.iter().zip(&self.members).enumerate().skip(a / 64);
+            for (w, (&r, &m)) in pairs {
+                let mut bits = r & m;
+                if w == a / 64 {
+                    bits &= (!0 << (a % 64)) << 1;
+                }
+                while bits != 0 {
+                    let j = self.position[w * 64 + bits.trailing_zeros() as usize];
+                    bits &= bits - 1;
+                    self.partners[i * words + j / 64] |= 1 << (j % 64);
+                    self.partners[j * words + i / 64] |= 1 << (i % 64);
                 }
             }
         }
-        for p in start..=end {
-            if let Slot::Signal(s) = self.slots[p] {
-                let of = (self.k[s] - instance.segment(s).kth).max(0.0);
-                self.set_overflow(s, of);
+        for (i, &a) in block.iter().enumerate() {
+            let mut k = 0.0;
+            for (w, &word) in self.partners[i * words..(i + 1) * words].iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let j = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    k += self.inv_dist[j.abs_diff(i)];
+                }
             }
+            self.k[a] = k;
+            self.stale[a] = false;
+            self.set_overflow(a, (k - instance.segment(a).kth).max(0.0));
         }
-        end
+        self.block = block;
+        start + len - 1
     }
 
     /// Stores one segment's overflow and its bit in the overflowing set.
@@ -736,14 +819,16 @@ mod proptests {
         /// every `DeltaEval` read bitwise-equal to a from-scratch
         /// `evaluate` — the contract the rewritten Phase II solvers rely
         /// on, checked here in release builds too, where the flush oracle
-        /// is off.
+        /// is off. `n` runs to 72, so sensitivity rows, partner masks and
+        /// the overflowing set span two words and blocks grow past 64
+        /// tracks.
         #[test]
         fn random_edit_sequences_match_scratch_evaluate(
-            n in 1usize..9,
+            n in 1usize..=72,
             rate_pct in 0u32..=100,
             kth_exp in -3i32..2,
             seed in 0u64..1000,
-            ops in prop::collection::vec((0u8..10, 0usize..64, 0usize..64), 1..40),
+            ops in prop::collection::vec((0u8..10, 0usize..160, 0usize..160), 1..40),
         ) {
             let mut inst = instance(n, rate_pct as f64 / 100.0, 10f64.powi(kth_exp), seed);
             let mut delta = DeltaEval::new();

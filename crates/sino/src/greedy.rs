@@ -25,10 +25,81 @@
 //! the best so far is skipped without recomputing anything. The keys
 //! that are read are bit-identical to the seed's, so the produced layouts
 //! are too (`sino_equivalence` property suite).
+//!
+//! # Resuming after a budget raise
+//!
+//! A traced solve ([`solve_greedy_traced`]) records a [`PlacementTrace`]:
+//! the placement order, each placement's chosen gap, and the OR of the
+//! overflowing sets its overflow reads saw. After one segment `i`'s
+//! budget goes up, [`resume_greedy`] re-solves from that trace, and the
+//! result is the cold solve's bit for bit:
+//!
+//! * **The prefix replays.** Raising `Kth(i)` can only move `i` later in
+//!   the hardest-first order, so the placements before `i`'s old position
+//!   place the same segments. None of them can read `i`'s budget: an
+//!   unplaced segment has `K = 0` and adds `0.0` to every overflow sum. So
+//!   their states, reads and choices are unchanged, and each is replayed
+//!   by a plain insert at its recorded gap, with no probes.
+//! * **Later placements replay up to the first that saw `i` overflow.**
+//!   If `i` keeps its position, a later placement whose reads never saw
+//!   `i` overflowing under the old budget also sees it at `0.0` under the
+//!   higher one (same state, same `Kᵢ`), so every value it reads and the
+//!   gap it picks are unchanged. The solve probes again from the first
+//!   placement whose mask holds `i`, or from `i`'s old position if `i`
+//!   moved.
+//!
+//! Repair and compaction always re-run in full. The replayed entries of
+//! the trace are also the cold solve's: the overflowing sets they saw did
+//! not hold `i` under either budget.
 
 use crate::delta::DeltaEval;
 use crate::instance::SinoInstance;
 use crate::layout::{Layout, Slot};
+use std::cmp::Ordering;
+
+/// The placement decisions of one greedy solve, recorded so that a
+/// re-solve after one budget raise replays what the raise cannot reach
+/// (see the [module docs](self)). A default trace is empty; a traced
+/// solve fills it and a resumed one updates it to the new instance's cold
+/// trace.
+#[derive(Debug, Clone, Default)]
+pub struct PlacementTrace {
+    /// The segments in placement order.
+    order: Vec<usize>,
+    /// `gaps[t]`: the track `order[t]` was inserted at.
+    gaps: Vec<usize>,
+    /// Words per mask: `n.div_ceil(64)`.
+    words: usize,
+    /// Placement `t`'s mask, `masks[t * words..(t + 1) * words]`: the OR
+    /// of the overflowing sets its overflow reads saw.
+    masks: Vec<u64>,
+    /// Placements probed rather than replayed, over this trace's lifetime.
+    probed: u64,
+}
+
+impl PlacementTrace {
+    /// An empty trace.
+    pub fn new() -> Self {
+        PlacementTrace::default()
+    }
+
+    /// Placements that solves through this trace probed gap by gap rather
+    /// than replayed — a deterministic count of the placement work.
+    pub fn placements_probed(&self) -> u64 {
+        self.probed
+    }
+
+    /// Whether the recorded decisions (order, gaps and masks) are
+    /// `other`'s.
+    pub fn same_decisions(&self, other: &PlacementTrace) -> bool {
+        self.order == other.order && self.gaps == other.gaps && self.masks == other.masks
+    }
+
+    /// Whether placement `t`'s reads saw `seg` overflowing.
+    fn saw(&self, t: usize, seg: usize) -> bool {
+        self.masks[t * self.words + seg / 64] >> (seg % 64) & 1 == 1
+    }
+}
 
 /// Runs the greedy constructive solver; the result is always feasible.
 pub fn solve_greedy(instance: &SinoInstance) -> Layout {
@@ -48,19 +119,27 @@ pub fn placement_order(instance: &SinoInstance) -> Vec<usize> {
 /// replaces segment `i`'s stored budget in the comparator).
 pub fn placement_order_kth(instance: &SinoInstance, kth: &[f64]) -> Vec<usize> {
     let n = instance.n();
-    // The O(n) `local_sensitivity` is cached per segment instead of being
+    // `local_sensitivity` is cached per segment instead of being
     // recomputed inside the comparator; the compared values are the same
     // f64s, so the order is identical to the seed solver's.
     let sens: Vec<f64> = (0..n).map(|i| instance.local_sensitivity(i)).collect();
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        sens[b]
-            .partial_cmp(&sens[a])
-            .expect("finite sensitivity")
-            .then(kth[a].partial_cmp(&kth[b]).expect("finite budgets"))
-            .then(a.cmp(&b))
-    });
+    order.sort_by(|&a, &b| hardest_first((sens[a], kth[a], a), (sens[b], kth[b], b)));
     order
+}
+
+/// The placement comparator on `(sensitivity, budget, index)` keys: high
+/// sensitivity first, then tight budget, then index. A total order.
+fn hardest_first(a: (f64, f64, usize), b: (f64, f64, usize)) -> Ordering {
+    b.0.partial_cmp(&a.0)
+        .expect("finite sensitivity")
+        .then(a.1.partial_cmp(&b.1).expect("finite budgets"))
+        .then(a.2.cmp(&b.2))
+}
+
+/// Segment `i`'s [`hardest_first`] key under the instance's budgets.
+fn order_key(instance: &SinoInstance, i: usize) -> (f64, f64, usize) {
+    (instance.local_sensitivity(i), instance.segment(i).kth, i)
 }
 
 /// [`solve_greedy`] against caller-provided scratch, so batch drivers
@@ -75,8 +154,95 @@ pub fn solve_greedy_with(instance: &SinoInstance, delta: &mut DeltaEval) -> Layo
 
     delta.reset(instance);
     for &seg in &order {
-        place_best(instance, delta, seg);
+        place_best(instance, delta, seg, &mut []);
     }
+    finish(instance, delta)
+}
+
+/// [`solve_greedy_with`] that records its placement decisions in `trace`
+/// for a later [`resume_greedy`]. Same layout.
+pub fn solve_greedy_traced(
+    instance: &SinoInstance,
+    delta: &mut DeltaEval,
+    trace: &mut PlacementTrace,
+) -> Layout {
+    let n = instance.n();
+    trace.order = placement_order(instance);
+    trace.words = n.div_ceil(64);
+    trace.gaps.clear();
+    trace.gaps.resize(n, 0);
+    trace.masks.clear();
+    trace.masks.resize(n * trace.words, 0);
+    delta.reset(instance);
+    place_traced(instance, delta, trace, 0);
+    finish(instance, delta)
+}
+
+/// Re-solves after segment `raised`'s budget went up, replaying the
+/// placements of `trace` that the raise cannot reach (see the
+/// [module docs](self)), and updates `trace` to this solve's. Same layout
+/// and same trace decisions as [`solve_greedy_traced`] on `instance`.
+///
+/// `trace` must be the trace of `instance` with `raised`'s budget at some
+/// lower value and every other budget as it is now.
+///
+/// # Panics
+///
+/// Panics if `trace` does not cover `instance`'s segments.
+pub fn resume_greedy(
+    instance: &SinoInstance,
+    delta: &mut DeltaEval,
+    trace: &mut PlacementTrace,
+    raised: usize,
+) -> Layout {
+    let n = instance.n();
+    assert_eq!(trace.order.len(), n, "the trace covers another instance");
+    let p = trace
+        .order
+        .iter()
+        .position(|&s| s == raised)
+        .expect("the raised segment is traced");
+    // The raise can only move `raised` later: past each successor that now
+    // sorts before it.
+    let key = order_key(instance, raised);
+    let mut q = p;
+    while q + 1 < n && hardest_first(order_key(instance, trace.order[q + 1]), key).is_lt() {
+        q += 1;
+    }
+    let from = if q == p {
+        (p..n).find(|&t| trace.saw(t, raised)).unwrap_or(n)
+    } else {
+        trace.order[p..=q].rotate_left(1);
+        p
+    };
+    debug_assert_eq!(trace.order, placement_order(instance));
+    delta.reset(instance);
+    for t in 0..from {
+        delta.insert(instance, trace.gaps[t], Slot::Signal(trace.order[t]));
+    }
+    place_traced(instance, delta, trace, from);
+    finish(instance, delta)
+}
+
+/// Probes placements `from..` of `trace.order`, recording each gap and
+/// mask.
+fn place_traced(
+    instance: &SinoInstance,
+    delta: &mut DeltaEval,
+    trace: &mut PlacementTrace,
+    from: usize,
+) {
+    let words = trace.words;
+    for t in from..trace.order.len() {
+        let seen = &mut trace.masks[t * words..(t + 1) * words];
+        seen.fill(0);
+        trace.gaps[t] = place_best(instance, delta, trace.order[t], seen);
+    }
+    trace.probed += (trace.order.len() - from) as u64;
+}
+
+/// Repair and compaction after the placements.
+fn finish(instance: &SinoInstance, delta: &mut DeltaEval) -> Layout {
     repair(instance, delta);
     compact(instance, delta);
     delta.to_layout()
@@ -147,12 +313,20 @@ fn place_first_cap_clean(instance: &SinoInstance, delta: &mut DeltaEval, seg: us
 /// Tries every insertion gap for `seg` (sliding, see
 /// [`place_first_cap_clean`]) and keeps the best by `(capacitive count,
 /// total overflow)`. A gap whose capacitive count exceeds the best so far
-/// loses whatever its overflow, so its overflow is never read.
-fn place_best(instance: &SinoInstance, delta: &mut DeltaEval, seg: usize) {
+/// loses whatever its overflow, so its overflow is never read. Every
+/// overflow read ORs the overflowing set it summed into `seen` (empty for
+/// an untraced solve). Returns the chosen gap.
+fn place_best(
+    instance: &SinoInstance,
+    delta: &mut DeltaEval,
+    seg: usize,
+    seen: &mut [u64],
+) -> usize {
     let last = delta.area();
     delta.insert(instance, 0, Slot::Signal(seg));
     let mut best_cap = delta.cap_violations();
     let mut best_overflow = delta.total_overflow(instance);
+    delta.or_overflowing(seen);
     let mut best_gap = 0;
     for gap in 1..=last {
         delta.swap(instance, gap - 1, gap);
@@ -161,6 +335,7 @@ fn place_best(instance: &SinoInstance, delta: &mut DeltaEval, seg: usize) {
             continue;
         }
         let overflow = delta.total_overflow(instance);
+        delta.or_overflowing(seen);
         if cap < best_cap || overflow < best_overflow - 1e-12 {
             best_cap = cap;
             best_overflow = overflow;
@@ -170,6 +345,7 @@ fn place_best(instance: &SinoInstance, delta: &mut DeltaEval, seg: usize) {
     if best_gap != last {
         delta.relocate(instance, last, best_gap);
     }
+    best_gap
 }
 
 /// Inserts shields until the layout is feasible.

@@ -36,8 +36,13 @@ pub struct SegmentSpec {
 #[derive(Debug, PartialEq)]
 pub struct SinoInstance {
     segments: Vec<SegmentSpec>,
-    /// Row-major symmetric boolean matrix, `n × n`.
-    sensitive: Vec<bool>,
+    /// The symmetric sensitivity matrix as bit rows: row `i` is the
+    /// `words` words starting at `i * words`, and bit `j` of it (word
+    /// `j / 64`, bit `j % 64`) is set iff `i` and `j` are mutually
+    /// sensitive. The diagonal is always clear.
+    sensitive: Vec<u64>,
+    /// Words per row: `n.div_ceil(64)`.
+    words: usize,
 }
 
 impl Clone for SinoInstance {
@@ -45,6 +50,7 @@ impl Clone for SinoInstance {
         SinoInstance {
             segments: self.segments.clone(),
             sensitive: self.sensitive.clone(),
+            words: self.words,
         }
     }
 
@@ -53,6 +59,7 @@ impl Clone for SinoInstance {
     fn clone_from(&mut self, source: &Self) {
         self.segments.clone_from(&source.segments);
         self.sensitive.clone_from(&source.sensitive);
+        self.words = source.words;
     }
 }
 
@@ -63,16 +70,22 @@ impl SinoInstance {
     ///
     /// [`SinoError::BadBudget`] for non-positive or non-finite budgets.
     pub fn from_model(segments: Vec<SegmentSpec>, model: &SensitivityModel) -> Result<Self> {
+        check_budgets(&segments)?;
         let n = segments.len();
-        let mut sensitive = vec![false; n * n];
+        let words = n.div_ceil(64);
+        let mut sensitive = vec![0; n * words];
         for i in 0..n {
             for j in (i + 1)..n {
-                let s = model.is_sensitive(segments[i].net, segments[j].net);
-                sensitive[i * n + j] = s;
-                sensitive[j * n + i] = s;
+                if model.is_sensitive(segments[i].net, segments[j].net) {
+                    set_pair(&mut sensitive, words, i, j);
+                }
             }
         }
-        Self::new(segments, sensitive)
+        Ok(SinoInstance {
+            segments,
+            sensitive,
+            words,
+        })
     }
 
     /// Builds an instance from an explicit sensitivity matrix (row-major,
@@ -83,32 +96,27 @@ impl SinoInstance {
     ///
     /// * [`SinoError::MalformedLayout`] if the matrix is not `n × n`.
     /// * [`SinoError::BadBudget`] for invalid budgets.
-    pub fn new(segments: Vec<SegmentSpec>, mut sensitive: Vec<bool>) -> Result<Self> {
+    pub fn new(segments: Vec<SegmentSpec>, matrix: Vec<bool>) -> Result<Self> {
         let n = segments.len();
-        if sensitive.len() != n * n {
+        if matrix.len() != n * n {
             return Err(SinoError::MalformedLayout {
                 reason: "sensitivity matrix size",
             });
         }
-        for (i, s) in segments.iter().enumerate() {
-            if !(s.kth.is_finite() && s.kth > 0.0) {
-                return Err(SinoError::BadBudget {
-                    segment: i,
-                    kth: s.kth,
-                });
-            }
-        }
+        check_budgets(&segments)?;
+        let words = n.div_ceil(64);
+        let mut sensitive = vec![0; n * words];
         for i in 0..n {
-            sensitive[i * n + i] = false;
             for j in (i + 1)..n {
-                let s = sensitive[i * n + j] || sensitive[j * n + i];
-                sensitive[i * n + j] = s;
-                sensitive[j * n + i] = s;
+                if matrix[i * n + j] || matrix[j * n + i] {
+                    set_pair(&mut sensitive, words, i, j);
+                }
             }
         }
         Ok(SinoInstance {
             segments,
             sensitive,
+            words,
         })
     }
 
@@ -156,7 +164,31 @@ impl SinoInstance {
     pub fn is_sensitive(&self, i: usize, j: usize) -> bool {
         let n = self.n();
         assert!(i < n && j < n, "segment index out of range");
-        self.sensitive[i * n + j]
+        self.sensitive[i * self.words + j / 64] >> (j % 64) & 1 == 1
+    }
+
+    /// Segment `i`'s row of the sensitivity matrix: bit `j % 64` of word
+    /// `j / 64` is set iff `i` and `j` are mutually sensitive (bit `i`
+    /// never is).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub(crate) fn sensitivity_row(&self, i: usize) -> &[u64] {
+        assert!(i < self.n(), "segment index out of range");
+        &self.sensitive[i * self.words..(i + 1) * self.words]
+    }
+
+    /// How many other segments are sensitive to segment `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub(crate) fn partner_count(&self, i: usize) -> usize {
+        self.sensitivity_row(i)
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 
     /// The local sensitivity `Sᵢ` of segment `i`: the fraction of the other
@@ -166,10 +198,7 @@ impl SinoInstance {
         if n <= 1 {
             return 0.0;
         }
-        let cnt = (0..n)
-            .filter(|&j| j != i && self.is_sensitive(i, j))
-            .count();
-        cnt as f64 / (n - 1) as f64
+        self.partner_count(i) as f64 / (n - 1) as f64
     }
 
     /// Sum of local sensitivities `Σ Sᵢ` and of squares `Σ Sᵢ²`.
@@ -183,6 +212,26 @@ impl SinoInstance {
         }
         (s1, s2)
     }
+}
+
+/// Rejects non-positive or non-finite budgets.
+fn check_budgets(segments: &[SegmentSpec]) -> Result<()> {
+    for (i, s) in segments.iter().enumerate() {
+        if !(s.kth.is_finite() && s.kth > 0.0) {
+            return Err(SinoError::BadBudget {
+                segment: i,
+                kth: s.kth,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Marks `i` and `j` (`i != j`) mutually sensitive in bit rows of
+/// `words` words each.
+fn set_pair(rows: &mut [u64], words: usize, i: usize, j: usize) {
+    rows[i * words + j / 64] |= 1 << (j % 64);
+    rows[j * words + i / 64] |= 1 << (i % 64);
 }
 
 #[cfg(test)]
@@ -263,6 +312,38 @@ mod tests {
         let (s1, s2) = inst.sensitivity_sums();
         assert_eq!(s1, 5.0);
         assert_eq!(s2, 5.0);
+    }
+
+    #[test]
+    fn bit_rows_span_words_past_64() {
+        // 70 segments: rows take two words. Segment 66 is sensitive to
+        // 0, 63 and 64 only (set one-sided, symmetrized by `new`).
+        let n = 70;
+        let mut m = vec![false; n * n];
+        for j in [0, 63, 64] {
+            m[66 * n + j] = true;
+        }
+        m[66 * n + 66] = true; // the diagonal is cleared
+        let inst = SinoInstance::new(specs(n), m).unwrap();
+        for i in 0..n {
+            for j in 0..n {
+                let expect = i != j
+                    && ((i == 66 && [0, 63, 64].contains(&j))
+                        || (j == 66 && [0, 63, 64].contains(&i)));
+                assert_eq!(inst.is_sensitive(i, j), expect, "({i}, {j})");
+            }
+        }
+        assert_eq!(inst.sensitivity_row(66), &[1 | 1 << 63, 1]);
+        assert_eq!(inst.partner_count(66), 3);
+        assert_eq!(inst.partner_count(64), 1);
+        assert_eq!(inst.local_sensitivity(66), 3.0 / 69.0);
+        // The model path builds the same rows as the explicit matrix.
+        let model = SensitivityModel::new(0.4, 11);
+        let from_model = SinoInstance::from_model(specs(n), &model).unwrap();
+        let matrix = (0..n * n)
+            .map(|x| x / n != x % n && model.is_sensitive((x / n) as u32, (x % n) as u32))
+            .collect();
+        assert_eq!(from_model, SinoInstance::new(specs(n), matrix).unwrap());
     }
 
     #[test]

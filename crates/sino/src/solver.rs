@@ -2,7 +2,7 @@
 
 use crate::anneal::{improve_with, AnnealConfig};
 use crate::delta::DeltaEval;
-use crate::greedy::solve_greedy_with;
+use crate::greedy::{resume_greedy, solve_greedy_traced, solve_greedy_with, PlacementTrace};
 use crate::instance::SinoInstance;
 use crate::keff::evaluate;
 use crate::layout::Layout;
@@ -86,27 +86,24 @@ impl SinoSolver {
     ///
     /// Same conditions as [`SinoSolver::solve`].
     pub fn solve_with(&self, instance: &SinoInstance, scratch: &mut DeltaEval) -> Result<Layout> {
-        let mut layout = solve_greedy_with(instance, scratch);
-        if let Some(cfg) = &self.config.anneal {
-            layout = improve_with(instance, layout, cfg, scratch);
-        }
-        validate_fast(instance.n(), &layout)?;
-        debug_assert!(evaluate(instance, &layout).feasible);
-        Ok(layout)
+        let layout = solve_greedy_with(instance, scratch);
+        self.polish(instance, layout, scratch)
     }
 
-    /// Warm-start re-solve after budget edits: the Phase III entry point.
+    /// Re-solve after budget edits: the entry point of Phase III's pass 1.
     ///
-    /// Bit-identical to [`SinoSolver::solve`] on the same instance (the
-    /// greedy construction is a pure function of the instance, so a budget
-    /// edit is handled by re-running it against the warm scratch), with one
-    /// extra guarantee the plain facade does not make: on return, `scratch`
-    /// **mirrors the returned layout** — its slots are the layout's, so
-    /// [`DeltaEval::k_values`] (which first recomputes whatever blocks the
-    /// solve left stale) is bit-identical to a from-scratch [`evaluate`] of
-    /// the result. Callers that maintain one persistent `DeltaEval` per
-    /// region (the incremental refinement pass) read the couplings straight
-    /// from the scratch instead of paying a full re-evaluate per edit.
+    /// Despite the edit, this is a full [`SinoSolver::solve_with`] from an
+    /// empty layout, so it is bit-identical to [`SinoSolver::solve`] on the
+    /// same instance whatever was edited. It adds one guarantee the plain
+    /// facade does not make: on return, `scratch` **mirrors the returned
+    /// layout** — its slots are the layout's, so [`DeltaEval::k_values`]
+    /// (which first recomputes whatever blocks the solve left stale) is
+    /// bit-identical to a from-scratch [`evaluate`] of the result. Pass 1
+    /// keeps one persistent `DeltaEval` per region and reads the couplings
+    /// straight from it instead of paying a full re-evaluate per edit.
+    /// Pass 2's trials, which raise one budget per step, use
+    /// [`SinoSolver::solve_traced`] and [`SinoSolver::resolve_after_raise`]
+    /// instead.
     ///
     /// # Errors
     ///
@@ -117,14 +114,83 @@ impl SinoSolver {
         scratch: &mut DeltaEval,
     ) -> Result<Layout> {
         let layout = self.solve_with(instance, scratch)?;
-        // The greedy construction leaves the scratch on the returned
-        // layout; the annealer leaves it on its last *accepted* layout,
-        // not necessarily the best one it returns. Re-sync so the mirror
-        // guarantee holds for annealing configs too.
-        if scratch.slots() != layout.slots() {
-            scratch.load(instance, &layout);
+        Ok(mirror(instance, layout, scratch))
+    }
+
+    /// [`SinoSolver::solve_with`] that records the greedy placement's
+    /// decisions in `trace`, for [`SinoSolver::resolve_after_raise`]. Same
+    /// layout, and `scratch` mirrors it on return, as after
+    /// [`SinoSolver::resolve_after_kth`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`SinoSolver::solve`].
+    pub fn solve_traced(
+        &self,
+        instance: &SinoInstance,
+        trace: &mut PlacementTrace,
+        scratch: &mut DeltaEval,
+    ) -> Result<Layout> {
+        let layout = solve_greedy_traced(instance, scratch, trace);
+        let layout = self.polish(instance, layout, scratch)?;
+        Ok(mirror(instance, layout, scratch))
+    }
+
+    /// Re-solve after segment `raised`'s budget went up: the entry point of
+    /// Phase III's pass-2 trials, which raise one budget per step.
+    ///
+    /// `trace` must hold the trace of `instance` with `raised`'s budget at
+    /// its old, lower value and every other budget as it is now (a
+    /// [`SinoSolver::solve_traced`] or an earlier resume). The greedy
+    /// placement replays the placements the raise cannot reach instead of
+    /// probing them ([`crate::greedy`], "Resuming after a budget raise"),
+    /// then repair, compaction and any configured annealer re-run in full.
+    /// The layout and the updated trace are bit-identical to a
+    /// [`SinoSolver::solve_traced`] of `instance`, which debug builds run
+    /// and compare at every call, and `scratch` mirrors the layout on
+    /// return.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`SinoSolver::solve`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trace` does not cover `instance`'s segments.
+    pub fn resolve_after_raise(
+        &self,
+        instance: &SinoInstance,
+        raised: usize,
+        trace: &mut PlacementTrace,
+        scratch: &mut DeltaEval,
+    ) -> Result<Layout> {
+        let layout = resume_greedy(instance, scratch, trace, raised);
+        let layout = self.polish(instance, layout, scratch)?;
+        #[cfg(debug_assertions)]
+        {
+            let mut cold = PlacementTrace::new();
+            let expect = self.solve_traced(instance, &mut cold, &mut DeltaEval::new())?;
+            assert_eq!(layout, expect, "a resumed solve diverged from a cold one");
+            assert!(
+                trace.same_decisions(&cold),
+                "a resumed trace diverged from a cold one"
+            );
         }
-        debug_assert_eq!(scratch.slots(), layout.slots());
+        Ok(mirror(instance, layout, scratch))
+    }
+
+    /// The configured annealer over a greedy layout, then validation.
+    fn polish(
+        &self,
+        instance: &SinoInstance,
+        mut layout: Layout,
+        scratch: &mut DeltaEval,
+    ) -> Result<Layout> {
+        if let Some(cfg) = &self.config.anneal {
+            layout = improve_with(instance, layout, cfg, scratch);
+        }
+        validate_fast(instance.n(), &layout)?;
+        debug_assert!(evaluate(instance, &layout).feasible);
         Ok(layout)
     }
 
@@ -137,6 +203,17 @@ impl SinoSolver {
     pub fn min_shields(&self, instance: &SinoInstance) -> Result<usize> {
         Ok(self.solve(instance)?.num_shields())
     }
+}
+
+/// Leaves `scratch` mirroring `layout`. The greedy construction leaves the
+/// scratch on the returned layout; the annealer leaves it on its last
+/// *accepted* layout, not necessarily the best one it returns, so that
+/// case reloads.
+fn mirror(instance: &SinoInstance, layout: Layout, scratch: &mut DeltaEval) -> Layout {
+    if scratch.slots() != layout.slots() {
+        scratch.load(instance, &layout);
+    }
+    layout
 }
 
 /// Allocation-free [`Layout::validate`]: exactly-once occupancy through a
@@ -277,5 +354,92 @@ mod tests {
         let inst = SinoInstance::new(vec![], vec![]).unwrap();
         let layout = SinoSolver::default().solve(&inst).unwrap();
         assert_eq!(layout.area(), 0);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::instance::SegmentSpec;
+    use gsino_grid::SensitivityModel;
+    use proptest::prelude::*;
+
+    /// One budget per segment, `budgets[i] / 20`: steps the order's
+    /// budget tie-break and the solver's comparisons can tie on.
+    fn mixed_instance(n: usize, rate: f64, seed: u64, budgets: &[u32]) -> SinoInstance {
+        let segs = (0..n)
+            .map(|i| SegmentSpec {
+                net: i as u32,
+                kth: f64::from(budgets[i]) / 20.0,
+            })
+            .collect();
+        SinoInstance::from_model(segs, &SensitivityModel::new(rate, seed)).unwrap()
+    }
+
+    fn bits(k: &[f64]) -> Vec<u64> {
+        k.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Chains of random raises through one trace and one scratch, as a
+        /// refine trial drives them: every resumed solve returns a cold
+        /// solve's layout, its scratch mirrors that layout's couplings bit
+        /// for bit, and its trace holds the cold trace's decisions. Up to
+        /// 72 segments, so masks span two words and the placement stage's
+        /// one block grows past 64 tracks; one case in four anneals.
+        #[test]
+        fn resumed_raise_chains_match_cold_solves(
+            n in 1usize..=72,
+            rate_pct in 0u32..=100,
+            seed in 0u64..5000,
+            budgets in prop::collection::vec(1u32..60, 72..73),
+            raises in prop::collection::vec((0usize..72, 1u32..40), 1..8),
+            anneal in 0u32..4,
+        ) {
+            let mut inst = mixed_instance(n, rate_pct as f64 / 100.0, seed, &budgets);
+            let config = if anneal == 0 {
+                SolverConfig::with_anneal(200, seed)
+            } else {
+                SolverConfig::default()
+            };
+            let solver = SinoSolver::new(config);
+            let mut trace = PlacementTrace::new();
+            let mut scratch = DeltaEval::new();
+            let mut layout = solver.solve_traced(&inst, &mut trace, &mut scratch).unwrap();
+            for (step, &(seg, by)) in raises.iter().enumerate() {
+                if step > 0 {
+                    let seg = seg % n;
+                    let kth = inst.segment(seg).kth + f64::from(by) / 20.0;
+                    inst.set_kth(seg, kth).unwrap();
+                    layout = solver
+                        .resolve_after_raise(&inst, seg, &mut trace, &mut scratch)
+                        .unwrap();
+                }
+                let mut cold_trace = PlacementTrace::new();
+                let mut cold = DeltaEval::new();
+                let expect = solver.solve_traced(&inst, &mut cold_trace, &mut cold).unwrap();
+                prop_assert_eq!(&layout, &expect, "step {}", step);
+                prop_assert_eq!(&layout, &solver.solve(&inst).unwrap(), "step {}", step);
+                prop_assert_eq!(scratch.slots(), layout.slots());
+                prop_assert_eq!(
+                    bits(scratch.k_values(&inst)),
+                    bits(cold.k_values(&inst)),
+                    "step {}",
+                    step
+                );
+                prop_assert_eq!(
+                    bits(scratch.k_values(&inst)),
+                    bits(&evaluate(&inst, &layout).k),
+                    "step {}",
+                    step
+                );
+                prop_assert!(trace.same_decisions(&cold_trace), "step {}", step);
+            }
+            // Every solve after the first probes at most what a cold one
+            // would.
+            prop_assert!(trace.placements_probed() <= (n * raises.len()) as u64);
+        }
     }
 }

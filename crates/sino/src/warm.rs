@@ -55,10 +55,7 @@ use crate::instance::SinoInstance;
 /// value, so padding the packed sum by a relative `2c·ε` covers both
 /// roundings and the padding's own.
 pub fn coupling_upper_bound(instance: &SinoInstance, i: usize) -> f64 {
-    let n = instance.n();
-    let c = (0..n)
-        .filter(|&j| j != i && instance.is_sensitive(i, j))
-        .count();
+    let c = instance.partner_count(i);
     let packed: f64 = (0..c).map(|t| 1.0 / (t / 2 + 1) as f64).sum();
     packed * (1.0 + 2.0 * c as f64 * f64::EPSILON)
 }
