@@ -59,7 +59,7 @@ fn bench_lu(c: &mut Criterion) {
 fn bench_sino(c: &mut Criterion) {
     let segs: Vec<SegmentSpec> = (0..14).map(|i| SegmentSpec { net: i, kth: 0.5 }).collect();
     let inst = SinoInstance::from_model(segs, &SensitivityModel::new(0.5, 7)).expect("valid");
-    let solver = SinoSolver::default();
+    let solver = SinoSolver;
     c.bench_function("sino_greedy_14segments", |b| {
         b.iter(|| solver.solve(std::hint::black_box(&inst)).expect("solves"))
     });

@@ -22,7 +22,7 @@ fn main() {
     println!("Formula (3) coefficients (a1..a6) at Kth = {kth}:");
     println!("  {:?}", model.coefficients());
 
-    let solver = SinoSolver::default();
+    let solver = SinoSolver;
     println!("\nheld-out comparison (truth = min-area SINO shields):");
     println!(
         "{:>5} {:>6} | {:>6} {:>9}",

@@ -334,11 +334,11 @@ fn phase2_speedup_report() -> (KernelTimings, usize) {
     )
     .expect("budgets");
     let sens = SensitivityModel::new(0.3, 1);
-    let config = SolverConfig::default();
     let work =
         prepare_instances(&grid, &routes, &budgets, &sens, 1).expect("prepared region instances");
     let solve = |engine: SinoEngine| {
-        solve_prepared(work.clone(), config, RegionMode::Sino, 1, engine).expect("region solve")
+        solve_prepared(work.clone(), SolverConfig, RegionMode::Sino, 1, engine)
+            .expect("region solve")
     };
     let reference = solve(SinoEngine::Reference);
     let incremental = solve(SinoEngine::Incremental);
@@ -356,7 +356,7 @@ fn phase2_speedup_report() -> (KernelTimings, usize) {
     let time_engine = |engine: SinoEngine| {
         let work: Vec<RegionInstance> = work.clone();
         secs(|| {
-            solve_prepared(work, config, RegionMode::Sino, 1, engine).expect("region solve");
+            solve_prepared(work, SolverConfig, RegionMode::Sino, 1, engine).expect("region solve");
         })
     };
     let timings = KernelTimings::paired(
@@ -432,7 +432,7 @@ fn phase3_speedup_report() -> (KernelTimings, usize, RefineStats) {
     let work = prepare_instances(&grid, &routes, &budgets0, &sens, 1).expect("prepared");
     let sino0 = solve_prepared(
         work,
-        SolverConfig::default(),
+        SolverConfig,
         RegionMode::Sino,
         1,
         SinoEngine::Incremental,
@@ -444,7 +444,6 @@ fn phase3_speedup_report() -> (KernelTimings, usize, RefineStats) {
         initial_violations > 0,
         "phase III workload must start with violations"
     );
-    let solver_cfg = SolverConfig::default();
     let refine_cfg = RefineConfig::default();
 
     // Correctness: both passes on identical inputs, bit-identical outputs.
@@ -457,7 +456,6 @@ fn phase3_speedup_report() -> (KernelTimings, usize, RefineStats) {
         &mut s_ref,
         &table,
         vth,
-        solver_cfg,
         &refine_cfg,
     )
     .expect("reference refine");
@@ -470,7 +468,7 @@ fn phase3_speedup_report() -> (KernelTimings, usize, RefineStats) {
         &mut s_inc,
         &table,
         vth,
-        solver_cfg,
+        SolverConfig,
         &refine_cfg,
     )
     .expect("incremental refine");
@@ -502,7 +500,6 @@ fn phase3_speedup_report() -> (KernelTimings, usize, RefineStats) {
                     &mut s,
                     &table,
                     vth,
-                    solver_cfg,
                     &refine_cfg,
                 )
                 .expect("reference refine");
@@ -519,7 +516,7 @@ fn phase3_speedup_report() -> (KernelTimings, usize, RefineStats) {
                     &mut s,
                     &table,
                     vth,
-                    solver_cfg,
+                    SolverConfig,
                     &refine_cfg,
                 )
                 .expect("incremental refine");

@@ -117,7 +117,6 @@ fn main() {
     use gsino_core::violations::check;
     use gsino_grid::sensitivity::SensitivityModel;
     use gsino_lsk::table::NoiseTable;
-    use gsino_sino::solver::SolverConfig;
     let table = NoiseTable::calibrated(&tech);
     for rate in [0.3, 0.5] {
         let budgets = uniform_budgets(
@@ -130,16 +129,8 @@ fn main() {
         )
         .unwrap();
         let sens = SensitivityModel::new(rate, 2002 ^ 0xC1C);
-        let sino = solve_regions(
-            &grid,
-            &routes,
-            &budgets,
-            &sens,
-            SolverConfig::default(),
-            RegionMode::OrderOnly,
-            0,
-        )
-        .unwrap();
+        let sino =
+            solve_regions(&grid, &routes, &budgets, &sens, RegionMode::OrderOnly, 0).unwrap();
         let mut ks: Vec<f64> = Vec::new();
         let mut occ: Vec<f64> = Vec::new();
         for (r, d) in sino.keys() {

@@ -125,7 +125,6 @@ mod tests {
     use gsino_grid::net::Net;
     use gsino_grid::sensitivity::SensitivityModel;
     use gsino_grid::tech::Technology;
-    use gsino_sino::solver::SolverConfig;
 
     fn profile(rate: f64, mode: RegionMode) -> NoiseProfile {
         let die = Rect::new(Point::new(0.0, 0.0), Point::new(1536.0, 512.0)).unwrap();
@@ -157,7 +156,6 @@ mod tests {
             &routes,
             &budgets,
             &SensitivityModel::new(rate, 3),
-            SolverConfig::default(),
             mode,
             1,
         )

@@ -5,9 +5,10 @@
 //! an independent SINO instance — the paper's no-coupling-across-regions
 //! assumption (§2.1) makes them independent — so they are drained from a
 //! shared worklist by a deterministic pool of workers, each reusing one
-//! [`DeltaEval`] scratch across all the regions it solves. Per-region
-//! annealer seeds are derived from the region key, so the result is
-//! identical for every thread count and worklist pop interleaving.
+//! [`DeltaEval`] scratch across all the regions it solves. Every region
+//! runs the one greedy solver ([`SinoSolver`]), a pure function of its
+//! instance, so the result is identical for every thread count and
+//! worklist pop interleaving.
 
 use crate::budget::Budgets;
 use crate::worklist::map_worklist;
@@ -196,12 +197,11 @@ pub fn solve_regions(
     routes: &RouteSet,
     budgets: &Budgets,
     sensitivity: &SensitivityModel,
-    solver_config: SolverConfig,
     mode: RegionMode,
     threads: usize,
 ) -> Result<RegionSino> {
     let work = prepare_instances(grid, routes, budgets, sensitivity, threads)?;
-    solve_prepared(work, solver_config, mode, threads, SinoEngine::Incremental)
+    solve_prepared(work, SolverConfig, mode, threads, SinoEngine::Incremental)
 }
 
 /// One prepared per-region SINO problem (the Phase II analogue of the
@@ -277,51 +277,39 @@ pub fn build_instance(
 }
 
 /// Solves one prepared region instance — the loop body of
-/// [`solve_prepared`] and of the flow's Phase II stage. Annealer seeds
-/// derive from the region key, so every caller gets bit-identical
-/// results.
+/// [`solve_prepared`] and of the flow's Phase II stage. A solve is a pure
+/// function of the instance, so every caller gets bit-identical results.
 ///
 /// # Errors
 ///
 /// Propagates SINO solver errors.
 pub fn solve_instance(
     region_inst: RegionInstance,
-    solver_config: SolverConfig,
     mode: RegionMode,
     engine: SinoEngine,
     scratch: &mut DeltaEval,
 ) -> Result<((RegionIdx, Dir), RegionSolution)> {
-    let (region, dir) = region_inst.key;
     let instance = &region_inst.instance;
-    let layout: Layout = match mode {
-        RegionMode::Sino => {
-            // Deterministic per-region seed for the (optional) annealer.
-            let mut cfg = solver_config;
-            if let Some(a) = &mut cfg.anneal {
-                a.seed ^= (region as u64) << 1 | matches!(dir, Dir::V) as u64;
-            }
-            match engine {
-                SinoEngine::Incremental => SinoSolver::new(cfg).solve_with(instance, scratch)?,
-                SinoEngine::Reference => gsino_sino::reference::solve(&cfg, instance)?,
-            }
+    let layout = match (mode, engine) {
+        (RegionMode::Sino, SinoEngine::Incremental) => SinoSolver.solve_with(instance, scratch)?,
+        (RegionMode::Sino, SinoEngine::Reference) => gsino_sino::reference::solve(instance)?,
+        (RegionMode::OrderOnly, SinoEngine::Incremental) => {
+            gsino_sino::greedy::order_only_with(instance, scratch)
         }
-        RegionMode::OrderOnly => match engine {
-            SinoEngine::Incremental => gsino_sino::greedy::order_only_with(instance, scratch),
-            SinoEngine::Reference => gsino_sino::reference::order_only(instance),
-        },
+        (RegionMode::OrderOnly, SinoEngine::Reference) => {
+            gsino_sino::reference::order_only(instance)
+        }
     };
-    // The delta engine's cached couplings are bit-identical to a
-    // from-scratch pass whenever its final state is the returned
-    // layout (greedy-only solves and order-only); otherwise fall back
-    // to `coupling` — the `k` component of `evaluate`, without
-    // rescanning for violations the solvers already enforced.
-    let k = if engine == SinoEngine::Incremental && scratch.slots() == layout.slots() {
-        scratch.k_values(instance).to_vec()
-    } else {
-        coupling(instance, &layout)
+    // The incremental solvers leave the scratch mirroring their layout, so
+    // its cached couplings are a from-scratch pass's bits. The reference
+    // engine takes `coupling`, the `k` component of `evaluate`, without
+    // rescanning for violations the solver already enforced.
+    let k = match engine {
+        SinoEngine::Incremental => scratch.k_values(instance).to_vec(),
+        SinoEngine::Reference => coupling(instance, &layout),
     };
     Ok((
-        (region, dir),
+        region_inst.key,
         RegionSolution {
             nets: region_inst.nets,
             instance: region_inst.instance,
@@ -338,23 +326,26 @@ pub fn solve_instance(
 /// [`DeltaEval`] scratch reused across every region it pops, and each
 /// popped [`RegionInstance`] is **moved** into its [`RegionSolution`]
 /// (nets and instance alike) — no per-region clone of the prepared
-/// sensitivity matrix. Annealer seeds are a pure function of
-/// `(region, dir)`, and the results are keyed by `(region, dir)`, so any
-/// pop interleaving produces the same [`RegionSino`] — parallelism is
-/// observationally free, and both [`SinoEngine`]s are bit-identical.
+/// sensitivity matrix. Each solve is a pure function of its instance, and
+/// the results are keyed by `(region, dir)`, so any pop interleaving
+/// produces the same [`RegionSino`] — parallelism is observationally
+/// free, and both [`SinoEngine`]s are bit-identical.
+///
+/// `_solver` is a placeholder: [`SolverConfig`] has nothing to configure,
+/// and the parameter stays only for callers that still pass one.
 ///
 /// # Errors
 ///
 /// Propagates SINO solver errors (internal-invariant failures only).
 pub fn solve_prepared(
     work: Vec<RegionInstance>,
-    solver_config: SolverConfig,
+    _solver: SolverConfig,
     mode: RegionMode,
     threads: usize,
     engine: SinoEngine,
 ) -> Result<RegionSino> {
     let solved = map_worklist(work, threads, DeltaEval::new, |item, scratch| {
-        solve_instance(item, solver_config, mode, engine, scratch)
+        solve_instance(item, mode, engine, scratch)
     })?;
     Ok(RegionSino {
         solutions: solved
@@ -405,16 +396,7 @@ mod tests {
         )
         .unwrap();
         let sens = SensitivityModel::new(rate, 3);
-        let sino = solve_regions(
-            &grid,
-            &routes,
-            &budgets,
-            &sens,
-            SolverConfig::default(),
-            mode,
-            1,
-        )
-        .unwrap();
+        let sino = solve_regions(&grid, &routes, &budgets, &sens, mode, 1).unwrap();
         (circuit, grid, sino)
     }
 
@@ -473,26 +455,8 @@ mod tests {
         )
         .unwrap();
         let sens = SensitivityModel::new(0.5, 3);
-        let serial = solve_regions(
-            &grid,
-            &routes,
-            &budgets,
-            &sens,
-            SolverConfig::default(),
-            RegionMode::Sino,
-            1,
-        )
-        .unwrap();
-        let parallel = solve_regions(
-            &grid,
-            &routes,
-            &budgets,
-            &sens,
-            SolverConfig::default(),
-            RegionMode::Sino,
-            4,
-        )
-        .unwrap();
+        let serial = solve_regions(&grid, &routes, &budgets, &sens, RegionMode::Sino, 1).unwrap();
+        let parallel = solve_regions(&grid, &routes, &budgets, &sens, RegionMode::Sino, 4).unwrap();
         assert_eq!(serial, parallel);
     }
 
@@ -534,7 +498,7 @@ mod tests {
         assert_eq!(serial, parallel, "parallel prepare must be bit-identical");
         let solved_serial = solve_prepared(
             serial,
-            SolverConfig::default(),
+            SolverConfig,
             RegionMode::Sino,
             1,
             SinoEngine::Incremental,
@@ -542,7 +506,7 @@ mod tests {
         .unwrap();
         let solved_parallel = solve_prepared(
             parallel,
-            SolverConfig::default(),
+            SolverConfig,
             RegionMode::Sino,
             4,
             SinoEngine::Incremental,
@@ -565,21 +529,18 @@ mod tests {
         )
         .unwrap();
         let sens = SensitivityModel::new(0.5, 3);
-        // With and without the annealer, serial and through the parallel
-        // worklist: every combination must be bit-identical to the
-        // preserved reference solver.
-        for config in [SolverConfig::default(), SolverConfig::with_anneal(400, 9)] {
-            for mode in [RegionMode::Sino, RegionMode::OrderOnly] {
-                let work = prepare_instances(&grid, &routes, &budgets, &sens, 1).unwrap();
-                let reference =
-                    solve_prepared(work, config, mode, 1, SinoEngine::Reference).unwrap();
-                for threads in [1, 4] {
-                    let work = prepare_instances(&grid, &routes, &budgets, &sens, threads).unwrap();
-                    let incremental =
-                        solve_prepared(work, config, mode, threads, SinoEngine::Incremental)
-                            .unwrap();
-                    assert_eq!(reference, incremental, "mode {mode:?} threads {threads}");
-                }
+        // Serial and through the parallel worklist: every combination must
+        // be bit-identical to the preserved reference solver.
+        for mode in [RegionMode::Sino, RegionMode::OrderOnly] {
+            let work = prepare_instances(&grid, &routes, &budgets, &sens, 1).unwrap();
+            let reference =
+                solve_prepared(work, SolverConfig, mode, 1, SinoEngine::Reference).unwrap();
+            for threads in [1, 4] {
+                let work = prepare_instances(&grid, &routes, &budgets, &sens, threads).unwrap();
+                let incremental =
+                    solve_prepared(work, SolverConfig, mode, threads, SinoEngine::Incremental)
+                        .unwrap();
+                assert_eq!(reference, incremental, "mode {mode:?} threads {threads}");
             }
         }
     }
@@ -600,8 +561,7 @@ mod tests {
         let sens = SensitivityModel::new(0.5, 3);
         for engine in [SinoEngine::Incremental, SinoEngine::Reference] {
             let work = prepare_instances(&grid, &routes, &budgets, &sens, 0).unwrap();
-            let sino =
-                solve_prepared(work, SolverConfig::default(), RegionMode::Sino, 0, engine).unwrap();
+            let sino = solve_prepared(work, SolverConfig, RegionMode::Sino, 0, engine).unwrap();
             assert!(sino.is_empty(), "{engine:?}");
             assert_eq!(sino.len(), 0);
             assert_eq!(sino.total_shields(), 0);

@@ -30,7 +30,7 @@ use gsino_grid::route::{Dir, RouteSet};
 use gsino_grid::sensitivity::SensitivityModel;
 use gsino_grid::tech::Technology;
 use gsino_grid::usage::TrackUsage;
-use gsino_lsk::table::NoiseTable;
+use gsino_lsk::table::{calibrated_knots, NoiseTable};
 use gsino_sino::delta::DeltaEval;
 use gsino_sino::nss::NssModel;
 use gsino_sino::solver::SolverConfig;
@@ -91,7 +91,11 @@ pub struct GsinoConfig {
     pub sensitivity: SensitivityModel,
     /// Formula (2) weight constants.
     pub weights: Weights,
-    /// Per-region SINO solver configuration.
+    /// A placeholder with nothing to configure: every region runs the one
+    /// greedy SINO solver. Kept only for callers that still pass it to
+    /// [`solve_prepared`](crate::phase2::solve_prepared) and
+    /// [`refine`](crate::refine::refine); never on the wire.
+    #[serde(skip)]
     pub solver: SolverConfig,
     /// Phase III bounds.
     pub refine: RefineConfig,
@@ -140,7 +144,7 @@ impl Default for GsinoConfig {
             vth: 0.15,
             sensitivity: SensitivityModel::new(0.3, 1),
             weights: Weights::default(),
-            solver: SolverConfig::default(),
+            solver: SolverConfig,
             refine: RefineConfig::default(),
             threads: 0,
             nss_model: None,
@@ -189,6 +193,23 @@ impl GsinoConfig {
         if !(self.vth > 0.0 && self.vth < self.tech.vdd) {
             return Err(CoreError::BadConfig {
                 reason: format!("vth {} outside (0, Vdd)", self.vth),
+            });
+        }
+        // The flow's noise table is built from the supply voltage, and
+        // only some supply voltages give it usable knots.
+        if calibrated_knots(&self.tech).is_none() {
+            return Err(CoreError::BadConfig {
+                reason: format!(
+                    "Vdd {} outside the calibrated noise table's range (0.20 V, ~9.2e12 V)",
+                    self.tech.vdd
+                ),
+            });
+        }
+        // Deserialization bypasses `SensitivityModel::new`'s range check.
+        let rate = self.sensitivity.rate();
+        if !(0.0..=1.0).contains(&rate) {
+            return Err(CoreError::BadConfig {
+                reason: format!("sensitivity rate {rate} outside [0, 1]"),
             });
         }
         if !(self.tile_um.is_finite() && self.tile_um > 0.0) {
@@ -243,8 +264,9 @@ impl GsinoConfig {
 }
 
 /// Builder for [`GsinoConfig`]: defaults from [`GsinoConfig::default`],
-/// one setter per field, [`GsinoConfig::validate`] run on
-/// [`Self::build`]. See [`GsinoConfig::builder`].
+/// one setter per field except the placeholder [`GsinoConfig::solver`],
+/// [`GsinoConfig::validate`] run on [`Self::build`]. See
+/// [`GsinoConfig::builder`].
 #[derive(Debug, Clone)]
 pub struct GsinoConfigBuilder {
     config: GsinoConfig,
@@ -278,12 +300,6 @@ impl GsinoConfigBuilder {
     /// Formula (2) weight constants.
     pub fn weights(mut self, weights: Weights) -> Self {
         self.config.weights = weights;
-        self
-    }
-
-    /// Per-region SINO solver configuration.
-    pub fn solver(mut self, solver: SolverConfig) -> Self {
-        self.config.solver = solver;
         self
     }
 
@@ -668,8 +684,7 @@ pub(crate) fn sino_stage(
                     return Ok((key, sol, true));
                 }
             }
-            let (key, sol) =
-                solve_instance(inst, config.solver, mode, config.sino_engine, scratch)?;
+            let (key, sol) = solve_instance(inst, mode, config.sino_engine, scratch)?;
             Ok((key, sol, false))
         },
     )?;
@@ -707,7 +722,6 @@ pub(crate) fn refine_stage(
         budgets,
         sino,
         table,
-        config.solver,
         &config.refine,
         config.threads,
         cancel,
@@ -742,6 +756,32 @@ pub fn reference_kth(circuit: &Circuit, table: &NoiseTable, vth: f64) -> f64 {
         (sum / count as f64).max(1.0)
     };
     (lsk_bound / mean_le).clamp(0.05, 10.0)
+}
+
+/// Configurations [`GsinoConfig::validate`] must refuse although their
+/// `vth` lies inside (0, Vdd): supply voltages the calibrated noise table
+/// cannot be built for, and sensitivity rates outside [0, 1], which only
+/// deserialization can produce.
+#[cfg(test)]
+pub(crate) fn unusable_configs(base: &GsinoConfig) -> Vec<GsinoConfig> {
+    let with_vdd = |vdd: f64| GsinoConfig {
+        tech: Technology {
+            vdd,
+            ..base.tech.clone()
+        },
+        ..base.clone()
+    };
+    let with_rate = |rate: f64| GsinoConfig {
+        sensitivity: serde_json::from_str(&format!(r#"{{"rate":{rate:?},"seed":1}}"#))
+            .expect("a model the wire can carry"),
+        ..base.clone()
+    };
+    vec![
+        with_vdd(0.18),
+        with_vdd(1e17),
+        with_rate(5.0),
+        with_rate(-1.0),
+    ]
 }
 
 #[cfg(test)]
@@ -799,6 +839,28 @@ mod tests {
         let mut config = fast_config();
         config.tile_um = -1.0;
         assert!(run_gsino(&small_circuit(2), &config).is_err());
+    }
+
+    /// A supply voltage the noise table refuses, or a sensitivity rate
+    /// outside [0, 1], is a typed error before any phase runs, never a
+    /// panic inside one.
+    #[test]
+    fn unusable_supply_voltage_or_rate_is_bad_config() {
+        for config in unusable_configs(&fast_config()) {
+            let what = format!("vdd {} rate {}", config.tech.vdd, config.sensitivity.rate());
+            assert!(config.vth < config.tech.vdd, "{what}");
+            assert!(
+                matches!(config.validate(), Err(CoreError::BadConfig { .. })),
+                "{what}"
+            );
+            assert!(
+                matches!(
+                    run_gsino(&small_circuit(4), &config),
+                    Err(CoreError::BadConfig { .. })
+                ),
+                "{what}"
+            );
+        }
     }
 
     #[test]

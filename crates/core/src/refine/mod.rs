@@ -38,9 +38,10 @@
 //! * **Pass 1 edits in place.** Its work queue is a
 //!   [`tracker::SeverityQueue`] (lazy max-heap) instead of a full-map scan
 //!   per pick. A budget tightening re-solves its region through
-//!   [`SinoSolver::resolve_after_kth`] against one persistent
-//!   [`DeltaEval`] per touched `(region, dir)`, so the couplings are read
-//!   straight from the evaluator instead of a from-scratch re-evaluate.
+//!   [`SinoSolver::solve_with`] against one [`DeltaEval`] scratch for the
+//!   whole pass. The scratch mirrors the layout the solve returns, so the
+//!   couplings are read straight from it instead of a from-scratch
+//!   re-evaluate.
 //!
 //! * **Pass 2 tries out of place.** A pass-2 *trial* raises one region's
 //!   budgets in slack order until SINO drops a shield. It reads only that
@@ -69,16 +70,14 @@
 //!      invalidates it. A cached trial that dropped a shield is committed
 //!      again against the current tracker, because other regions'
 //!      recoveries may have made room for it.
-//!   4. **Warm skip.** With the greedy solver every region satisfies
-//!      `layout == solve(instance)` throughout refine: Phase II, pass-1
-//!      re-solves and pass-2 installs all store solver output. So when
+//!   4. **Warm skip.** Every region satisfies `layout == solve(instance)`
+//!      throughout refine: Phase II, pass-1 re-solves and pass-2 installs
+//!      all store the output of the one solver, [`SinoSolver`]. So when
 //!      [`budget_swap_preserves_solution`] certifies trial step *t*
 //!      against step *t−1*'s instance, step *t* returns step *t−1*'s
 //!      layout, which kept at least the base number of shields, and its
-//!      solve is skipped. Phase II seeds each region's annealer from its
-//!      key and refine's solver does not, so with annealing the chain of
-//!      certificates starts at the first solved step instead. Debug builds
-//!      solve anyway and assert that the layouts are equal.
+//!      solve is skipped. Debug builds solve anyway and assert that the
+//!      layouts are equal.
 //!   5. **Resume.** Consecutive solved steps of a trial differ in one
 //!      raised budget. A trial's first solved step records the greedy
 //!      placement's trace ([`SinoSolver::solve_traced`]); every later one
@@ -225,26 +224,6 @@ pub struct RefineWork {
     pub trial_placements: u64,
 }
 
-/// The persistent per-`(region, dir)` evaluators of pass 1: each mirrors
-/// its region's installed layout across pass-1 edits, loaded lazily on
-/// first touch.
-#[derive(Debug, Default)]
-struct RegionEngines {
-    map: HashMap<(RegionIdx, Dir), DeltaEval>,
-}
-
-impl RegionEngines {
-    /// The evaluator of `(r, dir)`, loading it from the installed solution
-    /// on first touch.
-    fn engine(&mut self, r: RegionIdx, dir: Dir, sol: &RegionSolution) -> &mut DeltaEval {
-        self.map.entry((r, dir)).or_insert_with(|| {
-            let mut e = DeltaEval::new();
-            e.load(&sol.instance, &sol.layout);
-            e
-        })
-    }
-}
-
 /// How one pass-2 visit ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Recovery {
@@ -294,6 +273,9 @@ struct TrialScratch {
 /// [`RegionSino`] and [`RefineStats::outcome`]) — see the module docs for
 /// the incremental contract.
 ///
+/// `_solver` is a placeholder: [`SolverConfig`] has nothing to configure,
+/// and the parameter stays only for callers that still pass one.
+///
 /// # Errors
 ///
 /// Propagates SINO solver errors (internal-invariant failures only).
@@ -306,7 +288,7 @@ pub fn refine(
     sino: &mut RegionSino,
     table: &NoiseTable,
     vth: f64,
-    solver: SolverConfig,
+    _solver: SolverConfig,
     config: &RefineConfig,
 ) -> Result<RefineStats> {
     refine_cancel(
@@ -317,7 +299,6 @@ pub fn refine(
         sino,
         table,
         vth,
-        solver,
         config,
         0,
         &CancelToken::never(),
@@ -345,7 +326,6 @@ pub fn refine_cancel(
     sino: &mut RegionSino,
     table: &NoiseTable,
     vth: f64,
-    solver: SolverConfig,
     config: &RefineConfig,
     threads: usize,
     cancel: &CancelToken,
@@ -358,7 +338,6 @@ pub fn refine_cancel(
         budgets,
         sino,
         table,
-        solver,
         config,
         threads,
         cancel,
@@ -378,7 +357,6 @@ pub(crate) fn refine_tracked(
     budgets: &mut Budgets,
     sino: &mut RegionSino,
     table: &NoiseTable,
-    solver: SolverConfig,
     config: &RefineConfig,
     threads: usize,
     cancel: &CancelToken,
@@ -387,7 +365,7 @@ pub(crate) fn refine_tracked(
     let mut stats = RefineStats::default();
     debug_oracle(tracker, circuit, grid, routes, sino, table);
     pass1(
-        circuit, grid, routes, budgets, sino, table, solver, config, &mut stats, tracker, cancel,
+        circuit, grid, routes, budgets, sino, table, config, &mut stats, tracker, cancel,
     )?;
     stats.clean = tracker.is_clean();
     debug_assert_eq!(
@@ -397,8 +375,8 @@ pub(crate) fn refine_tracked(
     );
     if config.enable_pass2 && stats.clean {
         pass2(
-            circuit, grid, routes, budgets, sino, table, solver, config, &mut stats, tracker,
-            threads, cancel,
+            circuit, grid, routes, budgets, sino, table, config, &mut stats, tracker, threads,
+            cancel,
         )?;
     }
     Ok(stats)
@@ -427,14 +405,12 @@ fn pass1(
     budgets: &mut Budgets,
     sino: &mut RegionSino,
     table: &NoiseTable,
-    solver: SolverConfig,
     config: &RefineConfig,
     stats: &mut RefineStats,
     tracker: &mut LskTracker,
     cancel: &CancelToken,
 ) -> Result<()> {
-    let solver = SinoSolver::new(solver);
-    let mut engines = RegionEngines::default();
+    let mut scratch = DeltaEval::new();
     let mut queue = SeverityQueue::new(&tracker.nets_by_severity());
     for _ in 0..config.max_pass1_iters {
         cancel.check("phase3")?;
@@ -500,13 +476,11 @@ fn pass1(
                 sol.instance.set_kth(idx, new_kth)?;
                 budgets.set(net_id, r, dir, new_kth);
                 let before = sol.layout.num_shields();
-                let engine = engines.engine(r, dir, sol);
-                engine.rebudget(&sol.instance, idx);
-                sol.layout = solver.resolve_after_kth(&sol.instance, engine)?;
-                // The evaluator mirrors the re-solved layout, so the
+                sol.layout = SinoSolver.solve_with(&sol.instance, &mut scratch)?;
+                // The scratch mirrors the re-solved layout, so the
                 // couplings come straight from its cache — no re-evaluate.
                 sol.k.clear();
-                sol.k.extend_from_slice(engine.k_values(&sol.instance));
+                sol.k.extend_from_slice(scratch.k_values(&sol.instance));
                 stats.pass1_shields_added +=
                     (sol.layout.num_shields().saturating_sub(before)) as u64;
                 tracker.region_updated(r, dir, &sol.k, table);
@@ -545,17 +519,12 @@ fn pass2(
     budgets: &mut Budgets,
     sino: &mut RegionSino,
     table: &NoiseTable,
-    solver: SolverConfig,
     config: &RefineConfig,
     stats: &mut RefineStats,
     tracker: &mut LskTracker,
     threads: usize,
     cancel: &CancelToken,
 ) -> Result<()> {
-    let solver = SinoSolver::new(solver);
-    // Only the greedy solver's installed layouts are `solve(instance)`
-    // for refine's solver (module docs, warm skip).
-    let anchored = solver.config().anneal.is_none();
     // The key set never changes during refinement.
     let keys = sino.keys();
     let mut cache: HashMap<(RegionIdx, Dir), Trial> = HashMap::new();
@@ -573,7 +542,7 @@ fn pass2(
             // invariant: the sweep order lists solved keys only.
             let sol = swept.solution(key.0, key.1).expect("swept key is solved");
             let mut work = RefineWork::default();
-            let trial = run_trial(sol, &solver, anchored, scratch, &mut work)?;
+            let trial = run_trial(sol, scratch, &mut work)?;
             Ok((key, trial, work))
         })?;
         for (key, trial, work) in trials {
@@ -642,15 +611,10 @@ fn slack_order(sol: &RegionSolution, order: &mut Vec<(f64, usize)>) {
 }
 
 /// Runs one pass-2 trial on a copy of `sol`: raises budgets in slack order
-/// until the solver drops a shield. `anchored` says whether `sol.layout`
-/// is what the solver returns for `sol.instance` (module docs, warm skip).
-fn run_trial(
-    sol: &RegionSolution,
-    solver: &SinoSolver,
-    anchored: bool,
-    s: &mut TrialScratch,
-    work: &mut RefineWork,
-) -> Result<Trial> {
+/// until the solver drops a shield. `sol.layout` is the solver's output for
+/// `sol.instance`, so the chain of warm certificates starts there (module
+/// docs, warm skip).
+fn run_trial(sol: &RegionSolution, s: &mut TrialScratch, work: &mut RefineWork) -> Result<Trial> {
     slack_order(sol, &mut s.order);
     if s.order.is_empty() {
         return Ok(Trial::NoCandidate);
@@ -660,9 +624,6 @@ fn run_trial(
     inst.clone_from(&sol.instance);
     s.kth.clear();
     s.kth.extend(inst.segments().iter().map(|seg| seg.kth));
-    // Whether the previous step's layout is known to be the solver's
-    // output for the previous step's instance.
-    let mut anchored = anchored;
     // Whether `s.trace` is the trace of the previous step's instance: set
     // by the first solved step, and kept by a warm skip, whose certificate
     // also proves that every read of that solve, and so its trace, is
@@ -672,13 +633,13 @@ fn run_trial(
     let mut prev = sol.layout.clone();
     for (t, &(slack, i)) in s.order.iter().enumerate() {
         s.kth[i] = inst.segment(i).kth + slack;
-        let certified = anchored && budget_swap_preserves_solution(inst, &s.kth);
+        let certified = budget_swap_preserves_solution(inst, &s.kth);
         inst.set_kth(i, s.kth[i])?;
         if certified {
             work.warm_skips += 1;
             #[cfg(debug_assertions)]
             assert_eq!(
-                solver.solve_with(inst, &mut s.eval)?,
+                SinoSolver.solve_with(inst, &mut s.eval)?,
                 prev,
                 "a warm-skipped trial step would have moved the layout"
             );
@@ -688,10 +649,10 @@ fn run_trial(
         let recomputes = s.eval.block_recomputes();
         let placements = s.trace.placements_probed();
         let layout = if traced {
-            solver.resolve_after_raise(inst, i, &mut s.trace, &mut s.eval)?
+            SinoSolver.resolve_after_raise(inst, i, &mut s.trace, &mut s.eval)?
         } else {
             traced = true;
-            solver.solve_traced(inst, &mut s.trace, &mut s.eval)?
+            SinoSolver.solve_traced(inst, &mut s.trace, &mut s.eval)?
         };
         // The scratch mirrors the returned layout, so its couplings are
         // the layout's.
@@ -702,7 +663,6 @@ fn run_trial(
             let raised = s.order[..=t].iter().map(|&(_, j)| (j, s.kth[j])).collect();
             return Ok(Trial::Drop { raised, layout, k });
         }
-        anchored = true;
         #[cfg(debug_assertions)]
         {
             prev = layout;
@@ -815,16 +775,7 @@ mod tests {
         )
         .unwrap();
         let sens = SensitivityModel::new(0.5, 3);
-        let sino = solve_regions(
-            &grid,
-            &routes,
-            &budgets,
-            &sens,
-            SolverConfig::default(),
-            RegionMode::Sino,
-            1,
-        )
-        .unwrap();
+        let sino = solve_regions(&grid, &routes, &budgets, &sens, RegionMode::Sino, 1).unwrap();
         (circuit, grid, routes, table, budgets, sino)
     }
 
@@ -883,7 +834,7 @@ mod tests {
             &mut sino,
             &table,
             0.15,
-            SolverConfig::default(),
+            SolverConfig,
             &RefineConfig::default(),
         )
         .unwrap();
@@ -910,7 +861,7 @@ mod tests {
             &mut sino,
             &table,
             0.30,
-            SolverConfig::default(),
+            SolverConfig,
             &RefineConfig {
                 enable_pass2: false,
                 ..RefineConfig::default()
@@ -933,7 +884,7 @@ mod tests {
             &mut sino,
             &table,
             0.15,
-            SolverConfig::default(),
+            SolverConfig,
             &RefineConfig {
                 pass2_sweeps: 2,
                 ..RefineConfig::default()
@@ -956,7 +907,7 @@ mod tests {
             &mut sino,
             &table,
             0.15,
-            SolverConfig::default(),
+            SolverConfig,
             &RefineConfig {
                 max_pass1_iters: 1,
                 max_inner_iters: 1,
@@ -975,25 +926,18 @@ mod tests {
     fn incremental_matches_reference_pass() {
         let (circuit, grid, routes, table, budgets0, sino0) = violating_setup();
         let configs = [
-            (SolverConfig::default(), RefineConfig::default()),
-            (
-                SolverConfig::default(),
-                RefineConfig {
-                    enable_pass2: false,
-                    ..RefineConfig::default()
-                },
-            ),
-            (SolverConfig::with_anneal(300, 11), RefineConfig::default()),
-            (
-                SolverConfig::default(),
-                RefineConfig {
-                    max_pass1_iters: 3,
-                    max_inner_iters: 2,
-                    ..RefineConfig::default()
-                },
-            ),
+            RefineConfig::default(),
+            RefineConfig {
+                enable_pass2: false,
+                ..RefineConfig::default()
+            },
+            RefineConfig {
+                max_pass1_iters: 3,
+                max_inner_iters: 2,
+                ..RefineConfig::default()
+            },
         ];
-        for (solver, refine_cfg) in configs {
+        for refine_cfg in configs {
             let (mut b_ref, mut s_ref) = (budgets0.clone(), sino0.clone());
             let (mut b_inc, mut s_inc) = (budgets0.clone(), sino0.clone());
             let stats_ref = reference::refine(
@@ -1004,7 +948,6 @@ mod tests {
                 &mut s_ref,
                 &table,
                 0.15,
-                solver,
                 &refine_cfg,
             )
             .unwrap();
@@ -1016,7 +959,7 @@ mod tests {
                 &mut s_inc,
                 &table,
                 0.15,
-                solver,
+                SolverConfig,
                 &refine_cfg,
             )
             .unwrap();
@@ -1050,7 +993,6 @@ mod tests {
                 &mut budgets,
                 &mut sino,
                 &table,
-                SolverConfig::default(),
                 &pass2_everywhere,
                 1,
                 &CancelToken::never(),
@@ -1101,7 +1043,7 @@ mod tests {
             &mut sino,
             &table,
             0.15,
-            SolverConfig::default(),
+            SolverConfig,
             &RefineConfig::default(),
         )
         .unwrap();
@@ -1115,7 +1057,6 @@ mod tests {
         let vth = worst + 1e-6;
         let mut tracker = LskTracker::new(&circuit, &grid, &routes, &sino, &table, vth);
         assert!(tracker.is_clean(), "vth sits above the worst voltage");
-        let solver = SinoSolver::new(SolverConfig::default());
         let mut scratch = TrialScratch::default();
         let mut work = RefineWork::default();
         let mut stats = RefineStats::default();
@@ -1128,7 +1069,7 @@ mod tests {
             let sino_before = sino.clone();
             let severity_before = tracker.nets_by_severity();
             let sol = sino.solution(r, dir).unwrap();
-            let trial = run_trial(sol, &solver, true, &mut scratch, &mut work).unwrap();
+            let trial = run_trial(sol, &mut scratch, &mut work).unwrap();
             let outcome = commit_trial(
                 &trial,
                 (r, dir),
@@ -1158,7 +1099,7 @@ mod tests {
                 Recovery::Recovered => continue,
             }
             let sol = sino.solution(r, dir).unwrap();
-            let again = run_trial(sol, &solver, true, &mut scratch, &mut work).unwrap();
+            let again = run_trial(sol, &mut scratch, &mut work).unwrap();
             assert_eq!(again, trial, "the trial of {r} {dir:?} went stale");
         }
         assert!(
@@ -1239,30 +1180,50 @@ mod tests {
         assert!(ties > 0, "the setup must exercise the index tie-break");
     }
 
-    /// A warm-skipped step never changes a trial: starting the chain of
-    /// certificates at the installed layout gives the same result, over
-    /// the same steps, as starting it at the first solved step. Debug
-    /// builds also solve every skipped step and compare.
+    /// Every trial is the seed's: raise budgets in slack order and solve
+    /// each step cold until a shield drops. The chain of warm certificates
+    /// starts at the installed layout, so some trial skips its first step.
     #[test]
-    fn warm_skip_changes_no_trial() {
+    fn trials_match_cold_raise_chains() {
         let (_, _, _, _, _, sino) = pass2_setup();
-        let solver = SinoSolver::new(SolverConfig::default());
         let mut scratch = TrialScratch::default();
-        let (mut warm, mut cold) = (RefineWork::default(), RefineWork::default());
+        let mut work = RefineWork::default();
+        let mut order = Vec::new();
+        let (mut drops, mut first_skipped) = (0, 0);
         for (r, dir) in sino.keys() {
             let sol = sino.solution(r, dir).unwrap();
-            let a = run_trial(sol, &solver, true, &mut scratch, &mut warm).unwrap();
-            let b = run_trial(sol, &solver, false, &mut scratch, &mut cold).unwrap();
-            assert_eq!(a, b, "{r} {dir:?}");
-            assert_eq!(
-                warm.trial_solves + warm.warm_skips,
-                cold.trial_solves + cold.warm_skips
-            );
+            let trial = run_trial(sol, &mut scratch, &mut work).unwrap();
+            slack_order(sol, &mut order);
+            let mut inst = sol.instance.clone();
+            let mut expect = Trial::NoCandidate;
+            for (t, &(slack, i)) in order.iter().enumerate() {
+                let kth = inst.segment(i).kth + slack;
+                if t == 0 {
+                    let mut first: Vec<f64> = inst.segments().iter().map(|s| s.kth).collect();
+                    first[i] = kth;
+                    first_skipped += usize::from(budget_swap_preserves_solution(&inst, &first));
+                }
+                inst.set_kth(i, kth).unwrap();
+                let layout = SinoSolver.solve(&inst).unwrap();
+                if layout.num_shields() < sol.layout.num_shields() {
+                    let raised = order[..=t]
+                        .iter()
+                        .map(|&(_, j)| (j, inst.segment(j).kth))
+                        .collect();
+                    let k = gsino_sino::keff::evaluate(&inst, &layout).k;
+                    expect = Trial::Drop { raised, layout, k };
+                    drops += 1;
+                    break;
+                }
+            }
+            assert_eq!(trial, expect, "{r} {dir:?}");
         }
+        assert!(drops > 0, "the setup must drop some shield");
         assert!(
-            warm.warm_skips > cold.warm_skips,
+            first_skipped > 0,
             "the setup must certify some first step against the installed layout"
         );
+        assert!(work.warm_skips >= first_skipped as u64);
     }
 
     /// Pass-2 trials on any number of workers give the same outputs and
@@ -1284,7 +1245,6 @@ mod tests {
                 &mut s,
                 &table,
                 0.15,
-                SolverConfig::default(),
                 &config,
                 threads,
                 &CancelToken::never(),

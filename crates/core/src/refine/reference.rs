@@ -30,7 +30,7 @@ use gsino_grid::net::Circuit;
 use gsino_grid::region::{RegionGrid, RegionIdx};
 use gsino_grid::route::{Dir, RouteSet};
 use gsino_lsk::table::NoiseTable;
-use gsino_sino::solver::{SinoSolver, SolverConfig};
+use gsino_sino::solver::SinoSolver;
 use std::collections::HashSet;
 
 /// Runs both seed passes, mutating budgets and region solutions in place.
@@ -47,17 +47,16 @@ pub fn refine(
     sino: &mut RegionSino,
     table: &NoiseTable,
     vth: f64,
-    solver: SolverConfig,
     config: &RefineConfig,
 ) -> Result<RefineStats> {
     let mut stats = RefineStats::default();
     pass1(
-        circuit, grid, routes, budgets, sino, table, vth, solver, config, &mut stats,
+        circuit, grid, routes, budgets, sino, table, vth, config, &mut stats,
     )?;
     stats.clean = check(circuit, grid, routes, sino, table, vth).is_clean();
     if config.enable_pass2 && stats.clean {
         pass2(
-            circuit, grid, routes, budgets, sino, table, vth, solver, config, &mut stats,
+            circuit, grid, routes, budgets, sino, table, vth, config, &mut stats,
         )?;
     }
     Ok(stats)
@@ -78,11 +77,9 @@ fn pass1(
     sino: &mut RegionSino,
     table: &NoiseTable,
     vth: f64,
-    solver: SolverConfig,
     config: &RefineConfig,
     stats: &mut RefineStats,
 ) -> Result<()> {
-    let solver = SinoSolver::new(solver);
     let mut severity: std::collections::HashMap<gsino_grid::net::NetId, f64> =
         check(circuit, grid, routes, sino, table, vth)
             .nets_by_severity()
@@ -155,7 +152,7 @@ fn pass1(
             sol.instance.set_kth(idx, new_kth)?;
             budgets.set(net_id, r, dir, new_kth);
             let before = sol.layout.num_shields();
-            sol.layout = solver.solve(&sol.instance)?;
+            sol.layout = SinoSolver.solve(&sol.instance)?;
             sol.refresh_k();
             stats.pass1_shields_added += (sol.layout.num_shields().saturating_sub(before)) as u64;
             // Recheck only the nets whose coupling this region re-solve
@@ -207,11 +204,9 @@ fn pass2(
     sino: &mut RegionSino,
     table: &NoiseTable,
     vth: f64,
-    solver: SolverConfig,
     config: &RefineConfig,
     stats: &mut RefineStats,
 ) -> Result<()> {
-    let solver = SinoSolver::new(solver);
     for _ in 0..config.pass2_sweeps {
         let mut improved = false;
         let mut visited: HashSet<(RegionIdx, Dir)> = HashSet::new();
@@ -246,7 +241,7 @@ fn pass2(
             visited.insert((r, dir));
             stats.pass2_regions += 1;
             if try_recover_shield(
-                circuit, grid, routes, budgets, sino, table, vth, &solver, r, dir, stats,
+                circuit, grid, routes, budgets, sino, table, vth, r, dir, stats,
             )? {
                 improved = true;
             }
@@ -269,7 +264,6 @@ fn try_recover_shield(
     sino: &mut RegionSino,
     table: &NoiseTable,
     vth: f64,
-    solver: &SinoSolver,
     r: RegionIdx,
     dir: Dir,
     stats: &mut RefineStats,
@@ -299,7 +293,7 @@ fn try_recover_shield(
         };
         trial.set_kth(i, trial.segment(i).kth + slack)?;
         raised.push(i);
-        let layout = solver.solve(&trial)?;
+        let layout = SinoSolver.solve(&trial)?;
         stats.work.trial_solves += 1;
         if layout.num_shields() >= base_shields {
             continue;

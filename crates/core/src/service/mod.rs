@@ -844,6 +844,38 @@ mod tests {
         assert!(matches!(closed, Err(CoreError::BadConfig { .. })));
     }
 
+    /// A configuration the noise table or the sensitivity model cannot
+    /// use fails the session's build with `BadConfig`, which `close`
+    /// reports, instead of panicking a pool worker and leaving `close`
+    /// waiting forever. The reply is awaited with a timeout, so a hang
+    /// fails the test.
+    #[test]
+    fn unusable_supply_voltage_or_rate_is_answered_at_close() {
+        let service = Arc::new(RoutingService::new(ServiceConfig::default()));
+        for (i, config) in crate::pipeline::unusable_configs(&fast_config())
+            .into_iter()
+            .enumerate()
+        {
+            let name = format!("bad{i}");
+            service.open(&name, small_circuit(6), config).unwrap();
+            let (tx, rx) = mpsc::channel();
+            let svc = Arc::clone(&service);
+            let closer = std::thread::spawn(move || {
+                let _ = tx.send(svc.close(&name).map(|_| ()));
+            });
+            let closed = rx
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("close of bad{i} did not answer"));
+            closer
+                .join()
+                .expect("the closing thread ends once it answered");
+            assert!(
+                matches!(closed, Err(CoreError::BadConfig { .. })),
+                "bad{i}: {closed:?}"
+            );
+        }
+    }
+
     #[test]
     fn explicit_pool_sizes_stay_bit_identical() {
         // The same edit sequence against pool sizes 1 and 4 must retire

@@ -21,7 +21,7 @@ use serde::{DeError, Deserialize, Map, Serialize, Value};
 
 /// Current protocol version, negotiated by the hello frame. A server
 /// speaks exactly one version; clients reject a mismatch at connect.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// The protocol name carried in the hello frame, so a client that dialed
 /// the wrong port fails with a clear error instead of a JSON shape one.

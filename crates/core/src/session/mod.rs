@@ -1015,6 +1015,22 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn unusable_supply_voltage_or_rate_is_rejected() {
+        let circuit = small_circuit(6);
+        for config in crate::pipeline::unusable_configs(&fast_config()) {
+            assert!(
+                matches!(
+                    EcoSession::new(&circuit, &config),
+                    Err(CoreError::BadConfig { .. })
+                ),
+                "vdd {} rate {}",
+                config.tech.vdd,
+                config.sensitivity.rate()
+            );
+        }
+    }
+
     /// Phase II from scratch on the session's circuit and config: the
     /// pipeline's routes and budgeting, then the public prepare-and-solve
     /// path every region.

@@ -210,7 +210,6 @@ mod tests {
     use gsino_grid::geom::{Point, Rect};
     use gsino_grid::sensitivity::SensitivityModel;
     use gsino_grid::tech::Technology;
-    use gsino_sino::solver::SolverConfig;
 
     /// A dense bus sharing one row of regions: every net couples hard.
     fn dense_bus(n: u32, len: f64) -> (Circuit, RegionGrid, RouteSet, NoiseTable) {
@@ -246,16 +245,8 @@ mod tests {
         )
         .unwrap();
         let sens = SensitivityModel::new(1.0, 3);
-        let sino = solve_regions(
-            &grid,
-            &routes,
-            &budgets,
-            &sens,
-            SolverConfig::default(),
-            RegionMode::OrderOnly,
-            1,
-        )
-        .unwrap();
+        let sino =
+            solve_regions(&grid, &routes, &budgets, &sens, RegionMode::OrderOnly, 1).unwrap();
         let report = check(&circuit, &grid, &routes, &sino, &table, 0.15);
         assert!(
             report.violating_nets() > 0,
@@ -279,16 +270,7 @@ mod tests {
         )
         .unwrap();
         let sens = SensitivityModel::new(1.0, 3);
-        let sino = solve_regions(
-            &grid,
-            &routes,
-            &budgets,
-            &sens,
-            SolverConfig::default(),
-            RegionMode::Sino,
-            1,
-        )
-        .unwrap();
+        let sino = solve_regions(&grid, &routes, &budgets, &sens, RegionMode::Sino, 1).unwrap();
         let report = check(&circuit, &grid, &routes, &sino, &table, 0.15);
         assert!(
             report.is_clean(),
@@ -310,16 +292,8 @@ mod tests {
         )
         .unwrap();
         let sens = SensitivityModel::new(0.0, 3);
-        let sino = solve_regions(
-            &grid,
-            &routes,
-            &budgets,
-            &sens,
-            SolverConfig::default(),
-            RegionMode::OrderOnly,
-            1,
-        )
-        .unwrap();
+        let sino =
+            solve_regions(&grid, &routes, &budgets, &sens, RegionMode::OrderOnly, 1).unwrap();
         let report = check(&circuit, &grid, &routes, &sino, &table, 0.15);
         assert!(report.is_clean());
     }
@@ -362,16 +336,8 @@ mod tests {
         )
         .unwrap();
         let sens = SensitivityModel::new(1.0, 3);
-        let sino = solve_regions(
-            &grid,
-            &routes,
-            &budgets,
-            &sens,
-            SolverConfig::default(),
-            RegionMode::OrderOnly,
-            1,
-        )
-        .unwrap();
+        let sino =
+            solve_regions(&grid, &routes, &budgets, &sens, RegionMode::OrderOnly, 1).unwrap();
         let a = check(&circuit, &grid, &routes, &sino, &table, 0.15);
         let b = check(&circuit, &grid, &routes, &sino, &table, 0.15);
         assert_eq!(a.nets_by_severity(), b.nets_by_severity());
@@ -394,16 +360,8 @@ mod tests {
             LengthModel::Manhattan,
         )
         .unwrap();
-        let sino = solve_regions(
-            &grid,
-            &routes,
-            &budgets,
-            &sens,
-            SolverConfig::default(),
-            RegionMode::OrderOnly,
-            1,
-        )
-        .unwrap();
+        let sino =
+            solve_regions(&grid, &routes, &budgets, &sens, RegionMode::OrderOnly, 1).unwrap();
         let net = circuit.net(0).unwrap();
         let lsk = sink_lsk(&grid, routes.get(0).unwrap(), &sino, net, 0);
         // Roughly: K ~ O(1) per region over a 2.5 mm run.

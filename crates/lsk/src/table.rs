@@ -69,22 +69,19 @@ impl NoiseTable {
     /// // Monotone increasing.
     /// assert!(t.voltage(2000.0) > t.voltage(500.0));
     /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`calibrated_knots`] refuses `tech`'s supply voltage;
+    /// `GsinoConfig::validate` rejects such a technology first.
     pub fn calibrated(tech: &Technology) -> Self {
-        let vdd = tech.vdd;
-        let lambda = CALIBRATED_LAMBDA_UM;
-        let inv = |v: f64| -lambda * (1.0 - v / vdd).ln();
-        let mut xs = vec![0.0];
-        let mut ys = vec![0.0];
-        for i in 0..TABLE_ENTRIES {
-            let v = TABLE_V_LO + (TABLE_V_HI - TABLE_V_LO) * i as f64 / (TABLE_ENTRIES - 1) as f64;
-            xs.push(inv(v));
-            ys.push(v);
-        }
+        let (xs, ys) =
+            calibrated_knots(tech).expect("a supply voltage the calibrated table supports");
         let tail_slope = slope_of_tail(&xs, &ys);
-        let pwl = PiecewiseLinear::new(xs, ys).expect("analytic knots are monotone");
+        let pwl = PiecewiseLinear::new(xs, ys).expect("checked knots are strictly increasing");
         NoiseTable {
             pwl,
-            vdd,
+            vdd: tech.vdd,
             tail_slope,
         }
     }
@@ -258,6 +255,27 @@ impl NoiseTable {
     }
 }
 
+/// The knots of [`NoiseTable::calibrated`]: `(0, 0)`, then
+/// `(−λ·ln(1 − v/Vdd), v)` for the 100 voltages across 0.10–0.20 V.
+///
+/// `None` unless every LSK knot is finite and the knots strictly increase.
+/// That holds only for a supply voltage above 0.20 V and below about
+/// 9.2·10¹² V: at or below 0.20 V the logarithm's argument reaches zero or
+/// goes negative, and far above it `1 − v/Vdd` rounds to equal f64s for
+/// neighbouring voltages, so knots collapse.
+pub fn calibrated_knots(tech: &Technology) -> Option<(Vec<f64>, Vec<f64>)> {
+    let inv = |v: f64| -CALIBRATED_LAMBDA_UM * (1.0 - v / tech.vdd).ln();
+    let mut xs = vec![0.0];
+    let mut ys = vec![0.0];
+    for i in 0..TABLE_ENTRIES {
+        let v = TABLE_V_LO + (TABLE_V_HI - TABLE_V_LO) * i as f64 / (TABLE_ENTRIES - 1) as f64;
+        xs.push(inv(v));
+        ys.push(v);
+    }
+    let usable = xs.iter().all(|x| x.is_finite()) && xs.windows(2).all(|w| w[0] < w[1]);
+    usable.then_some((xs, ys))
+}
+
 /// Slope of the table's tail, measured between the last knot and the knot
 /// half-way up the table. Using a wide baseline keeps the extrapolation
 /// slope meaningful even when isotonic flats forced epsilon-spaced knots
@@ -300,6 +318,17 @@ mod tests {
         assert!((entries[0].1 - TABLE_V_LO).abs() < 1e-12);
         assert!((entries[TABLE_ENTRIES - 1].1 - TABLE_V_HI).abs() < 1e-12);
         assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    #[test]
+    fn calibrated_knots_refuse_supply_voltages_that_collapse_them() {
+        let with_vdd = |vdd: f64| Technology { vdd, ..tech() };
+        for vdd in [0.21, 1.05, 1.3, 1e6, 1e12] {
+            assert!(calibrated_knots(&with_vdd(vdd)).is_some(), "vdd {vdd}");
+        }
+        for vdd in [0.18, 0.20, 1e13, 1e17, f64::INFINITY, f64::NAN, -1.0, 0.0] {
+            assert!(calibrated_knots(&with_vdd(vdd)).is_none(), "vdd {vdd}");
+        }
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //!
 //! The SINO problem is NP-hard (paper §3); the greedy constructor is fast
 //! but can over-shield. This annealer explores reorderings and shield
-//! moves, keeping the best *feasible* layout seen. It is used by the
-//! `sino_solvers` ablation bench and available to callers who trade runtime
-//! for area.
+//! moves, keeping the best *feasible* layout seen. No flow runs it: the
+//! paper solves each region with one constructive heuristic, and
+//! [`crate::solver::SinoSolver`] is that heuristic alone. It stays for the
+//! `sino_solvers` ablation bench (A2), which polishes greedy layouts with
+//! [`improve`] to measure the area the heuristic leaves behind.
 //!
 //! Moves are applied to one reusable [`DeltaEval`] and **undone on
 //! rejection** instead of cloning the layout per proposal (the seed
@@ -19,10 +21,9 @@ use crate::keff::evaluate;
 use crate::layout::{Layout, Slot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Annealing schedule parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnnealConfig {
     /// Total proposed moves.
     pub iters: usize,
@@ -62,21 +63,6 @@ fn cost(instance: &SinoInstance, delta: &mut DeltaEval) -> f64 {
 /// Panics (debug assertion) if `start` is infeasible; callers obtain
 /// feasible layouts from the greedy solver first.
 pub fn improve(instance: &SinoInstance, start: Layout, config: &AnnealConfig) -> Layout {
-    improve_with(instance, start, config, &mut DeltaEval::new())
-}
-
-/// [`improve`] against caller-provided scratch, so batch drivers reuse one
-/// allocation across instances.
-///
-/// # Panics
-///
-/// Same conditions as [`improve`].
-pub fn improve_with(
-    instance: &SinoInstance,
-    start: Layout,
-    config: &AnnealConfig,
-    delta: &mut DeltaEval,
-) -> Layout {
     debug_assert!(
         evaluate(instance, &start).feasible,
         "annealer requires a feasible starting layout"
@@ -85,6 +71,7 @@ pub fn improve_with(
         return start;
     }
     let mut rng = StdRng::seed_from_u64(config.seed);
+    let delta = &mut DeltaEval::new();
     delta.load(instance, &start);
     let mut current_cost = cost(instance, delta);
     let mut best_slots: Vec<Slot> = start.slots().to_vec();

@@ -470,21 +470,6 @@ impl DeltaEval {
         self.insert(instance, gap, Slot::Shield);
     }
 
-    /// Re-syncs one segment's overflow after its budget was changed
-    /// externally ([`SinoInstance::set_kth`]) — the O(1) warm-start entry
-    /// point Phase III uses to keep a persistent evaluator valid across
-    /// budget edits without reloading the layout. Couplings are untouched
-    /// (a budget edit cannot change any `Kᵢ`); if the segment's block is
-    /// stale, its recompute applies the new budget anyway.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seg` is out of range of the tracked instance.
-    pub fn rebudget(&mut self, instance: &SinoInstance, seg: usize) {
-        let of = (self.k[seg] - instance.segment(seg).kth).max(0.0);
-        self.set_overflow(seg, of);
-    }
-
     /// Removes the shield at track `pos`, returning whether one was there.
     pub fn remove_shield_at(&mut self, instance: &SinoInstance, pos: usize) -> bool {
         if pos < self.slots.len() && self.slots[pos] == Slot::Shield {
@@ -759,30 +744,6 @@ mod tests {
     }
 
     #[test]
-    fn rebudget_resyncs_overflow_after_external_set_kth() {
-        let mut inst = instance(3, 1.0, 0.4, 6);
-        let mut delta = DeltaEval::new();
-        delta.load(&inst, &Layout::from_order(&[0, 1, 2]));
-        assert!(delta.worst_overflow(&inst).is_some());
-        // Loosen every budget: rebudget must drain the overflow counter
-        // segment by segment, staying oracle-clean throughout.
-        for seg in 0..3 {
-            inst.set_kth(seg, 10.0).unwrap();
-            delta.rebudget(&inst, seg);
-            let layout = delta.to_layout();
-            assert_eq!(delta.evaluation(&inst), evaluate(&inst, &layout));
-        }
-        assert!(delta.worst_overflow(&inst).is_none());
-        assert_eq!(delta.total_overflow(&inst), 0.0);
-        // Tighten one again: overflow returns.
-        inst.set_kth(1, 1e-6).unwrap();
-        delta.rebudget(&inst, 1);
-        assert!(delta.worst_overflow(&inst).is_some());
-        let layout = delta.to_layout();
-        assert_eq!(delta.evaluation(&inst), evaluate(&inst, &layout));
-    }
-
-    #[test]
     fn feasibility_counter_tracks_transitions() {
         let inst = instance(2, 1.0, 0.4, 3);
         let mut delta = DeltaEval::new();
@@ -844,8 +805,10 @@ mod proptests {
                         delta.remove_shield_at(&inst, x % area);
                     }
                     4 => {
+                        // A budget edit retargets the evaluator, as every
+                        // solve's reset does.
                         inst.set_kth(x % n, [1e-3, 0.3, 1.0, 2.5][y % 4]).unwrap();
-                        delta.rebudget(&inst, x % n);
+                        delta.load(&inst, &layout);
                     }
                     5 => prop_assert_eq!(delta.evaluation(&inst), evaluate(&inst, &layout)),
                     6 => prop_assert_eq!(

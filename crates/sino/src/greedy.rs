@@ -144,14 +144,11 @@ fn order_key(instance: &SinoInstance, i: usize) -> (f64, f64, usize) {
 
 /// [`solve_greedy`] against caller-provided scratch, so batch drivers
 /// (Phase II's per-region worklist) reuse one allocation across instances.
+/// On return `delta` holds the returned layout, for every instance, the
+/// empty one included.
 pub fn solve_greedy_with(instance: &SinoInstance, delta: &mut DeltaEval) -> Layout {
-    let n = instance.n();
-    if n == 0 {
-        return Layout::from_slots(Vec::new()).expect("empty layout is well-formed");
-    }
     // Hardest-first ordering: high sensitivity, then tight budget.
     let order = placement_order(instance);
-
     delta.reset(instance);
     for &seg in &order {
         place_best(instance, delta, seg, &mut []);

@@ -22,8 +22,10 @@
 //!   bit-identical values to a from-scratch [`keff::evaluate`];
 //! * [`greedy`] — constructive solver (order + shield insertion + compaction),
 //!   scoring candidates through [`delta::DeltaEval`];
-//! * [`anneal`] — simulated-annealing polish (apply/undo moves, no clones);
-//! * [`solver`] — the user-facing facade combining the two;
+//! * [`solver`] — the user-facing facade: the greedy solver every phase
+//!   runs, with validation;
+//! * [`anneal`] — simulated-annealing polish (apply/undo moves, no clones),
+//!   run only by the `sino_solvers` ablation;
 //! * [`warm`] — the warm-start budget check: certifies that a slack budget
 //!   change cannot move the solver output, so callers may skip re-solving;
 //! * [`mod@reference`] — the seed clone-and-reevaluate solvers, preserved
@@ -39,13 +41,13 @@
 //! ```
 //! use gsino_grid::SensitivityModel;
 //! use gsino_sino::instance::{SegmentSpec, SinoInstance};
-//! use gsino_sino::solver::{SinoSolver, SolverConfig};
+//! use gsino_sino::solver::SinoSolver;
 //!
 //! # fn main() -> Result<(), gsino_sino::SinoError> {
 //! let segs: Vec<SegmentSpec> =
 //!     (0..8).map(|i| SegmentSpec { net: i, kth: 0.6 }).collect();
 //! let inst = SinoInstance::from_model(segs, &SensitivityModel::new(0.5, 7))?;
-//! let solution = SinoSolver::new(SolverConfig::default()).solve(&inst)?;
+//! let solution = SinoSolver.solve(&inst)?;
 //! let eval = gsino_sino::keff::evaluate(&inst, &solution);
 //! assert!(eval.feasible);
 //! # Ok(())

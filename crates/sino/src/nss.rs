@@ -99,7 +99,7 @@ impl NssModel {
         rates: &[f64],
         replicates: u64,
     ) -> Result<Self> {
-        let solver = SinoSolver::default();
+        let solver = SinoSolver;
         let mut rows: Vec<[f64; 6]> = Vec::new();
         let mut ys: Vec<f64> = Vec::new();
         for &n in counts {
@@ -133,7 +133,7 @@ impl NssModel {
     ///
     /// Propagates solver errors (none for well-formed grids).
     pub fn relative_error(&self, seed: u64, counts: &[usize], rates: &[f64]) -> Result<f64> {
-        let solver = SinoSolver::default();
+        let solver = SinoSolver;
         let mut abs_err = 0.0;
         let mut truth_sum = 0.0;
         let mut samples = 0usize;
@@ -177,7 +177,7 @@ impl NssModel {
 ///
 /// Propagates solver errors (internal invariants only).
 pub fn kth_for_extra_shield(instance: &SinoInstance, segment: usize) -> Result<Option<f64>> {
-    let solver = SinoSolver::default();
+    let solver = SinoSolver;
     let base_shields = solver.min_shields(instance)?;
     let kth_now = instance.segment(segment).kth;
     let floor = 1e-9;
@@ -259,7 +259,7 @@ mod tests {
         use gsino_grid::SensitivityModel;
         let segs: Vec<SegmentSpec> = (0..8).map(|i| SegmentSpec { net: i, kth: 0.8 }).collect();
         let inst = SinoInstance::from_model(segs, &SensitivityModel::new(0.6, 5)).unwrap();
-        let solver = SinoSolver::default();
+        let solver = SinoSolver;
         let base = solver.min_shields(&inst).unwrap();
         let kth = kth_for_extra_shield(&inst, 0).unwrap();
         if let Some(kth) = kth {

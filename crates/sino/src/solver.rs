@@ -1,71 +1,53 @@
-//! The user-facing SINO solver facade.
+//! The user-facing SINO solver facade: the one solver Phase II and Phase
+//! III run.
+//!
+//! [`SinoSolver`] is the greedy construction of [`crate::greedy`] followed
+//! by validation. The simulated-annealing polish ([`crate::anneal`]) is
+//! not part of it: the `sino_solvers` ablation runs it over a greedy
+//! layout itself.
+//!
+//! Every entry point that takes a [`DeltaEval`] scratch leaves it
+//! **mirroring the layout it returns**, whatever the scratch held before:
+//! its slots are the layout's, so [`DeltaEval::k_values`] (which first
+//! recomputes whatever blocks the solve left stale) is bit-identical to a
+//! from-scratch [`evaluate`] of the result. Callers read the couplings
+//! straight from the scratch instead of re-evaluating.
 
-use crate::anneal::{improve_with, AnnealConfig};
 use crate::delta::DeltaEval;
 use crate::greedy::{resume_greedy, solve_greedy_traced, solve_greedy_with, PlacementTrace};
 use crate::instance::SinoInstance;
 use crate::keff::evaluate;
 use crate::layout::Layout;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
-/// Solver configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct SolverConfig {
-    /// Optional simulated-annealing polish after the greedy construction.
-    /// `None` (the default) is the fast path used by the full-chip flow;
-    /// Phase II calls SINO once per region and the greedy solution is
-    /// already feasible and compact.
-    pub anneal: Option<AnnealConfig>,
-}
+/// A placeholder with nothing to configure: the flow runs one solver.
+/// `gsino_core`'s `phase2::solve_prepared`, `refine::refine` and
+/// `GsinoConfig::solver` still name it, so it stays until they drop it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SolverConfig;
 
-impl SolverConfig {
-    /// Enables annealing with the given iteration budget and seed.
-    pub fn with_anneal(iters: usize, seed: u64) -> Self {
-        SolverConfig {
-            anneal: Some(AnnealConfig {
-                iters,
-                seed,
-                ..AnnealConfig::default()
-            }),
-        }
-    }
-}
-
-/// Min-area SINO solver: greedy construction, optional annealing polish.
+/// Min-area SINO solver: greedy construction, then validation.
 ///
 /// # Example
 ///
 /// ```
 /// use gsino_grid::SensitivityModel;
 /// use gsino_sino::instance::{SegmentSpec, SinoInstance};
-/// use gsino_sino::solver::{SinoSolver, SolverConfig};
+/// use gsino_sino::solver::SinoSolver;
 /// use gsino_sino::keff::evaluate;
 ///
 /// # fn main() -> Result<(), gsino_sino::SinoError> {
 /// let segs = (0..10).map(|i| SegmentSpec { net: i, kth: 0.8 }).collect();
 /// let inst = SinoInstance::from_model(segs, &SensitivityModel::new(0.3, 5))?;
-/// let layout = SinoSolver::new(SolverConfig::default()).solve(&inst)?;
+/// let layout = SinoSolver.solve(&inst)?;
 /// assert!(evaluate(&inst, &layout).feasible);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct SinoSolver {
-    config: SolverConfig,
-}
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SinoSolver;
 
 impl SinoSolver {
-    /// Creates a solver with the given configuration.
-    pub fn new(config: SolverConfig) -> Self {
-        SinoSolver { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &SolverConfig {
-        &self.config
-    }
-
     /// Solves an instance; the returned layout is feasible and validated.
     ///
     /// # Errors
@@ -76,51 +58,25 @@ impl SinoSolver {
         self.solve_with(instance, &mut DeltaEval::new())
     }
 
-    /// [`SinoSolver::solve`] against caller-provided [`DeltaEval`] scratch.
+    /// [`SinoSolver::solve`] against caller-provided [`DeltaEval`] scratch,
+    /// which mirrors the returned layout on return (module docs).
     ///
-    /// Batch drivers (Phase II's per-region worklist) hold one scratch per
-    /// worker thread and reuse it across every instance they solve; the
-    /// result is identical to [`SinoSolver::solve`] for any reuse history.
+    /// Batch callers (Phase II's per-region worklist, refine's pass 1) hold
+    /// one scratch per worker thread and reuse it across every instance
+    /// they solve; the result is identical to [`SinoSolver::solve`] for any
+    /// reuse history.
     ///
     /// # Errors
     ///
     /// Same conditions as [`SinoSolver::solve`].
     pub fn solve_with(&self, instance: &SinoInstance, scratch: &mut DeltaEval) -> Result<Layout> {
         let layout = solve_greedy_with(instance, scratch);
-        self.polish(instance, layout, scratch)
-    }
-
-    /// Re-solve after budget edits: the entry point of Phase III's pass 1.
-    ///
-    /// Despite the edit, this is a full [`SinoSolver::solve_with`] from an
-    /// empty layout, so it is bit-identical to [`SinoSolver::solve`] on the
-    /// same instance whatever was edited. It adds one guarantee the plain
-    /// facade does not make: on return, `scratch` **mirrors the returned
-    /// layout** — its slots are the layout's, so [`DeltaEval::k_values`]
-    /// (which first recomputes whatever blocks the solve left stale) is
-    /// bit-identical to a from-scratch [`evaluate`] of the result. Pass 1
-    /// keeps one persistent `DeltaEval` per region and reads the couplings
-    /// straight from it instead of paying a full re-evaluate per edit.
-    /// Pass 2's trials, which raise one budget per step, use
-    /// [`SinoSolver::solve_traced`] and [`SinoSolver::resolve_after_raise`]
-    /// instead.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SinoSolver::solve`].
-    pub fn resolve_after_kth(
-        &self,
-        instance: &SinoInstance,
-        scratch: &mut DeltaEval,
-    ) -> Result<Layout> {
-        let layout = self.solve_with(instance, scratch)?;
-        Ok(mirror(instance, layout, scratch))
+        checked(instance, layout, scratch)
     }
 
     /// [`SinoSolver::solve_with`] that records the greedy placement's
     /// decisions in `trace`, for [`SinoSolver::resolve_after_raise`]. Same
-    /// layout, and `scratch` mirrors it on return, as after
-    /// [`SinoSolver::resolve_after_kth`].
+    /// layout, and `scratch` mirrors it on return.
     ///
     /// # Errors
     ///
@@ -132,8 +88,7 @@ impl SinoSolver {
         scratch: &mut DeltaEval,
     ) -> Result<Layout> {
         let layout = solve_greedy_traced(instance, scratch, trace);
-        let layout = self.polish(instance, layout, scratch)?;
-        Ok(mirror(instance, layout, scratch))
+        checked(instance, layout, scratch)
     }
 
     /// Re-solve after segment `raised`'s budget went up: the entry point of
@@ -144,11 +99,10 @@ impl SinoSolver {
     /// [`SinoSolver::solve_traced`] or an earlier resume). The greedy
     /// placement replays the placements the raise cannot reach instead of
     /// probing them ([`crate::greedy`], "Resuming after a budget raise"),
-    /// then repair, compaction and any configured annealer re-run in full.
-    /// The layout and the updated trace are bit-identical to a
-    /// [`SinoSolver::solve_traced`] of `instance`, which debug builds run
-    /// and compare at every call, and `scratch` mirrors the layout on
-    /// return.
+    /// then repair and compaction re-run in full. The layout and the
+    /// updated trace are bit-identical to a [`SinoSolver::solve_traced`] of
+    /// `instance`, which debug builds run and compare at every call, and
+    /// `scratch` mirrors the layout on return.
     ///
     /// # Errors
     ///
@@ -165,7 +119,7 @@ impl SinoSolver {
         scratch: &mut DeltaEval,
     ) -> Result<Layout> {
         let layout = resume_greedy(instance, scratch, trace, raised);
-        let layout = self.polish(instance, layout, scratch)?;
+        let layout = checked(instance, layout, scratch)?;
         #[cfg(debug_assertions)]
         {
             let mut cold = PlacementTrace::new();
@@ -176,21 +130,6 @@ impl SinoSolver {
                 "a resumed trace diverged from a cold one"
             );
         }
-        Ok(mirror(instance, layout, scratch))
-    }
-
-    /// The configured annealer over a greedy layout, then validation.
-    fn polish(
-        &self,
-        instance: &SinoInstance,
-        mut layout: Layout,
-        scratch: &mut DeltaEval,
-    ) -> Result<Layout> {
-        if let Some(cfg) = &self.config.anneal {
-            layout = improve_with(instance, layout, cfg, scratch);
-        }
-        validate_fast(instance.n(), &layout)?;
-        debug_assert!(evaluate(instance, &layout).feasible);
         Ok(layout)
     }
 
@@ -205,15 +144,17 @@ impl SinoSolver {
     }
 }
 
-/// Leaves `scratch` mirroring `layout`. The greedy construction leaves the
-/// scratch on the returned layout; the annealer leaves it on its last
-/// *accepted* layout, not necessarily the best one it returns, so that
-/// case reloads.
-fn mirror(instance: &SinoInstance, layout: Layout, scratch: &mut DeltaEval) -> Layout {
-    if scratch.slots() != layout.slots() {
-        scratch.load(instance, &layout);
-    }
-    layout
+/// Validates a greedy layout; debug builds also check that it is feasible
+/// and that `scratch` mirrors it.
+fn checked(instance: &SinoInstance, layout: Layout, scratch: &DeltaEval) -> Result<Layout> {
+    validate_fast(instance.n(), &layout)?;
+    debug_assert!(evaluate(instance, &layout).feasible);
+    debug_assert_eq!(
+        scratch.slots(),
+        layout.slots(),
+        "the scratch mirrors the layout"
+    );
+    Ok(layout)
 }
 
 /// Allocation-free [`Layout::validate`]: exactly-once occupancy through a
@@ -291,68 +232,37 @@ mod tests {
     }
 
     #[test]
-    fn default_solver_is_greedy_only() {
-        let s = SinoSolver::default();
-        assert!(s.config().anneal.is_none());
-    }
-
-    #[test]
     fn solve_and_min_shields_consistent() {
         let inst = instance(12, 0.5, 0.4, 21);
-        let solver = SinoSolver::default();
-        let layout = solver.solve(&inst).unwrap();
-        assert_eq!(solver.min_shields(&inst).unwrap(), layout.num_shields());
+        let layout = SinoSolver.solve(&inst).unwrap();
+        assert_eq!(SinoSolver.min_shields(&inst).unwrap(), layout.num_shields());
     }
 
-    #[test]
-    fn annealed_never_worse() {
-        for seed in [1u64, 2, 3] {
-            let inst = instance(14, 0.6, 0.35, seed);
-            let greedy = SinoSolver::default().solve(&inst).unwrap();
-            let annealed = SinoSolver::new(SolverConfig::with_anneal(3000, seed))
-                .solve(&inst)
-                .unwrap();
-            assert!(annealed.area() <= greedy.area());
-            assert!(evaluate(&inst, &annealed).feasible);
-        }
-    }
-
+    /// One scratch reused across instances of every size, the empty one
+    /// included: each solve is a fresh solve's layout, and the scratch
+    /// mirrors it, slots and couplings alike.
     #[test]
     fn solve_with_reused_scratch_matches_solve() {
-        let solver = SinoSolver::new(SolverConfig::with_anneal(800, 7));
         let mut scratch = DeltaEval::new();
-        for seed in [4u64, 9, 23] {
-            let inst = instance(10, 0.5, 0.4, seed);
-            let fresh = solver.solve(&inst).unwrap();
-            let reused = solver.solve_with(&inst, &mut scratch).unwrap();
-            assert_eq!(fresh, reused, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn resolve_after_kth_matches_solve_and_mirrors_layout() {
-        use crate::keff::evaluate;
-        for config in [SolverConfig::default(), SolverConfig::with_anneal(600, 5)] {
-            let solver = SinoSolver::new(config);
-            let mut scratch = DeltaEval::new();
-            let mut inst = instance(11, 0.6, 0.5, 31);
-            let first = solver.resolve_after_kth(&inst, &mut scratch).unwrap();
-            assert_eq!(first, solver.solve(&inst).unwrap());
-            // Tighten one budget and warm-resolve: still identical to a
-            // cold solve, and the scratch mirrors the result bitwise.
-            inst.set_kth(3, 0.05).unwrap();
-            scratch.rebudget(&inst, 3);
-            let second = solver.resolve_after_kth(&inst, &mut scratch).unwrap();
-            assert_eq!(second, solver.solve(&inst).unwrap());
-            assert_eq!(scratch.slots(), second.slots());
-            assert_eq!(scratch.k_values(&inst), &evaluate(&inst, &second).k[..]);
+        for (n, seed) in [(10usize, 4u64), (0, 9), (11, 23), (1, 31), (0, 5)] {
+            let inst = instance(n, 0.5, 0.4, seed);
+            let fresh = SinoSolver.solve(&inst).unwrap();
+            let reused = SinoSolver.solve_with(&inst, &mut scratch).unwrap();
+            assert_eq!(fresh, reused, "n {n}");
+            assert_eq!(scratch.slots(), reused.slots(), "n {n}");
+            let bits = |k: &[f64]| k.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(scratch.k_values(&inst)),
+                bits(&evaluate(&inst, &reused).k),
+                "n {n}"
+            );
         }
     }
 
     #[test]
     fn empty_instance_solves_empty() {
         let inst = SinoInstance::new(vec![], vec![]).unwrap();
-        let layout = SinoSolver::default().solve(&inst).unwrap();
+        let layout = SinoSolver.solve(&inst).unwrap();
         assert_eq!(layout.area(), 0);
     }
 }
@@ -388,7 +298,7 @@ mod proptests {
         /// solve's layout, its scratch mirrors that layout's couplings bit
         /// for bit, and its trace holds the cold trace's decisions. Up to
         /// 72 segments, so masks span two words and the placement stage's
-        /// one block grows past 64 tracks; one case in four anneals.
+        /// one block grows past 64 tracks.
         #[test]
         fn resumed_raise_chains_match_cold_solves(
             n in 1usize..=72,
@@ -396,15 +306,9 @@ mod proptests {
             seed in 0u64..5000,
             budgets in prop::collection::vec(1u32..60, 72..73),
             raises in prop::collection::vec((0usize..72, 1u32..40), 1..8),
-            anneal in 0u32..4,
         ) {
             let mut inst = mixed_instance(n, rate_pct as f64 / 100.0, seed, &budgets);
-            let config = if anneal == 0 {
-                SolverConfig::with_anneal(200, seed)
-            } else {
-                SolverConfig::default()
-            };
-            let solver = SinoSolver::new(config);
+            let solver = SinoSolver;
             let mut trace = PlacementTrace::new();
             let mut scratch = DeltaEval::new();
             let mut layout = solver.solve_traced(&inst, &mut trace, &mut scratch).unwrap();

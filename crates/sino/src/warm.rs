@@ -10,8 +10,8 @@
 //!
 //! [`budget_swap_preserves_solution`] certifies that, for a fixed
 //! instance, swapping the budget vector `old → new` leaves the output of
-//! [`crate::greedy::solve_greedy`] (and of the annealing polish, see
-//! below) **bit-identical**. The argument:
+//! [`crate::greedy::solve_greedy`], the solver every phase runs,
+//! **bit-identical**. The argument:
 //!
 //! 1. **Slack budgets never produce overflow.** A segment's coupling in
 //!    *any* layout over this instance (including every intermediate state
@@ -25,19 +25,19 @@
 //!    overflow term `max(0, Kᵢ − Kth(i))` is identically zero in every
 //!    reachable state under either budget vector. Unchanged segments
 //!    contribute identical terms by definition, so every
-//!    `total_overflow`, `feasible` and annealer-cost value the solvers
-//!    consult is equal under old and new budgets — identical comparisons,
-//!    identical accept/reject decisions, identical RNG consumption.
+//!    `total_overflow` and `feasible` value the solver consults is equal
+//!    under old and new budgets — identical comparisons, identical
+//!    choices.
 //! 2. **The visiting order is unchanged.** The only other place budgets
 //!    enter the solvers is the hardest-first ordering's tie-break
 //!    ([`crate::greedy::placement_order`]); recomputing the order under
 //!    both vectors and comparing is an exact O(n log n) check.
 //!
-//! Both conditions together imply the greedy construction, the repair
-//! and compaction sweeps, and the (optional) annealer walk visit the
-//! same states and make the same choices, so layout *and* achieved
-//! couplings are bit-identical — which the session layer's runtime
-//! oracle re-verifies with the reference solver on sampled commits.
+//! Both conditions together imply the greedy construction and the repair
+//! and compaction sweeps visit the same states and make the same choices,
+//! so layout *and* achieved couplings are bit-identical — which the
+//! session layer's runtime oracle re-verifies with the reference solver on
+//! sampled commits.
 
 use crate::greedy::{placement_order, placement_order_kth};
 use crate::instance::SinoInstance;
@@ -100,7 +100,7 @@ mod tests {
     use crate::instance::SegmentSpec;
     use crate::keff::evaluate;
     use crate::layout::Layout;
-    use crate::solver::{SinoSolver, SolverConfig};
+    use crate::solver::SinoSolver;
     use gsino_grid::SensitivityModel;
 
     fn instance(n: usize, rate: f64, kth: f64, seed: u64) -> SinoInstance {
@@ -190,13 +190,9 @@ mod tests {
             let new_kth = vec![35.0; 8];
             assert!(budget_swap_preserves_solution(&inst, &new_kth));
             let swapped = with_kth(&inst, &new_kth);
-            // Greedy-only and greedy+anneal must both be unmoved.
-            for anneal in [None, Some(crate::anneal::AnnealConfig::default())] {
-                let cfg = SolverConfig { anneal };
-                let a = SinoSolver::new(cfg).solve(&inst).unwrap();
-                let b = SinoSolver::new(cfg).solve(&swapped).unwrap();
-                assert_eq!(a, b, "seed {seed}, anneal {}", anneal.is_some());
-            }
+            let a = SinoSolver.solve(&inst).unwrap();
+            let b = SinoSolver.solve(&swapped).unwrap();
+            assert_eq!(a, b, "seed {seed}");
         }
     }
 

@@ -13,9 +13,7 @@
 use gsino::grid::{SensitivityModel, Technology};
 use gsino::lsk::{victim_block_spec, NoiseTable};
 use gsino::rlc::peak_noise;
-use gsino::sino::{
-    evaluate, greedy::order_only, instance::SegmentSpec, SinoInstance, SinoSolver, SolverConfig,
-};
+use gsino::sino::{evaluate, greedy::order_only, instance::SegmentSpec, SinoInstance, SinoSolver};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tech = Technology::itrs_100nm();
@@ -41,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  worst K {worst_k:.2} -> predicted noise {worst_v:.3} V (limit {vth} V)");
 
     // Full SINO: shields enforce the budget.
-    let layout = SinoSolver::new(SolverConfig::default()).solve(&instance)?;
+    let layout = SinoSolver.solve(&instance)?;
     let eval = evaluate(&instance, &layout);
     let worst_k = eval.k.iter().cloned().fold(0.0_f64, f64::max);
     let worst_v = table.voltage(worst_k * bus_len_um);

@@ -9,7 +9,6 @@ use gsino::core::violations::sink_lsk;
 use gsino::grid::{Circuit, Dir, Net, Point, Rect, RegionGrid, SensitivityModel, Technology};
 use gsino::lsk::{lsk_value, NoiseTable};
 use gsino::sino::evaluate;
-use gsino::sino::solver::SolverConfig;
 
 fn bus(n: u32, len: f64) -> (Circuit, RegionGrid) {
     let die = Rect::new(Point::new(0.0, 0.0), Point::new(len.max(512.0), 512.0)).unwrap();
@@ -42,16 +41,7 @@ fn sink_lsk_matches_manual_accumulation() {
     )
     .unwrap();
     let sens = SensitivityModel::new(0.5, 5);
-    let sino = solve_regions(
-        &grid,
-        &routes,
-        &budgets,
-        &sens,
-        SolverConfig::default(),
-        RegionMode::OrderOnly,
-        1,
-    )
-    .unwrap();
+    let sino = solve_regions(&grid, &routes, &budgets, &sens, RegionMode::OrderOnly, 1).unwrap();
     for net in circuit.nets() {
         let route = routes.get(net.id()).unwrap();
         let fast = sink_lsk(&grid, route, &sino, net, 0);
@@ -85,16 +75,7 @@ fn region_k_values_match_layout_evaluation() {
     )
     .unwrap();
     let sens = SensitivityModel::new(0.5, 5);
-    let sino = solve_regions(
-        &grid,
-        &routes,
-        &budgets,
-        &sens,
-        SolverConfig::default(),
-        RegionMode::Sino,
-        1,
-    )
-    .unwrap();
+    let sino = solve_regions(&grid, &routes, &budgets, &sens, RegionMode::Sino, 1).unwrap();
     for (r, d) in sino.keys() {
         let sol = sino.solution(r, d).unwrap();
         let eval = evaluate(&sol.instance, &sol.layout);
@@ -120,16 +101,8 @@ fn longer_nets_accumulate_more_lsk() {
         )
         .unwrap();
         let sens = SensitivityModel::new(1.0, 5);
-        let sino = solve_regions(
-            &grid,
-            &routes,
-            &budgets,
-            &sens,
-            SolverConfig::default(),
-            RegionMode::OrderOnly,
-            1,
-        )
-        .unwrap();
+        let sino =
+            solve_regions(&grid, &routes, &budgets, &sens, RegionMode::OrderOnly, 1).unwrap();
         let net = circuit.net(2).unwrap();
         let lsk = sink_lsk(&grid, routes.get(2).unwrap(), &sino, net, 0);
         assert!(lsk > last, "LSK must grow with length: {lsk} after {last}");

@@ -4,7 +4,7 @@ use gsino::grid::{Point, Rect, RegionGrid, SensitivityModel, Technology};
 use gsino::lsk::NoiseTable;
 use gsino::numeric::{isotonic_increasing, PiecewiseLinear};
 use gsino::sino::keff::{cap_violations, coupling, evaluate};
-use gsino::sino::{instance::SegmentSpec, Layout, SinoInstance, SinoSolver, SolverConfig};
+use gsino::sino::{instance::SegmentSpec, Layout, SinoInstance, SinoSolver};
 use gsino::steiner::{iterated_one_steiner, rectilinear_mst};
 use proptest::prelude::*;
 
@@ -64,7 +64,7 @@ proptest! {
             (0..n).map(|i| SegmentSpec { net: i as u32, kth }).collect();
         let inst =
             SinoInstance::from_model(segs, &SensitivityModel::new(rate, seed)).unwrap();
-        let layout = SinoSolver::new(SolverConfig::default()).solve(&inst).unwrap();
+        let layout = SinoSolver.solve(&inst).unwrap();
         prop_assert!(layout.validate(n).is_ok());
         let eval = evaluate(&inst, &layout);
         prop_assert!(eval.feasible);

@@ -12,7 +12,7 @@
 //! 2. **The pass contract** — `refine::refine` produces bit-identical
 //!    final `Budgets`, `RegionSino` and `RefineStats::outcome` to
 //!    `refine::reference::refine` across random circuits, sensitivity
-//!    rates, constraint pairs and solver/refine configurations. The
+//!    rates, constraint pairs and refine configurations. The
 //!    `#[ignore]`d pass-2-heavy legs hold it on generated rungs where
 //!    pass 2 makes over a thousand visits, at 1 and 2 threads
 //!    (`cargo test --release --test refine_equivalence -- --ignored`).
@@ -138,16 +138,7 @@ fn solved_setup(
     )
     .unwrap();
     let sens = SensitivityModel::new(rate, seed);
-    let sino = solve_regions(
-        &grid,
-        &routes,
-        &budgets,
-        &sens,
-        SolverConfig::default(),
-        RegionMode::Sino,
-        1,
-    )
-    .unwrap();
+    let sino = solve_regions(&grid, &routes, &budgets, &sens, RegionMode::Sino, 1).unwrap();
     (circuit, grid, routes, table, budgets, sino)
 }
 
@@ -169,7 +160,6 @@ proptest! {
         let (circuit, grid, routes, table, _, mut sino) =
             bus_setup(n, 2560.0, rate_pct as f64 / 100.0, 0.30, seed);
         let mut tracker = LskTracker::new(&circuit, &grid, &routes, &sino, &table, vth);
-        let solver = SinoSolver::new(SolverConfig::default());
         let keys = sino.keys();
         prop_assert!(!keys.is_empty());
         for (key_sel, seg_sel, factor_pct) in ops {
@@ -185,7 +175,7 @@ proptest! {
                 let new_kth = (sol.instance.segment(seg).kth * factor_pct as f64 / 100.0)
                     .max(1e-9);
                 sol.instance.set_kth(seg, new_kth).expect("valid budget");
-                sol.layout = solver.solve(&sol.instance).expect("solvable");
+                sol.layout = SinoSolver.solve(&sol.instance).expect("solvable");
                 sol.refresh_k();
                 let k = sol.k.clone();
                 tracker.region_updated(r, dir, &k, &table);
@@ -250,28 +240,23 @@ proptest! {
         seed in 0u64..50,
         vth_m in 12u32..=20,
         pass2_sel in 0u32..2,
-        anneal_iters in 0usize..200,
     ) {
         let enable_pass2 = pass2_sel == 1;
         let vth = vth_m as f64 / 100.0;
         let (circuit, grid, routes, table, budgets0, sino0) =
             bus_setup(n, 3840.0, rate_pct as f64 / 100.0, 0.30, seed);
-        let solver = match anneal_iters {
-            0 => SolverConfig::default(),
-            iters => SolverConfig::with_anneal(iters, seed),
-        };
         let config = RefineConfig {
             enable_pass2,
             ..RefineConfig::default()
         };
         let (mut b_ref, mut s_ref) = (budgets0.clone(), sino0.clone());
         let stats_ref = refine::reference::refine(
-            &circuit, &grid, &routes, &mut b_ref, &mut s_ref, &table, vth, solver, &config,
+            &circuit, &grid, &routes, &mut b_ref, &mut s_ref, &table, vth, &config,
         )
         .expect("reference refine");
         let (mut b_inc, mut s_inc) = (budgets0, sino0);
         let stats_inc = refine::refine(
-            &circuit, &grid, &routes, &mut b_inc, &mut s_inc, &table, vth, solver, &config,
+            &circuit, &grid, &routes, &mut b_inc, &mut s_inc, &table, vth, SolverConfig, &config,
         )
         .expect("incremental refine");
         prop_assert_eq!(stats_ref.outcome(), stats_inc.outcome());
@@ -297,7 +282,6 @@ fn dense_refine_full_agreement() {
         &mut s_ref,
         &table,
         0.15,
-        SolverConfig::default(),
         &RefineConfig::default(),
     )
     .unwrap();
@@ -310,7 +294,7 @@ fn dense_refine_full_agreement() {
         &mut s_inc,
         &table,
         0.15,
-        SolverConfig::default(),
+        SolverConfig,
         &RefineConfig::default(),
     )
     .unwrap();
@@ -352,7 +336,6 @@ fn pass2_heavy_leg(spec: &ScaleSpec) -> RefineStats {
         &mut s_ref,
         table,
         defaults.vth,
-        defaults.solver,
         &defaults.refine,
     )
     .expect("reference refine");
@@ -367,7 +350,6 @@ fn pass2_heavy_leg(spec: &ScaleSpec) -> RefineStats {
             &mut s,
             table,
             defaults.vth,
-            defaults.solver,
             &defaults.refine,
             threads,
             &CancelToken::never(),

@@ -16,7 +16,7 @@ use gsino_sino::delta::DeltaEval;
 use gsino_sino::instance::{SegmentSpec, SinoInstance};
 use gsino_sino::keff::evaluate;
 use gsino_sino::layout::Layout;
-use gsino_sino::solver::{SinoSolver, SolverConfig};
+use gsino_sino::solver::SinoSolver;
 use gsino_sino::{greedy, reference};
 use proptest::prelude::*;
 
@@ -85,31 +85,25 @@ proptest! {
         prop_assert_eq!(fast, slow);
     }
 
-    /// The full solver facade (greedy + optional anneal + validation)
-    /// matches `reference::solve` for both configurations, including when
-    /// one `DeltaEval` scratch is reused across consecutive solves.
+    /// The full solver facade (greedy + validation) matches
+    /// `reference::solve`, including when one `DeltaEval` scratch is reused
+    /// across consecutive solves.
     #[test]
     fn solver_facade_matches_reference(
         n in 0usize..14,
         rate_pct in 0u32..=100,
         seed in 0u64..5000,
-        anneal_iters in 0usize..600,
     ) {
         let inst = instance(n, rate_pct as f64 / 100.0, 0.4, seed);
-        // `0` doubles as "no annealing" to cover both solver configs.
-        let config = match anneal_iters {
-            0 => SolverConfig::default(),
-            iters => SolverConfig::with_anneal(iters, seed),
-        };
-        let slow = reference::solve(&config, &inst).expect("reference solve");
+        let slow = reference::solve(&inst).expect("reference solve");
         let mut scratch = DeltaEval::new();
-        let fast = SinoSolver::new(config)
+        let fast = SinoSolver
             .solve_with(&inst, &mut scratch)
             .expect("incremental solve");
         prop_assert_eq!(&fast, &slow);
         // Scratch reuse: solving again from the dirty scratch must not
         // change the answer.
-        let again = SinoSolver::new(config)
+        let again = SinoSolver
             .solve_with(&inst, &mut scratch)
             .expect("incremental solve, reused scratch");
         prop_assert_eq!(&again, &slow);
@@ -161,19 +155,19 @@ proptest! {
         budgets in prop::collection::vec(1u32..60, 72..73),
     ) {
         let inst = mixed_instance(n, rate_pct as f64 / 100.0, seed, &budgets);
-        let slow = reference::solve(&SolverConfig::default(), &inst).expect("reference solve");
+        let slow = reference::solve(&inst).expect("reference solve");
         let mut scratch = DeltaEval::new();
-        let fast = SinoSolver::default()
+        let fast = SinoSolver
             .solve_with(&inst, &mut scratch)
             .expect("incremental solve");
         prop_assert_eq!(&fast, &slow);
         prop_assert_eq!(scratch.evaluation(&inst), evaluate(&inst, &slow));
     }
 
-    /// Refine's trial chain: one reused scratch re-solves through
-    /// `resolve_after_kth` while one budget at a time is raised. Every
-    /// step matches `reference::solve`, and the scratch mirrors the
-    /// returned layout's `evaluate`.
+    /// A raise chain through one reused scratch, as refine's pass 1
+    /// re-solves: `solve_with` re-solves while one budget at a time is
+    /// raised. Every step matches `reference::solve`, and the scratch
+    /// mirrors the returned layout's `evaluate`.
     #[test]
     fn raise_chain_through_one_scratch_matches_reference(
         n in 16usize..=72,
@@ -183,18 +177,16 @@ proptest! {
         raises in prop::collection::vec((0usize..72, 1u32..40), 1..5),
     ) {
         let mut inst = mixed_instance(n, rate_pct as f64 / 100.0, seed, &budgets);
-        let solver = SinoSolver::default();
         let mut scratch = DeltaEval::new();
-        let mut layout = solver.resolve_after_kth(&inst, &mut scratch).expect("solve");
+        let mut layout = SinoSolver.solve_with(&inst, &mut scratch).expect("solve");
         for (step, &(seg, by)) in raises.iter().enumerate() {
             if step > 0 {
                 let seg = seg % n;
                 let kth = inst.segment(seg).kth + f64::from(by) / 20.0;
                 inst.set_kth(seg, kth).expect("positive budget");
-                scratch.rebudget(&inst, seg);
-                layout = solver.resolve_after_kth(&inst, &mut scratch).expect("re-solve");
+                layout = SinoSolver.solve_with(&inst, &mut scratch).expect("re-solve");
             }
-            let slow = reference::solve(&SolverConfig::default(), &inst).expect("reference solve");
+            let slow = reference::solve(&inst).expect("reference solve");
             prop_assert_eq!(&layout, &slow, "step {}", step);
             prop_assert_eq!(scratch.slots(), layout.slots());
             prop_assert_eq!(scratch.evaluation(&inst), evaluate(&inst, &layout), "step {}", step);

@@ -111,6 +111,8 @@ fn every_request_variant_round_trips() {
         };
         let json = round_trip_stable(&envelope);
         assert!(json.contains("\"type\""), "payload must be type-tagged");
+        // Version 2 carries no solver configuration.
+        assert!(!json.contains("\"solver\""), "{json}");
     }
 }
 
