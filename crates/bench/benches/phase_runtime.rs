@@ -183,13 +183,15 @@ fn phase1_speedup_report() -> KernelTimings {
     timings
 }
 
-/// Connectivity behaviour counters of the incremental ID run, reported
-/// into `BENCH_phase1.json` and gated by `bench_gate` (the workload is
-/// deterministic, so the counts are exactly reproducible).
+/// Connectivity and deletion-heap behaviour counters of the incremental
+/// ID run, reported into `BENCH_phase1.json` and gated by `bench_gate`
+/// (the workload is deterministic, so the counts are exactly
+/// reproducible).
 struct ConnectivityCounts {
     o1_hits: usize,
     repairs: usize,
     recomputes: usize,
+    heap_pops: usize,
 }
 
 /// ID-path Phase I: the incremental-connectivity kernel against the
@@ -242,12 +244,13 @@ fn id_phase1_speedup_report() -> (KernelTimings, ConnectivityCounts) {
         timings.speedup()
     );
     println!(
-        "  connectivity: {} O(1) hits, {} path repairs, {} recomputes ({} deletions, {} kept)",
+        "  connectivity: {} O(1) hits, {} path repairs, {} recomputes ({} deletions, {} kept, {} heap pops)",
         inc_stats.connectivity_o1_hits,
         inc_stats.connectivity_repairs,
         inc_stats.connectivity_recomputes,
         inc_stats.deletions,
-        inc_stats.kept
+        inc_stats.kept,
+        inc_stats.heap_pops
     );
     println!(
         "  total wirelength identical: {} um",
@@ -259,6 +262,7 @@ fn id_phase1_speedup_report() -> (KernelTimings, ConnectivityCounts) {
             o1_hits: inc_stats.connectivity_o1_hits,
             repairs: inc_stats.connectivity_repairs,
             recomputes: inc_stats.connectivity_recomputes,
+            heap_pops: inc_stats.heap_pops,
         },
     )
 }
@@ -292,15 +296,17 @@ fn write_phase1_summary(astar: &KernelTimings, id: &KernelTimings, conn: &Connec
         "reference_ms",
         "speedup_vs_pr1",
     );
-    // Deterministic connectivity behaviour counts, gated as hard ceilings
-    // by bench_gate (see COUNT_METRICS there): a change that quietly
-    // reintroduces per-kill recomputes fails CI even if wall time hides it.
+    // Deterministic connectivity and heap behaviour counts, gated as hard
+    // ceilings by bench_gate (see COUNT_METRICS there): a change that
+    // quietly reintroduces per-kill recomputes, or stops purging dead heap
+    // entries, fails CI even if wall time hides it.
     id_m.insert("connectivity_o1_hits", Value::U64(conn.o1_hits as u64));
     id_m.insert("connectivity_repairs", Value::U64(conn.repairs as u64));
     id_m.insert(
         "connectivity_recomputes",
         Value::U64(conn.recomputes as u64),
     );
+    id_m.insert("heap_pops", Value::U64(conn.heap_pops as u64));
     let mut root = Map::new();
     root.insert("schema", Value::U64(1));
     root.insert("workload", Value::Object(workload));

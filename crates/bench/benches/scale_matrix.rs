@@ -210,6 +210,10 @@ fn rung_row(r: &RungResult) -> Map {
             "connectivity_recomputes",
             Value::U64(out.router_stats.connectivity_recomputes as u64),
         );
+        m.insert(
+            "router_heap_pops",
+            Value::U64(out.router_stats.heap_pops as u64),
+        );
         // Refine pass 2: the visit outcomes (engine-independent) and the
         // engine's work (trial solves, their block recomputes and their
         // probed placements are gated as ceilings).
@@ -261,13 +265,14 @@ fn main() {
         );
         if let Some(out) = &r.pipeline {
             println!(
-                "  {:<10} {:>10}  violations {}  shields {}  recomputes {}  repairs {}",
+                "  {:<10} {:>10}  violations {}  shields {}  recomputes {}  repairs {}  heap pops {}",
                 "",
                 "",
                 out.violations.violating_nets(),
                 out.total_shields,
                 out.router_stats.connectivity_recomputes,
-                out.router_stats.connectivity_repairs
+                out.router_stats.connectivity_repairs,
+                out.router_stats.heap_pops
             );
             let refine = out.refine_stats.unwrap_or_default();
             println!(

@@ -29,9 +29,9 @@
 //! humans.
 //!
 //! Deterministic **behaviour counts** (the ID router's connectivity
-//! recompute/repair counters and, per scale workload, violations, shields,
-//! and refine pass 2's trial solves, their block recomputes and the
-//! placements they probed) are gated
+//! recompute/repair counters and deletion-heap pops and, per scale
+//! workload, violations, shields, and refine pass 2's trial solves, their
+//! block recomputes and the placements they probed) are gated
 //! alongside the timings with the same tolerance; being exact integers on
 //! a fixed workload, they catch algorithmic regressions that wall-time
 //! noise would mask.
@@ -118,6 +118,7 @@ const METRICS: &[(&str, &str, &str, &str, &str)] = &[
 const COUNT_METRICS: &[(&str, &str, &str)] = &[
     ("id full recomputes", "id", "connectivity_recomputes"),
     ("id localized repairs", "id", "connectivity_repairs"),
+    ("id heap pops", "id", "heap_pops"),
 ];
 
 /// Per-workload count metrics inside a `workloads` matrix section
@@ -129,6 +130,7 @@ const COUNT_METRICS: &[(&str, &str, &str)] = &[
 const MATRIX_COUNT_METRICS: &[(&str, &str)] = &[
     ("recomputes", "connectivity_recomputes"),
     ("repairs", "connectivity_repairs"),
+    ("heap pops", "router_heap_pops"),
     ("violations", "violations"),
     ("shields", "total_shields"),
     ("refine trial solves", "refine_trial_solves"),

@@ -13,9 +13,12 @@
 //!   path `P` between the terminals. An edge disconnects the terminals iff
 //!   it is a bridge **and** lies on `P` (a separating edge lies on every
 //!   terminal path, and a bridge on one simple terminal path separates).
-//! * Both traversals walk the corridor's **alive arc lists**
-//!   ([`Corridor::first_arc`]/[`Corridor::next_arc`]), which
-//!   [`Corridor::kill`] unlinks in O(1). Starting from a terminal they
+//! * Both traversals walk the corridor's **alive adjacency**
+//!   ([`Corridor::first_arc`]/[`Corridor::next_arc`] over one 4-bit alive
+//!   mask per region, which [`Corridor::kill`] clears in O(1); the walk
+//!   visits a region's edges in descending edge index, the order of the
+//!   linked arc lists the masks replaced, so every traversal, witness
+//!   path and repair is unchanged). Starting from a terminal they
 //!   visit exactly the terminal component's alive edges — a recompute is
 //!   **component-scoped**, O(V_c + E_c), never the PR-2 corridor-scoped
 //!   O(V + E_total) rebuild that iterated every edge (dead ones included)
@@ -27,7 +30,7 @@
 //!   eagerly — three monotonicity facts answer almost everything in O(1):
 //!   deletion never reconnects, so a cached "already disconnected" verdict
 //!   is final; a separating bridge stays separating while deletions
-//!   continue, so `sep` verdicts persist across revisions; and while the
+//!   continue, so `SEP` verdicts persist across revisions; and while the
 //!   witness path is intact (no kill touched it — see
 //!   [`BridgeCache::note_kill`]) any query about an off-path edge is
 //!   answered `true`, because `P` itself avoids that edge.
@@ -43,7 +46,7 @@
 //!   PR-2 behaviour of one full Tarjan recompute per path hit.
 //! * The full Tarjan pass therefore runs **once per corridor** (the first
 //!   query, seeding the monotone bridge set so every bridge that exists
-//!   up front yields O(1) `sep` verdicts) and again only if a caller
+//!   up front yields O(1) `SEP` verdicts) and again only if a caller
 //!   violates the kill-notification contract below. Its witness path is
 //!   routed **around** the queried edge when possible so the kill that
 //!   typically follows a `true` answer leaves the new path intact.
@@ -92,7 +95,7 @@ pub struct ConnectivityCounters {
 /// epoch-stamped: an entry is live only when its stamp equals the current
 /// epoch, so starting a recompute costs O(1) regardless of how large the
 /// previous corridor was. Adjacency is *not* copied here — traversals walk
-/// the corridor's own alive arc lists, so their cost is bounded by the
+/// the corridor's own alive masks, so their cost is bounded by the
 /// traversed component.
 #[derive(Debug, Default)]
 pub struct ConnectivityScratch {
@@ -153,7 +156,7 @@ impl ConnectivityScratch {
     }
 
     /// Iterative Tarjan low-link DFS from `root` over the corridor's alive
-    /// arc lists. Marks every bridge of `root`'s component in
+    /// adjacency. Marks every bridge of `root`'s component in
     /// `self.bridge`; regions outside the component are never touched.
     fn dfs_bridges(&mut self, corridor: &Corridor, root: u16) {
         let mut timer = 0u32;
@@ -199,7 +202,7 @@ impl ConnectivityScratch {
         }
     }
 
-    /// BFS from `from` to `to` over the alive arc lists, skipping edge
+    /// BFS from `from` to `to` over the alive adjacency, skipping edge
     /// `avoid` (pass [`NONE`] for no restriction); returns whether `to`
     /// was reached and leaves parent edges in `self.bfs_parent` for path
     /// extraction. Cost is bounded by `from`'s component.
@@ -222,12 +225,14 @@ impl ConnectivityScratch {
             }
             let mut arc = corridor.first_arc(r);
             while arc >= 0 {
-                let eid = corridor.arc_edge(arc) as u32;
                 let n = corridor.arc_to(arc);
-                if eid != avoid && self.bfs_visit[n as usize] != self.bfs_epoch {
-                    self.bfs_visit[n as usize] = self.bfs_epoch;
-                    self.bfs_parent[n as usize] = eid;
-                    self.bfs_queue.push(n);
+                if self.bfs_visit[n as usize] != self.bfs_epoch {
+                    let eid = corridor.arc_edge(arc) as u32;
+                    if eid != avoid {
+                        self.bfs_visit[n as usize] = self.bfs_epoch;
+                        self.bfs_parent[n as usize] = eid;
+                        self.bfs_queue.push(n);
+                    }
                 }
                 arc = corridor.next_arc(arc);
             }
@@ -250,22 +255,10 @@ pub struct BridgeCache {
     connected: bool,
     /// Whether the witness path is known intact (every edge alive).
     path_intact: bool,
-    /// Membership of the witness path, per edge (exact for the currently
-    /// installed path, which a repair may have refreshed after `revision`).
-    on_path: Vec<bool>,
-    /// Killing `e` separates the terminals. **Monotone**: once an edge
-    /// separates the pair it keeps separating under further deletions, so
-    /// entries persist across recomputes and answer stale queries in O(1).
-    sep: Vec<bool>,
-    /// `e` is a bridge of the corridor graph. **Monotone** like `sep`:
-    /// deletion never creates a cycle, so a bridge stays a bridge for as
-    /// long as it lives. Merged from every Tarjan pass and combined with
-    /// the witness path: a known bridge lying on a path that was fully
-    /// alive when installed was separating at that instant, hence (also
-    /// monotone) separating forever — an O(1) `false` that needs neither
-    /// a BFS nor a fresh bridge analysis.
-    bridge: Vec<bool>,
-    /// Edges of the witness path (bounds clears of `on_path`).
+    /// Per edge, the [`ON_PATH`], [`SEP`] and [`BRIDGE`] bits, in one
+    /// byte so a query reads one cache line.
+    flags: Vec<u8>,
+    /// Edges of the witness path (bounds clears of [`ON_PATH`]).
     path_edges: Vec<u32>,
     /// Kills reported via [`Self::note_kill`] since the last recompute.
     /// The intact-path shortcut and the localized repair also require
@@ -276,10 +269,41 @@ pub struct BridgeCache {
     noted_kills: u32,
 }
 
+/// [`BridgeCache`] edge flag: the edge lies on the witness path (exact for
+/// the currently installed path, which a repair may have refreshed after
+/// the analysis's revision).
+const ON_PATH: u8 = 1 << 0;
+/// Edge flag: killing the edge separates the terminals. **Monotone**: once
+/// an edge separates the pair it keeps separating under further
+/// deletions, so the flag persists across recomputes and answers stale
+/// queries in O(1).
+const SEP: u8 = 1 << 1;
+/// Edge flag: the edge is a bridge of the corridor graph. **Monotone**
+/// like [`SEP`]: deletion never creates a cycle, so a bridge stays a
+/// bridge for as long as it lives. Merged from every Tarjan pass and
+/// combined with the witness path: a known bridge lying on a path that
+/// was fully alive when installed was separating at that instant, hence
+/// (also monotone) separating forever — an O(1) `false` that needs
+/// neither a BFS nor a fresh bridge analysis.
+const BRIDGE: u8 = 1 << 2;
+
 impl BridgeCache {
     /// Creates an empty cache; the first query recomputes.
     pub fn new() -> Self {
         BridgeCache::default()
+    }
+
+    /// Whether edge `e` carries `flag`.
+    #[inline]
+    fn has(&self, e: usize, flag: u8) -> bool {
+        self.flags[e] & flag != 0
+    }
+
+    /// Clears [`ON_PATH`] on every witness-path edge and forgets the path.
+    fn clear_path(&mut self) {
+        while let Some(pe) = self.path_edges.pop() {
+            self.flags[pe as usize] &= !ON_PATH;
+        }
     }
 
     /// Records that `e` was killed in the corridor this cache mirrors.
@@ -291,7 +315,7 @@ impl BridgeCache {
     #[inline]
     pub fn note_kill(&mut self, e: usize) {
         self.noted_kills = self.noted_kills.wrapping_add(1);
-        if self.valid && e < self.on_path.len() && self.on_path[e] {
+        if self.valid && self.flags.get(e).is_some_and(|f| f & ON_PATH != 0) {
             self.path_intact = false;
         }
     }
@@ -314,7 +338,7 @@ impl BridgeCache {
         if self.valid {
             // Monotone verdicts are good at any revision: a separating
             // edge keeps separating, a disconnected pair stays apart.
-            if self.sep[e] {
+            if self.has(e, SEP) {
                 scratch.counters.fresh_hits += 1;
                 return false;
             }
@@ -334,7 +358,7 @@ impl BridgeCache {
                 // The witness path avoids `e` and every edge on it is
                 // still alive, so it proves connectivity without `e` by
                 // itself.
-                if self.path_intact && !self.on_path[e] {
+                if self.path_intact && !self.has(e, ON_PATH) {
                     debug_assert!(
                         self.path_edges
                             .iter()
@@ -348,7 +372,7 @@ impl BridgeCache {
             }
         }
         self.recompute(corridor, e, scratch);
-        self.connected && !self.sep[e]
+        self.connected && !self.has(e, SEP)
     }
 
     /// Settles a stale query the O(1) shortcuts could not answer — the
@@ -365,7 +389,7 @@ impl BridgeCache {
     ///   path avoids `e`: verdict `false`, `e` is learned separating
     ///   (monotone) without a second pass.
     /// * BFS fails with a broken path → one unrestricted BFS decides
-    ///   between "`e` separating" (install the found path, learn `sep`)
+    ///   between "`e` separating" (install the found path, learn `SEP`)
     ///   and "pair disconnected" (monotone `false` forever).
     fn resolve_stale(
         &mut self,
@@ -382,18 +406,19 @@ impl BridgeCache {
         }
         if self.path_intact {
             // Intact path ⇒ connected; failed BFS ⇒ nothing avoids `e`.
-            debug_assert!(self.on_path[e], "off-path intact queries hit the shortcut");
-            self.sep[e] = true;
+            debug_assert!(
+                self.has(e, ON_PATH),
+                "off-path intact queries hit the shortcut"
+            );
+            self.flags[e] |= SEP;
             return false;
         }
         if scratch.bfs_path(corridor, t1, t2, NONE) {
             self.install_path(corridor, scratch);
-            self.sep[e] = true;
+            self.flags[e] |= SEP;
         } else {
             self.connected = false;
-            while let Some(pe) = self.path_edges.pop() {
-                self.on_path[pe as usize] = false;
-            }
+            self.clear_path();
             self.path_intact = false;
         }
         false
@@ -406,17 +431,16 @@ impl BridgeCache {
     /// terminals — valid after a fresh Tarjan pass *and* after a repair
     /// whose bridge knowledge is older than the path.
     fn install_path(&mut self, corridor: &Corridor, scratch: &ConnectivityScratch) {
-        while let Some(pe) = self.path_edges.pop() {
-            self.on_path[pe as usize] = false;
-        }
+        self.clear_path();
         let (t1, t2) = corridor.terminals();
         let mut r = t2;
         while r != t1 {
             let pe = scratch.bfs_parent[r as usize];
             let (a, b, _) = corridor.edge(pe as usize);
-            self.on_path[pe as usize] = true;
-            if self.bridge[pe as usize] {
-                self.sep[pe as usize] = true;
+            let flags = &mut self.flags[pe as usize];
+            *flags |= ON_PATH;
+            if *flags & BRIDGE != 0 {
+                *flags |= SEP;
             }
             self.path_edges.push(pe);
             r = if a == r { b } else { a };
@@ -425,7 +449,7 @@ impl BridgeCache {
     }
 
     /// One component-scoped O(V_c + E_c) pass: Tarjan bridges of the
-    /// terminal component (over the alive arc lists — dead edges and
+    /// terminal component (over the alive adjacency — dead edges and
     /// foreign components are never visited), BFS witness path (routed
     /// around `queried` when possible, so the kill that typically follows
     /// a `true` answer keeps the path intact), separating-edge flags for
@@ -443,16 +467,14 @@ impl BridgeCache {
         let (t1, t2) = corridor.terminals();
         let num_edges = corridor.num_edges();
         scratch.prepare(corridor.num_regions(), num_edges);
-        if self.on_path.len() < num_edges {
-            self.on_path.resize(num_edges, false);
-            self.sep.resize(num_edges, false);
-            self.bridge.resize(num_edges, false);
+        if self.flags.len() < num_edges {
+            self.flags.resize(num_edges, 0);
         }
         scratch.dfs_bridges(corridor, t1);
         // Fold the fresh bridges into the monotone set (never cleared:
         // deletion cannot un-bridge an edge).
         for &be in &scratch.bridge_set {
-            self.bridge[be as usize] = true;
+            self.flags[be as usize] |= BRIDGE;
         }
         self.connected = scratch.visit[t2 as usize] == scratch.epoch;
         if self.connected {
@@ -467,9 +489,7 @@ impl BridgeCache {
             // every terminal path, so this path finds them all.
             self.install_path(corridor, scratch);
         } else {
-            while let Some(pe) = self.path_edges.pop() {
-                self.on_path[pe as usize] = false;
-            }
+            self.clear_path();
             self.path_intact = false;
         }
         self.revision = corridor.revision();
@@ -655,7 +675,7 @@ mod tests {
         // Query an edge that is alive and off the (old) path: exactly one
         // repair, zero additional recomputes.
         let probe = (0..c.num_edges())
-            .find(|&e| c.is_alive(e) && !cache.on_path[e])
+            .find(|&e| c.is_alive(e) && !cache.has(e, ON_PATH))
             .expect("an off-path alive edge exists");
         let fast = cache.connected_without(&c, probe, &mut scratch);
         assert_eq!(fast, c.connected_without(probe, &mut bfs));
@@ -665,7 +685,7 @@ mod tests {
         assert!(cache.path_intact, "repair re-arms the O(1) shortcut");
         // The very next off-path query rides the repaired path in O(1).
         let probe2 = (0..c.num_edges())
-            .find(|&e| c.is_alive(e) && !cache.on_path[e])
+            .find(|&e| c.is_alive(e) && !cache.has(e, ON_PATH))
             .expect("an off-path alive edge exists");
         let before = scratch.counters.shortcut_hits;
         assert!(cache.connected_without(&c, probe2, &mut scratch));

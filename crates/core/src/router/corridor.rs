@@ -5,9 +5,41 @@
 //! (clamped to the grid). The corridor graph contains every edge between
 //! adjacent corridor regions; iterative deletion whittles it down to the
 //! final path.
+//!
+//! Alive adjacency is one 4-bit mask per region, a bit per incident edge;
+//! [`Corridor::kill`] clears two bits. A traversal walks a region's set
+//! bits from V-up through H-right and H-left to V-down, which is
+//! descending edge index, the order of the linked arc lists the masks
+//! replaced. Keep it: the connectivity analysis's witness paths, and with
+//! them the gated repair and recompute counts, follow the visit order.
 
 use gsino_grid::region::{RegionGrid, RegionIdx};
 use gsino_grid::route::Dir;
+
+/// Alive-mask bit of a region's edge to its lower (`y - 1`) neighbour.
+const DOWN: u8 = 1 << 0;
+/// Bit of the edge to the west (`x - 1`) neighbour.
+const LEFT: u8 = 1 << 1;
+/// Bit of the edge to the east (`x + 1`) neighbour.
+const RIGHT: u8 = 1 << 2;
+/// Bit of the edge to the upper (`y + 1`) neighbour.
+const UP: u8 = 1 << 3;
+/// The two bits of a region's horizontal edges, then of its vertical ones.
+const DIR_BITS: [u8; 2] = [LEFT | RIGHT, DOWN | UP];
+
+/// Sentinel for "no further arc".
+const NO_ARC: i32 = -1;
+
+/// The arc at region `r` through the highest set bit of `bits`, or
+/// [`NO_ARC`]. An arc is `4·r + bit`.
+#[inline]
+fn arc_at(r: u32, bits: u8) -> i32 {
+    if bits == 0 {
+        NO_ARC
+    } else {
+        (r << 2 | (7 - bits.leading_zeros())) as i32
+    }
+}
 
 /// A rectangular region window with its own local indexing.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,10 +52,6 @@ pub struct Corridor {
     w: u32,
     /// Height in regions.
     h: u32,
-    /// Local edges as (local a, local b, dir); `a < b`.
-    edges: Vec<(u16, u16, Dir)>,
-    /// Which edges are still alive.
-    alive: Vec<bool>,
     /// Number of alive edges.
     alive_count: usize,
     /// Local indices of the two terminals.
@@ -31,19 +59,13 @@ pub struct Corridor {
     /// Bumped by every [`Self::kill`]; connectivity caches stamp their
     /// analyses with this (see [`super::connectivity`]).
     revision: u32,
-    /// Doubly-linked alive-adjacency: `arc_head[r]` starts region `r`'s
-    /// list of alive arcs. Edge `e` owns arcs `2e` (anchored at endpoint
-    /// `a`) and `2e + 1` (at endpoint `b`); [`Self::kill`] unlinks both in
-    /// O(1), so a traversal from a terminal touches only the alive edges of
-    /// its connected component — this is what makes the connectivity
-    /// recomputes component-scoped instead of corridor-scoped.
-    arc_head: Vec<i32>,
-    arc_next: Vec<i32>,
-    arc_prev: Vec<i32>,
+    /// Per region, one bit per alive incident edge ([`UP`], [`RIGHT`],
+    /// [`LEFT`], [`DOWN`]). A traversal from a terminal reads only these
+    /// bits, so it touches just the alive edges of its connected
+    /// component — this is what makes the connectivity recomputes
+    /// component-scoped instead of corridor-scoped.
+    alive: Vec<u8>,
 }
-
-/// Sentinel for "end of arc list".
-const NO_ARC: i32 = -1;
 
 impl Corridor {
     /// Builds the corridor for terminals `t1`, `t2` with a `halo` of extra
@@ -57,48 +79,32 @@ impl Corridor {
         let ymax = (y1.max(y2) + halo).min(grid.ny() - 1);
         let w = xmax - x0 + 1;
         let h = ymax - y0 + 1;
-        let mut edges = Vec::with_capacity((w * h * 2) as usize);
+        let mut alive = vec![0u8; (w * h) as usize];
         for ly in 0..h {
             for lx in 0..w {
-                let a = (ly * w + lx) as u16;
+                let a = (ly * w + lx) as usize;
                 if lx + 1 < w {
-                    edges.push((a, a + 1, Dir::H));
+                    alive[a] |= RIGHT;
+                    alive[a + 1] |= LEFT;
                 }
                 if ly + 1 < h {
-                    edges.push((a, a + w as u16, Dir::V));
+                    alive[a] |= UP;
+                    alive[a + w as usize] |= DOWN;
                 }
             }
         }
-        let alive = vec![true; edges.len()];
-        let alive_count = edges.len();
+        let alive_count = ((w - 1) * h + w * (h - 1)) as usize;
         let lt1 = ((y1 - y0) * w + (x1 - x0)) as u16;
         let lt2 = ((y2 - y0) * w + (x2 - x0)) as u16;
-        let mut arc_head = vec![NO_ARC; (w * h) as usize];
-        let mut arc_next = vec![NO_ARC; edges.len() * 2];
-        let mut arc_prev = vec![NO_ARC; edges.len() * 2];
-        for (e, &(a, b, _)) in edges.iter().enumerate() {
-            for (slot, r) in [(2 * e, a), (2 * e + 1, b)] {
-                let head = arc_head[r as usize];
-                arc_next[slot] = head;
-                if head != NO_ARC {
-                    arc_prev[head as usize] = slot as i32;
-                }
-                arc_head[r as usize] = slot as i32;
-            }
-        }
         Corridor {
             x0,
             y0,
             w,
             h,
-            edges,
-            alive,
             alive_count,
             terminals: (lt1, lt2),
             revision: 0,
-            arc_head,
-            arc_next,
-            arc_prev,
+            alive,
         }
     }
 
@@ -107,9 +113,10 @@ impl Corridor {
         (self.w * self.h) as usize
     }
 
-    /// Number of edges (alive or dead).
+    /// Number of edges (alive or dead): `w - 1` H edges per row and `w`
+    /// V edges per row but the top one.
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        ((self.w - 1) * self.h + self.w * (self.h - 1)) as usize
     }
 
     /// Number of alive edges.
@@ -122,72 +129,133 @@ impl Corridor {
         self.terminals
     }
 
-    /// The edge table entry `(local a, local b, dir)`.
+    /// Edge `e` as `(local a, local b, dir)`, `a < b`. Edges are numbered
+    /// row by row from the south: each region's H edge (to `a + 1`, if it
+    /// has one), then its V edge (to `a + w`, if it has one). Every row
+    /// but the top one thus holds `2w - 1` edges, and the top row only
+    /// its `w - 1` H edges.
     ///
     /// # Panics
     ///
     /// Panics if `e` is out of range.
     pub fn edge(&self, e: usize) -> (u16, u16, Dir) {
-        self.edges[e]
+        assert!(e < self.num_edges(), "edge {e} out of range");
+        let e = e as u32;
+        let per_row = 2 * self.w - 1;
+        let ly = e / per_row;
+        let o = e - ly * per_row;
+        let (lx, dir) = if ly + 1 == self.h {
+            (o, Dir::H)
+        } else if o % 2 == 0 && o / 2 + 1 < self.w {
+            (o / 2, Dir::H)
+        } else {
+            (o / 2, Dir::V)
+        };
+        let a = ly * self.w + lx;
+        let b = match dir {
+            Dir::H => a + 1,
+            Dir::V => a + self.w,
+        };
+        (a as u16, b as u16, dir)
+    }
+
+    /// The mask bits an edge of direction `dir` sets at its endpoints `a`
+    /// (the lower index) and `b`.
+    #[inline]
+    fn bits(dir: Dir) -> (u8, u8) {
+        match dir {
+            Dir::H => (RIGHT, LEFT),
+            Dir::V => (UP, DOWN),
+        }
     }
 
     /// Whether edge `e` is alive.
     pub fn is_alive(&self, e: usize) -> bool {
-        self.alive[e]
+        let (a, _, dir) = self.edge(e);
+        self.alive[a as usize] & Self::bits(dir).0 != 0
     }
 
-    /// Kills edge `e` (idempotent): unlinks its two arcs from the alive
-    /// adjacency in O(1) and bumps the revision.
+    /// Whether local region `r` still has an alive edge in direction `d`
+    /// (0 = H, 1 = V).
+    #[inline]
+    pub(crate) fn has_alive(&self, r: u16, d: usize) -> bool {
+        self.alive[r as usize] & DIR_BITS[d] != 0
+    }
+
+    /// Kills edge `e` (idempotent): clears its bit at both endpoints and
+    /// bumps the revision.
     pub fn kill(&mut self, e: usize) {
-        if self.alive[e] {
-            self.alive[e] = false;
+        let (a, b, dir) = self.edge(e);
+        let (bit_a, bit_b) = Self::bits(dir);
+        if self.alive[a as usize] & bit_a != 0 {
+            self.alive[a as usize] &= !bit_a;
+            self.alive[b as usize] &= !bit_b;
             self.alive_count -= 1;
             self.revision += 1;
-            let (a, b, _) = self.edges[e];
-            for (slot, r) in [(2 * e, a), (2 * e + 1, b)] {
-                let (prev, next) = (self.arc_prev[slot], self.arc_next[slot]);
-                if next != NO_ARC {
-                    self.arc_prev[next as usize] = prev;
-                }
-                if prev != NO_ARC {
-                    self.arc_next[prev as usize] = next;
-                } else {
-                    self.arc_head[r as usize] = next;
-                }
-            }
         }
     }
 
     /// First alive arc anchored at region `r` (`-1` = none). Arcs walk the
-    /// *alive* adjacency only: [`Self::kill`] unlinks an edge's two arcs,
-    /// so a traversal from a terminal is bounded by that terminal's
-    /// connected component, not the corridor.
+    /// *alive* adjacency only, in descending edge index: a traversal from
+    /// a terminal is bounded by that terminal's connected component, not
+    /// the corridor.
     #[inline]
     pub fn first_arc(&self, r: u16) -> i32 {
-        self.arc_head[r as usize]
+        arc_at(u32::from(r), self.alive[r as usize])
     }
 
-    /// Next alive arc after `arc` in the same region's list (`-1` = end).
+    /// Next alive arc after `arc` at the same region (`-1` = end).
     #[inline]
     pub fn next_arc(&self, arc: i32) -> i32 {
-        self.arc_next[arc as usize]
+        let r = (arc >> 2) as u32;
+        let below = (1u8 << (arc & 3)) - 1;
+        arc_at(r, self.alive[r as usize] & below)
     }
 
     /// The edge an arc belongs to.
     #[inline]
     pub fn arc_edge(&self, arc: i32) -> usize {
-        arc as usize / 2
+        let r = (arc >> 2) as u32;
+        match 1u8 << (arc & 3) {
+            UP => self.up_edge(r),
+            RIGHT => self.right_edge(r),
+            LEFT => self.right_edge(r - 1),
+            _ => self.up_edge(r - self.w),
+        }
     }
 
     /// The region an arc points *to* (the far endpoint of its edge).
     #[inline]
     pub fn arc_to(&self, arc: i32) -> u16 {
-        let (a, b, _) = self.edges[arc as usize / 2];
-        if arc & 1 == 0 {
-            b
+        let r = (arc >> 2) as u32;
+        (match 1u8 << (arc & 3) {
+            UP => r + self.w,
+            RIGHT => r + 1,
+            LEFT => r - 1,
+            _ => r - self.w,
+        }) as u16
+    }
+
+    /// Index of the H edge from local region `r` to `r + 1`. Every row
+    /// but the top one holds `w - 1` H and `w` V edges, interleaved per
+    /// region; the top row holds H edges only.
+    #[inline]
+    fn right_edge(&self, r: u32) -> usize {
+        let ly = r / self.w;
+        (if ly + 1 < self.h {
+            2 * r - ly
         } else {
-            a
-        }
+            r + (self.h - 1) * (self.w - 1)
+        }) as usize
+    }
+
+    /// Index of the V edge from local region `r` to `r + w`: right after
+    /// `r`'s H edge, if it has one.
+    #[inline]
+    fn up_edge(&self, r: u32) -> usize {
+        let ly = r / self.w;
+        let lx = r - ly * self.w;
+        (2 * r - ly + u32::from(lx + 1 < self.w)) as usize
     }
 
     /// Deletion revision: bumped once per effective [`Self::kill`].
@@ -203,6 +271,13 @@ impl Corridor {
         let lx = local as u32 % self.w;
         let ly = local as u32 / self.w;
         grid.idx(self.x0 + lx, self.y0 + ly)
+    }
+
+    /// Converts a global region inside the corridor to its local index
+    /// (the inverse of [`Self::global`]).
+    pub(crate) fn local(&self, grid: &RegionGrid, global: RegionIdx) -> u16 {
+        let (x, y) = grid.coords(global);
+        ((y - self.y0) * self.w + (x - self.x0)) as u16
     }
 
     /// Whether the two terminals stay connected if edge `skip` were dead.
@@ -221,11 +296,12 @@ impl Corridor {
         if t1 == t2 {
             return true;
         }
-        scratch.prepare(self.num_regions(), self.edges.len());
+        scratch.prepare(self.num_regions(), self.num_edges());
         // Build an adjacency pass on the fly: iterate edges once and record
         // neighbour lists in the scratch CSR-ish structure.
-        for (e, &(a, b, _)) in self.edges.iter().enumerate() {
-            if e != skip && self.alive[e] {
+        for e in 0..self.num_edges() {
+            let (a, b, dir) = self.edge(e);
+            if e != skip && self.alive[a as usize] & Self::bits(dir).0 != 0 {
                 scratch.push_adj(a, b);
                 scratch.push_adj(b, a);
             }
@@ -454,7 +530,66 @@ mod tests {
         assert!(!c2.connected_without(0, &mut scratch));
     }
 
-    /// The arc lists enumerate exactly the alive incident edges and shed
+    /// Edges are numbered row-major, each region's H edge before its V
+    /// edge, and the mask walk visits each region's alive edges in
+    /// descending edge index — the order of the prepended arc lists it
+    /// replaced — with each arc pointing across its own edge, on every
+    /// corridor shape from one region up, before and after kills.
+    #[test]
+    fn mask_walk_visits_alive_edges_in_descending_index() {
+        let g = grid();
+        let walk = |c: &Corridor, r: u16| {
+            let mut arcs = Vec::new();
+            let mut arc = c.first_arc(r);
+            while arc >= 0 {
+                arcs.push((c.arc_edge(arc), c.arc_to(arc)));
+                arc = c.next_arc(arc);
+            }
+            arcs
+        };
+        let check = |c: &Corridor| {
+            for r in 0..c.num_regions() as u16 {
+                let expected: Vec<(usize, u16)> = (0..c.num_edges())
+                    .rev()
+                    .filter(|&e| c.is_alive(e))
+                    .filter_map(|e| match c.edge(e) {
+                        (a, b, _) if a == r => Some((e, b)),
+                        (a, b, _) if b == r => Some((e, a)),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(walk(c, r), expected, "region {r}");
+            }
+        };
+        for w in 1..=4 {
+            for h in 1..=4 {
+                let mut c = Corridor::new(&g, g.idx(2, 2), g.idx(1 + w, 1 + h), 0);
+                assert_eq!(c.num_regions() as u32, w * h);
+                let mut layout = Vec::new();
+                for a in 0..(w * h) as u16 {
+                    if u32::from(a) % w + 1 < w {
+                        layout.push((a, a + 1, Dir::H));
+                    }
+                    if u32::from(a) / w + 1 < h {
+                        layout.push((a, a + w as u16, Dir::V));
+                    }
+                }
+                let edges: Vec<_> = (0..c.num_edges()).map(|e| c.edge(e)).collect();
+                assert_eq!(edges, layout, "{w}x{h}");
+                check(&c);
+                let mut state = u64::from(w * 7 + h);
+                for _ in 0..c.num_edges() / 2 {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    c.kill((state >> 33) as usize % c.num_edges());
+                    check(&c);
+                }
+            }
+        }
+    }
+
+    /// The arc walk enumerates exactly the alive incident edges and sheds
     /// killed edges in O(1).
     #[test]
     fn arc_lists_track_alive_incidence() {

@@ -876,6 +876,112 @@ mod tests {
         }
     }
 
+    /// A slice that panics with a coalesced batch in flight (one tagged
+    /// member, one local), an envelope carried out of the drain and a
+    /// caller queued behind it answers all four and `close()` with
+    /// `session_closed`, and the one pool worker goes on to serve another
+    /// session. The scenario runs on its own thread, so a stranded caller
+    /// fails the test instead of hanging it.
+    #[test]
+    fn a_panicking_slice_retires_its_session_and_spares_the_pool() {
+        fn scenario() -> std::result::Result<(), String> {
+            let service = Arc::new(RoutingService::new(ServiceConfig {
+                pool_threads: 1,
+                ..ServiceConfig::default()
+            }));
+            let boom = service
+                .open("boom", small_circuit(8), fast_config())
+                .unwrap();
+            let calm = service
+                .open("calm", small_circuit(8), fast_config())
+                .unwrap();
+            let tighten = |net| {
+                vec![EcoEdit::TightenVth {
+                    net,
+                    sink: 0,
+                    vth: 0.11,
+                }]
+            };
+            let paused = boom.quiesce().unwrap();
+            let cell = Arc::clone(service.lock().get("boom").unwrap());
+            let (tag_tx, tag_rx) = mpsc::channel();
+            cell.push(
+                &service.pool.shared,
+                Envelope::Request {
+                    req: ServiceRequest::Edit(tighten(1)),
+                    reply: ReplyTo::Tagged { id: 7, tx: tag_tx },
+                    deadline: None,
+                    submitted: Instant::now(),
+                },
+            )
+            .unwrap();
+            let member = stage_edit(&service, "boom", tighten(2));
+            let (query_tx, query_rx) = mpsc::channel();
+            cell.push(
+                &service.pool.shared,
+                Envelope::Request {
+                    req: ServiceRequest::Query,
+                    reply: ReplyTo::Local(query_tx),
+                    deadline: None,
+                    submitted: Instant::now(),
+                },
+            )
+            .unwrap();
+            let queued = stage_edit(&service, "boom", tighten(3));
+            super::worker::fault::arm("boom");
+            paused.resume();
+
+            let wait = Duration::from_secs(30);
+            let closed = |what: &str, outcome: Option<Result<ServiceResponse>>| match outcome {
+                Some(Err(CoreError::SessionClosed { session })) if session == "boom" => Ok(()),
+                other => Err(format!("{what}: expected session_closed, got {other:?}")),
+            };
+            let mut failures = Vec::new();
+            let tagged = tag_rx.recv_timeout(wait).ok().map(|(id, outcome)| {
+                assert_eq!(id, 7);
+                outcome
+            });
+            for (what, outcome) in [
+                ("tagged member", tagged),
+                ("local member", member.recv_timeout(wait).ok()),
+                ("carried query", query_rx.recv_timeout(wait).ok()),
+                ("queued edit", queued.recv_timeout(wait).ok()),
+            ] {
+                failures.extend(closed(what, outcome).err());
+            }
+            let (close_tx, close_rx) = mpsc::channel();
+            let closer = Arc::clone(&service);
+            std::thread::spawn(move || {
+                let _ = close_tx.send(closer.close("boom").map(|_| ()));
+            });
+            match close_rx.recv_timeout(wait) {
+                Ok(Err(CoreError::SessionClosed { .. })) => {}
+                other => failures.push(format!("close: expected session_closed, got {other:?}")),
+            }
+            if failures.is_empty() {
+                match calm.edit(tighten(4)) {
+                    Ok(receipt) => assert_eq!(receipt.edits, 1),
+                    Err(e) => failures.push(format!("the other session failed: {e}")),
+                }
+            }
+            if failures.is_empty() {
+                Ok(())
+            } else {
+                // A stranded session would block the service's drop.
+                std::mem::forget(service);
+                Err(failures.join("; "))
+            }
+        }
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done_tx.send(scenario());
+        });
+        match done_rx.recv_timeout(Duration::from_secs(120)) {
+            Ok(outcome) => outcome.unwrap(),
+            Err(_) => panic!("the scenario hung: a caller or close() was stranded"),
+        }
+    }
+
     #[test]
     fn explicit_pool_sizes_stay_bit_identical() {
         // The same edit sequence against pool sizes 1 and 4 must retire

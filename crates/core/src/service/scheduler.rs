@@ -47,6 +47,7 @@ use super::worker::{self, Body};
 use crate::session::EcoSession;
 use crate::{CoreError, Result};
 use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -181,6 +182,19 @@ impl SessionCell {
         let mut slot = self.done.lock().unwrap_or_else(PoisonError::into_inner);
         *slot = Some(outcome);
         self.done_cv.notify_all();
+    }
+
+    /// Retires a cell whose slice panicked (pinned worker only). The
+    /// session, possibly mid-commit, is dropped; the in-flight replies
+    /// were answered as the slice unwound (`worker::Owed`).
+    fn abandon(&self) {
+        *self.body.lock().unwrap_or_else(PoisonError::into_inner) = Body::Retired;
+        if !self.retired() {
+            let closed = CoreError::SessionClosed {
+                session: self.name.clone(),
+            };
+            self.retire(Err(closed.clone()), &closed);
+        }
     }
 
     /// Blocks until the session retires and takes the retired session
@@ -369,13 +383,19 @@ impl Drop for Pool {
     }
 }
 
-/// Executes one claimed session slice on `worker`, then ends it.
+/// Executes one claimed session slice on `worker`, then ends it. A slice
+/// that panics retires its session instead of taking the worker down:
+/// the session's state is dropped, and its queued callers, its in-flight
+/// ones and `close()` are all answered [`CoreError::SessionClosed`].
 fn run_cell(shared: &PoolShared, worker: usize, cell: Arc<SessionCell>) {
     if cell.running_guard.fetch_add(1, Ordering::SeqCst) != 0 {
         shared.pinning_violations.fetch_add(1, Ordering::Relaxed);
     }
     let t0 = Instant::now();
-    worker::run_slice(&cell, shared);
+    let slice = std::panic::catch_unwind(AssertUnwindSafe(|| worker::run_slice(&cell, shared)));
+    if slice.is_err() {
+        cell.abandon();
+    }
     shared.worker_busy_ns[worker].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     shared.worker_tasks[worker].fetch_add(1, Ordering::Relaxed);
     cell.running_guard.fetch_sub(1, Ordering::SeqCst);

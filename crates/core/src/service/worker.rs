@@ -13,6 +13,7 @@ use crate::pipeline::GsinoConfig;
 use crate::session::{EcoEdit, EcoSession, EditClass};
 use crate::{CoreError, Result};
 use gsino_grid::net::Circuit;
+use std::sync::mpsc::{Receiver, Sender};
 use std::time::Instant;
 
 /// A session body as the scheduler sees it: a spec awaiting its
@@ -83,6 +84,68 @@ impl SampleRing {
     }
 }
 
+/// A popped request's reply slot. Dropping it unanswered, as a slice
+/// that panics does while it unwinds, answers
+/// [`CoreError::SessionClosed`], so no caller, local or on the wire,
+/// waits for a reply that never comes.
+struct Owed<'a> {
+    reply: Option<ReplyTo>,
+    session: &'a str,
+}
+
+impl Owed<'_> {
+    fn send(mut self, outcome: Result<ServiceResponse>) {
+        if let Some(reply) = self.reply.take() {
+            reply.send(outcome);
+        }
+    }
+}
+
+impl Drop for Owed<'_> {
+    fn drop(&mut self) {
+        if let Some(reply) = self.reply.take() {
+            reply.send(Err(CoreError::SessionClosed {
+                session: self.session.to_string(),
+            }));
+        }
+    }
+}
+
+/// An envelope taken off a session's queue, its reply [`Owed`].
+enum Job<'a> {
+    Quiesce {
+        ack: Sender<()>,
+        resume: Receiver<()>,
+    },
+    Request {
+        req: ServiceRequest,
+        reply: Owed<'a>,
+        deadline: Option<Instant>,
+        submitted: Instant,
+    },
+}
+
+/// Pops the session's next envelope (pinned worker only).
+fn next_job(cell: &SessionCell) -> Option<Job<'_>> {
+    Some(match cell.pop()? {
+        Envelope::Quiesce { ack, resume } => Job::Quiesce { ack, resume },
+        Envelope::Request {
+            req,
+            reply,
+            deadline,
+            submitted,
+        } => Job::Request {
+            req,
+            reply: Owed {
+                reply: Some(reply),
+                session: &cell.name,
+            },
+            deadline,
+            submitted,
+        },
+    })
+}
+
 /// Executes one slice: builds the session if this is the cell's first
 /// claim, then serves up to [`QUANTUM`] envelopes from its queue, until
 /// the queue is empty or the session retires. Whether the cell runs
@@ -123,7 +186,7 @@ pub(crate) fn run_slice(cell: &SessionCell, pool: &PoolShared) {
     let mut processed = 0usize;
     // An envelope pulled out of a coalescing drain because it was
     // incompatible with the batch; served next so FIFO order holds.
-    let mut carry: Option<Envelope> = None;
+    let mut carry: Option<Job<'_>> = None;
     loop {
         // Re-borrowed each iteration so the Close arm below can take the
         // whole body out of the cell.
@@ -134,21 +197,21 @@ pub(crate) fn run_slice(cell: &SessionCell, pool: &PoolShared) {
             Body::Retired => return,
             Body::Unbuilt { .. } => unreachable!("built above"),
         };
-        let env = match carry.take() {
-            Some(env) => env,
+        let job = match carry.take() {
+            Some(job) => job,
             None => {
                 if processed >= QUANTUM {
                     return;
                 }
-                match cell.pop() {
-                    Some(env) => env,
+                match next_job(cell) {
+                    Some(job) => job,
                     None => return,
                 }
             }
         };
         processed += 1;
-        match env {
-            Envelope::Quiesce { ack, resume } => {
+        match job {
+            Job::Quiesce { ack, resume } => {
                 // The worker (not just the session) blocks here by
                 // design: quiesce is a test/bench affordance for staging
                 // deterministic bursts, documented as capable of
@@ -156,7 +219,7 @@ pub(crate) fn run_slice(cell: &SessionCell, pool: &PoolShared) {
                 let _ = ack.send(());
                 let _ = resume.recv();
             }
-            Envelope::Request {
+            Job::Request {
                 req,
                 reply,
                 deadline,
@@ -233,9 +296,9 @@ pub(crate) fn run_slice(cell: &SessionCell, pool: &PoolShared) {
 }
 
 /// One coalesced member of an edit batch.
-struct Member {
+struct Member<'a> {
     edits: Vec<EcoEdit>,
-    reply: ReplyTo,
+    reply: Owed<'a>,
     deadline: Option<Instant>,
     submitted: Instant,
 }
@@ -244,7 +307,7 @@ struct Member {
 /// accounts for it consistently: the canceled-in-queue counter ticks and
 /// the queue-wait window records how long it sat — the queue-depth gauge
 /// needs no adjustment because it *is* the run-queue length.
-fn cancel_in_queue(live: &mut LiveBody, reply: ReplyTo, submitted: Instant) {
+fn cancel_in_queue(live: &mut LiveBody, reply: Owed<'_>, submitted: Instant) {
     live.canceled_in_queue += 1;
     live.queue_ring
         .push(submitted.elapsed().as_secs_f64() * 1e3);
@@ -255,19 +318,19 @@ fn cancel_in_queue(live: &mut LiveBody, reply: ReplyTo, submitted: Instant) {
 /// edit requests into the batch. Returns the first incompatible envelope
 /// hit during the drain (served next by the slice loop) and the number of
 /// extra envelopes drained (counted against the quantum).
-fn serve_edits(
-    cell: &SessionCell,
+fn serve_edits<'a>(
+    cell: &'a SessionCell,
     live: &mut LiveBody,
-    first: Member,
-) -> (Option<Envelope>, usize) {
+    first: Member<'a>,
+) -> (Option<Job<'a>>, usize) {
     let class = request_class(&first.edits);
     let mut batch = vec![first];
     let mut carry = None;
     let mut drained = 0usize;
-    while let Some(env) = cell.pop() {
+    while let Some(job) = next_job(cell) {
         drained += 1;
-        match env {
-            Envelope::Request {
+        match job {
+            Job::Request {
                 req: ServiceRequest::Edit(edits),
                 reply,
                 deadline,
@@ -285,7 +348,7 @@ fn serve_edits(
                         submitted,
                     });
                 } else {
-                    carry = Some(Envelope::Request {
+                    carry = Some(Job::Request {
                         req: ServiceRequest::Edit(edits),
                         reply,
                         deadline,
@@ -300,6 +363,8 @@ fn serve_edits(
             }
         }
     }
+    #[cfg(test)]
+    fault::fire(&cell.name);
     execute_batch(live, class, batch);
     (carry, drained)
 }
@@ -316,7 +381,7 @@ fn serve_edits(
 /// overrides of the same sink last-write-wins), so survivors always
 /// replay in submission order, which also makes the outcome independent
 /// of *where* in the batch a rejected request sat.
-fn execute_batch(live: &mut LiveBody, class: EditClass, batch: Vec<Member>) {
+fn execute_batch(live: &mut LiveBody, class: EditClass, batch: Vec<Member<'_>>) {
     let session = &mut live.session;
     let dequeued = Instant::now();
     let mut rejected: Vec<Option<CoreError>> = batch.iter().map(|_| None).collect();
@@ -417,5 +482,32 @@ fn snapshot(name: &str, session: &EcoSession) -> SessionSnapshot {
         violating_nets: report.violating_nets(),
         stats: *session.stats(),
         last_divergence: session.last_divergence().map(str::to_string),
+    }
+}
+
+/// Test-only fault injection: a panic in a named session's next edit
+/// batch, with its members and any carried envelope in flight.
+#[cfg(test)]
+pub(crate) mod fault {
+    use std::sync::{Mutex, PoisonError};
+
+    static ARMED: Mutex<Vec<String>> = Mutex::new(Vec::new());
+
+    /// Arms one panic for `session`.
+    pub(crate) fn arm(session: &str) {
+        ARMED
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(session.to_string());
+    }
+
+    /// Panics once if `session` is armed.
+    pub(super) fn fire(session: &str) {
+        let mut armed = ARMED.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(i) = armed.iter().position(|s| s == session) {
+            armed.swap_remove(i);
+            drop(armed);
+            panic!("injected fault in session {session}");
+        }
     }
 }

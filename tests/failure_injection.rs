@@ -7,6 +7,8 @@
 //! degraded replay whose result is bit-identical to a from-scratch run —
 //! never a panic, never a silently wrong answer.
 
+use gsino::circuits::generator::generate;
+use gsino::circuits::spec::CircuitSpec;
 use gsino::core::budget::{budgets_with_constraints, Budgets, LengthModel};
 use gsino::core::cancel::CancelToken;
 use gsino::core::phase2::{prepare_instances, solve_prepared, RegionMode, RegionSino};
@@ -14,6 +16,7 @@ use gsino::core::pipeline::{
     run_flow_with_artifacts, run_gsino, Approach, GsinoConfig, MAX_THREADS,
 };
 use gsino::core::refine::{RefineConfig, RefineStats};
+use gsino::core::router::{IdRouter, ShieldTerm, Weights};
 use gsino::core::service::{RoutingService, ServiceConfig};
 use gsino::core::session::{EcoEdit, EcoSession, FaultKind, FaultPlan, OracleConfig};
 use gsino::core::CoreError;
@@ -597,6 +600,89 @@ fn session_deadline_inside_pass2_cancels_cleanly_or_commits_identically() {
             "threads {threads}: no deadline fired in refine"
         );
     }
+}
+
+/// Deadlines swept across one Phase I run on the 500-net generator
+/// workload `phase_runtime` times, whose deletion loop refreshes its heap
+/// several times: each run either returns the uncanceled routes and
+/// counters, or is canceled in `phase1`. Past the entry check, Phase I
+/// polls its token only inside the deletion loop, so a nonzero deadline
+/// that cancels has landed there.
+#[test]
+fn phase1_deadline_inside_the_deletion_loop_cancels_cleanly() {
+    let mut spec = CircuitSpec::ibm01();
+    spec.num_nets = 500;
+    let circuit = generate(&spec, 2002).unwrap();
+    let grid = RegionGrid::new(&circuit, &Technology::itrs_100nm(), 64.0).unwrap();
+    let router = IdRouter::new(&grid, Weights::default(), ShieldTerm::None);
+    let conns = router.prepare(&circuit);
+    let t = Instant::now();
+    let (expected, stats) = router.route_prepared(&circuit, &conns).unwrap();
+    let full = t.elapsed();
+    let refresh_every = (stats.edges_initial / 8).max(1000);
+    assert!(
+        stats.deletions >= 2 * refresh_every,
+        "the workload must refresh the heap: {stats:?}"
+    );
+    let mut in_loop = 0;
+    for eighths in [0, 1, 2, 4, 6, 8, 10] {
+        let token = CancelToken::with_deadline(full * eighths / 8);
+        match router.route_prepared_cancel(&circuit, &conns, &token) {
+            Ok((routes, got)) => {
+                assert!(routes == expected, "{eighths}/8: the routes diverged");
+                assert_eq!(got, stats, "{eighths}/8: the counters diverged");
+            }
+            Err(CoreError::Canceled { phase: "phase1" }) => in_loop += usize::from(eighths > 0),
+            Err(e) => panic!("{eighths}/8: {e}"),
+        }
+    }
+    assert!(in_loop > 0, "no deadline fired inside the deletion loop");
+}
+
+/// Deadlines swept across a topology commit, which re-runs Phase I on the
+/// whole design before any other stage polls the token. Budgets double
+/// from 1/32 of an uncanceled commit; each commit either succeeds
+/// bit-identical to that one, ending the sweep, or is canceled with the
+/// committed state bitwise untouched. The last attempt has no deadline,
+/// so the sweep always ends in a commit on the session the canceled
+/// attempts ran on.
+#[test]
+fn session_deadline_inside_phase1_cancels_cleanly_or_commits_identically() {
+    let circuit = session_circuit(150);
+    let edit = EcoEdit::Circuit(CircuitEdit::AddNet {
+        net: Net::two_pin(4000, Point::new(20.0, 600.0), Point::new(600.0, 30.0)),
+    });
+    let mut reference = EcoSession::new(&circuit, &session_config()).unwrap();
+    reference.begin().unwrap();
+    reference.apply(edit.clone()).unwrap();
+    let t = Instant::now();
+    reference.commit().unwrap();
+    let full = t.elapsed();
+    let expected = committed_state(&reference);
+
+    let mut session = EcoSession::new(&circuit, &session_config()).unwrap();
+    let before = committed_state(&session);
+    let mut in_phase1 = 0;
+    let budgets = (0..8).map(|k| Some(full * (1 << k) / 32));
+    for budget in budgets.chain([None]) {
+        session.begin().unwrap();
+        session.apply(edit.clone()).unwrap();
+        let token = budget.map_or_else(CancelToken::never, CancelToken::with_deadline);
+        match session.commit_with(&token) {
+            Ok(()) => break,
+            Err(CoreError::Canceled { phase }) => {
+                assert!(!session.in_transaction());
+                assert!(
+                    committed_state(&session) == before,
+                    "budget {budget:?}: a canceled commit leaked"
+                );
+                in_phase1 += usize::from(phase == "phase1");
+            }
+            Err(e) => panic!("budget {budget:?}: {e}"),
+        }
+    }
+    assert!(committed_state(&session) == expected, "the commit diverged");
+    assert!(in_phase1 > 0, "no deadline fired inside Phase I");
 }
 
 /// The acceptance workload: 200 random edits across many transactions
